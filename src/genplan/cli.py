@@ -157,7 +157,7 @@ def _cmd_synthesize(args):
             }
         )
         return 1
-    verdict = check_solution(p, result.policy, Under(constraint))
+    verdict = check_solution(p, result.policy, Under(constraint), budget=args.budget)
     if args.output:
         save_json(policy_to_json_dict(result.policy), args.output)
     _emit(
@@ -228,7 +228,7 @@ def _cmd_verify(args):
         if not args.constraint:
             raise GenplanError("--mode constraint requires a constraint argument")
         mode = Under(_parse_constraint(args.constraint, p))
-    verdict = check_solution(p, mu, mode)
+    verdict = check_solution(p, mu, mode, budget=args.budget)
     if args.dot:
         cx = verdict.counterexample or verdict.witness
         highlight = cx.visited_states() if cx is not None else ()
@@ -299,9 +299,6 @@ def _cmd_ltl2dpw(args):
     f = ltl.parse_ltl(args.formula, alphabet)
     nba = ltl.ltl_to_nba(f, alphabet, budget=args.budget)
     dpw = omega.nba_to_dpw(nba, budget=args.budget)
-    doc = dpw.to_json_dict()
-    if args.output:
-        save_json(doc, args.output)
     if args.format == "dot":
         out = omega.dpw_to_dot(dpw)
         if args.output:
@@ -310,6 +307,9 @@ def _cmd_ltl2dpw(args):
         else:
             sys.stdout.write(out)
         return 0
+    doc = dpw.to_json_dict()
+    if args.output:
+        save_json(doc, args.output)
     _emit(
         {
             "command": "ltl2dpw",
@@ -367,7 +367,9 @@ def build_parser():
         "--budget",
         type=int,
         default=None,
-        help="automaton state budget (default 10^6; GENPLAN_BUDGET overrides)",
+        help="cap on the automaton states each construction builds; synthesis "
+        "and constraint checks count only the states they reach, ltl2dpw the "
+        "full automaton (default 10^6; GENPLAN_BUDGET overrides)",
     )
     parser.add_argument("--format", choices=["json", "dot"], default="json")
     parser.add_argument("--verbose", action="store_true")

@@ -228,17 +228,15 @@ def _dpw_for(c, p, negate, budget):
     return omega.nba_to_dpw(L.ltl_to_nba(f, sigma, budget=budget), budget=budget), sigma
 
 
-def _dpw_conjuncts_for(c, p, budget):
-    """One DPW per top-level conjunct of the bound formula; a word satisfies
-    the constraint iff every automaton accepts it.  Keeps determinization
-    tractable for conjunctions of per-variable constraints."""
-    from . import omega
-
+def _conjunct_nbas(c, p, budget):
+    """One NBA per top-level conjunct of the bound formula; a word satisfies
+    the constraint iff every conjunct automaton accepts it.  Keeps
+    determinization tractable for conjunctions of per-variable constraints."""
     sigma = constraint_alphabet(c, p)
-    out = []
-    for f in _conjunct_formulas(constraint_formula(c, p)):
-        out.append(omega.nba_to_dpw(L.ltl_to_nba(f, sigma, budget=budget), budget=budget))
-    return out, sigma
+    return [
+        L.ltl_to_nba(f, sigma, budget=budget)
+        for f in _conjunct_formulas(constraint_formula(c, p))
+    ]
 
 
 def _trajectory_product(p, automata):
@@ -428,7 +426,9 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
             return ImplicationResult(holds=False, witness=lasso)
         return ImplicationResult(holds=True)
 
-    d_pos, _ = _dpw_conjuncts_for(c, p, budget)
+    from . import omega
+
+    d_pos = [omega.nba_to_dpw(a, budget=budget) for a in _conjunct_nbas(c, p, budget)]
     automata = [(d, c.level) for d in d_pos] + [(d_neg, c_prime.level)]
     inits, nodes, edges, prio_of = _trajectory_product(p, automata)
     targets = _even_targets([set(d.priority.values()) for d, _ in automata])
@@ -575,9 +575,11 @@ def counterexample_search(p, c, start, edges, reach, budget=L.DEFAULT_BUDGET):
     pairs and ``reach`` is the goal-free reachable region.
 
     The constraint is decomposed into conjuncts, each determinized on its
-    own; the search looks for a cycle whose dominant priority is even in
-    every conjunct automaton simultaneously.
+    own and on the fly, so only the automaton states the product reaches
+    are built.
     """
+    from . import omega
+
     if c.kind == "explicit":
         raise NotLtlExpressibleError(
             f"constraint {c.name!r} is an explicit predicate; it cannot back a "
@@ -586,11 +588,22 @@ def counterexample_search(p, c, start, edges, reach, budget=L.DEFAULT_BUDGET):
     if c.kind == "fairness":
         return _fair_policy_lasso(p, start, edges, reach)
 
-    dpws, _ = _dpw_conjuncts_for(c, p, budget)
+    dpws = [
+        omega.LazyDpw(a, budget, stage="constraint-check determinization")
+        for a in _conjunct_nbas(c, p, budget)
+    ]
+    return accepted_policy_lasso(p, c.level, dpws, start, edges, reach)
+
+
+def accepted_policy_lasso(p, level, dpws, start, edges, reach):
+    """A lasso of the policy product (arguments as for
+    `counterexample_search`) accepted by every automaton in ``dpws``, or
+    None: a cycle whose dominant priority is even in each of them at once.
+    The automata are read only from their initial states on."""
 
     def letter(node):
         s = node[0]
-        return s if c.level == "state" else p.obs_fn[s]
+        return s if level == "state" else p.obs_fn[s]
 
     inits = [("n", v, tuple(d.initial for d in dpws)) for v in start if v in reach]
     nodes = set(inits)
@@ -628,7 +641,10 @@ def counterexample_search(p, c, start, edges, reach, budget=L.DEFAULT_BUDGET):
         )
         for x in nodes
     }
-    targets = _even_targets([set(d.priority.values()) for d in dpws])
+    # a cycle can only use priorities that occur on explored nodes
+    targets = _even_targets(
+        [{pr[i] for pr in prio_of.values()} for i in range(len(dpws))]
+    )
     cycle = _find_even_cycle(nodes, lambda v: bedges[v], prio_of, targets)
     if cycle is None:
         return None

@@ -549,7 +549,10 @@ def _product_nba(a, b, alphabet, budget):
         key = (qa, qb, i)
         if key not in index:
             if len(states) >= budget:
-                raise SizeBudgetExceededError("conjunction product exceeded budget")
+                raise SizeBudgetExceededError(
+                    f"NBA conjunction product exceeded budget: {len(states)} states "
+                    f"built, budget {budget}"
+                )
             index[key] = len(states)
             states.append(key)
         return index[key]
@@ -615,7 +618,8 @@ def _tableau_nba(f, alphabet, budget):
     atoms, untils, nexts = _consistent_states(f, alphabet)
     if len(atoms) * max(1, len(untils)) > budget:
         raise SizeBudgetExceededError(
-            f"tableau would need {len(atoms)} x {max(1, len(untils))} states"
+            f"tableau would need {len(atoms)} x {max(1, len(untils))} states, "
+            f"budget {budget}"
         )
 
     def may_follow(a, b):
@@ -645,7 +649,10 @@ def _tableau_nba(f, alphabet, budget):
                 reach.add(j)
                 frontier.append(j)
         if len(reach) > budget:
-            raise SizeBudgetExceededError("tableau exploration exceeded budget")
+            raise SizeBudgetExceededError(
+                f"tableau exploration exceeded budget: {len(reach)} states "
+                f"reached, budget {budget}"
+            )
 
     # degeneralization counter over the Until acceptance sets
     k = max(1, len(untils))

@@ -20,6 +20,7 @@ from .errors import (
     ResolverExhaustedError,
     UnavailableActionError,
 )
+from .ltl import DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +568,7 @@ def _lasso_from_product(start_nodes, edges, cycle_nodes_path):
     )
 
 
-def check_solution(p, mu, mode):
+def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     """Decide whether ``mu`` solves ``p`` in the requested mode.
 
     STRONG: no reachable goal-free cycle and no goal-free stop.
@@ -576,7 +577,8 @@ def check_solution(p, mu, mode):
     Under(c): every goal-avoiding infinite behavior of the product violates
     the constraint, decided through the automaton product (module omega);
     goal-free stops are counterexamples since finite trajectories satisfy
-    every constraint.
+    every constraint.  ``budget`` caps the automaton states that check
+    builds.
     """
     from .ltl import _sccs
 
@@ -645,7 +647,7 @@ def check_solution(p, mu, mode):
     if isinstance(mode, Under):
         from .constraints import counterexample_search
 
-        lasso = counterexample_search(p, mode.constraint, start, edges, reach)
+        lasso = counterexample_search(p, mode.constraint, start, edges, reach, budget=budget)
         if lasso is not None:
             return Verdict(
                 kind="NOT_A_SOLUTION",

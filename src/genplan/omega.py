@@ -39,11 +39,6 @@ class Dpw:
     initial: object
     priority: dict
 
-    def run_from(self, q, letters):
-        for a in letters:
-            q = self.delta[(q, a)]
-        return q
-
     def to_json_dict(self):
         states = [str(q) for q in self.states]
         return {
@@ -82,7 +77,9 @@ def dpw_accepts(d, w):
     extra = w.symbol_set() - set(d.alphabet)
     if extra:
         raise AlphabetMismatchError(f"word symbols outside alphabet: {sorted(extra)}")
-    q = d.run_from(d.initial, w.prefix)
+    q = d.initial
+    for a in w.prefix:
+        q = d.delta[(q, a)]
     seen = {}
     maxes = []
     while q not in seen:
@@ -228,57 +225,99 @@ def _compact_names(tree):
     return rename(tree) if tree is not None else None
 
 
+class _LazyDelta(dict):
+    """Transition table that computes an entry the first time it is read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(*key)
+        return value
+
+
+class LazyDpw:
+    """The compact-tree determinization of an NBA, built on demand.
+
+    Reads like a `Dpw` (``alphabet``, ``initial``, ``delta``, ``priority``)
+    over integer states numbered in discovery order; state i stands for the
+    pair (tree, min-parity priority of the incoming transition).  A
+    ``delta`` entry is computed the first time it is read, numbering its
+    target if that is new, and ``priority`` (max-even) is filled as states
+    are numbered.  A consumer that explores from ``initial`` therefore
+    builds only the states it reaches; ``states`` lists those built so far.
+    Numbering a state beyond ``budget`` raises, naming ``stage``.
+    """
+
+    def __init__(self, nba, budget=DEFAULT_BUDGET, stage="full determinization"):
+        n = len(nba.states)
+        self.alphabet = nba.alphabet
+        self.delta = _LazyDelta(self._successor)
+        self.priority = {}
+        self._nba = nba
+        self._budget = budget
+        self._stage = stage
+        self._pairs = []  # state -> (tree, min-parity priority)
+        self._index = {}
+        self._steps = {}  # (tree, letter) -> _tree_step result
+        self._top = 4 * n + 2  # converts min-parity to the max-even convention
+        init_tree = (1, frozenset(nba.initial), ()) if nba.initial else None
+        self.initial = self._number((init_tree, 4 * n + 1))
+
+    @property
+    def states(self):
+        return range(len(self._pairs))
+
+    def _number(self, pair):
+        q = self._index.get(pair)
+        if q is None:
+            if len(self._pairs) >= self._budget:
+                raise SizeBudgetExceededError(
+                    f"{self._stage} exceeded budget: {len(self._pairs)} states "
+                    f"built, budget {self._budget}"
+                )
+            q = self._index[pair] = len(self._pairs)
+            self._pairs.append(pair)
+            self.priority[q] = self._top - pair[1]
+        return q
+
+    def _successor(self, q, sigma):
+        key = (self._pairs[q][0], sigma)
+        nxt = self._steps.get(key)
+        if nxt is None:
+            nxt = self._steps[key] = _tree_step(key[0], sigma, self._nba)
+        return self._number(nxt)
+
+    def explore(self):
+        """Build every reachable state (depth first, letters in sorted
+        order) and return the complete automaton as a `Dpw`."""
+        letters = sorted(self.alphabet)
+        stack = [self.initial]
+        while stack:
+            q = stack.pop()
+            for sigma in letters:
+                built = len(self._pairs)
+                self.delta[(q, sigma)]  # numbers the successor if it is new
+                stack.extend(range(built, len(self._pairs)))
+        return Dpw(
+            states=tuple(self.states),
+            alphabet=self.alphabet,
+            delta=dict(self.delta),
+            initial=self.initial,
+            priority=dict(self.priority),
+        )
+
+
 def nba_to_dpw(a, budget=DEFAULT_BUDGET):
     """Determinize via the compact-tree construction.  ``L(Dpw) = L(Nba)``;
     the number of priorities is linear in the number of Buchi states.
 
-    Trees are paired with the priority of their incoming transition to get
-    state-based priorities; the result is reduced by a priority-respecting
-    bisimulation quotient (safe, not canonical minimization) and relabeled
-    with integer states.
+    Builds every reachable state of `LazyDpw`, then reduces the result by a
+    priority-respecting bisimulation quotient (safe, not canonical
+    minimization) with integer states.
     """
-    n = len(a.states)
-    neutral = 4 * n + 1
-    init_tree = (1, frozenset(a.initial), ()) if a.initial else None
-
-    step_cache = {}
-
-    def step(tree, sigma):
-        key = (tree, sigma)
-        if key not in step_cache:
-            step_cache[key] = _tree_step(tree, sigma, a)
-        return step_cache[key]
-
-    initial = (init_tree, neutral)
-    states = [initial]
-    index = {initial: 0}
-    delta = {}
-    queue = [initial]
-    while queue:
-        st = queue.pop()
-        tree, _ = st
-        for sigma in sorted(a.alphabet):
-            nxt = step(tree, sigma)
-            if nxt not in index:
-                if len(states) >= budget:
-                    raise SizeBudgetExceededError(
-                        f"determinization exceeded budget of {budget} states"
-                    )
-                index[nxt] = len(states)
-                states.append(nxt)
-                queue.append(nxt)
-            delta[(st, sigma)] = nxt
-
-    # convert min-parity to the max-even convention
-    k = 4 * n + 2
-    d = Dpw(
-        states=tuple(states),
-        alphabet=a.alphabet,
-        delta=delta,
-        initial=initial,
-        priority={st: k - st[1] for st in states},
-    )
-    return normalize_priorities(quotient_dpw(d))
+    return normalize_priorities(quotient_dpw(LazyDpw(a, budget).explore()))
 
 
 def quotient_dpw(d):
@@ -530,10 +569,6 @@ def build_parity_game(p, d):
         raise AlphabetMismatchError(
             "DPW alphabet does not cover the projection's observations and actions"
         )
-    maxpri = max(d.priority.values())
-    even_hi = maxpri if maxpri % 2 == 0 else maxpri + 1
-    odd_hi = even_hi + 1
-
     nodes = []
     owner = {}
     priority = {}
@@ -607,7 +642,7 @@ class SynthesisResult:
     counterstrategy: dict = None
     game: ParityGame = None
     solution: GameSolution = None
-    dpw: Dpw = None
+    dpw: object = None  # a Dpw, or the LazyDpw the game explored
     formula: object = None
 
 
@@ -620,7 +655,8 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     reachable automaton states.
 
     The automaton comes from the generic pipeline (tableau NBA, then
-    compact-tree determinization).  When the constraint is a conjunction
+    compact-tree determinization as a `LazyDpw`, so only the automaton
+    states the game reaches are built).  When the constraint is a conjunction
     of per-variable counter constraints, the hand-built record automaton
     (`qnp_dpw_direct`) recognizes the same language with exponentially
     fewer states, and is used instead; ``direct`` forces the choice.
@@ -641,7 +677,7 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
         dpw = _qnp_direct_for_problem(p, variables)
     else:
         nba = ltl.ltl_to_nba(phi, sigma, budget=budget)
-        dpw = nba_to_dpw(nba, budget=budget)
+        dpw = LazyDpw(nba, budget, stage="synthesis-game determinization")
     game = build_parity_game(p, dpw)
     sol = solve_parity(game)
 
@@ -656,11 +692,10 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
         output = {}
         for q in memory:
             for obs in sorted(p.observations, key=str):
-                q1 = dpw.delta[(q, obs)]
                 v = ("c", obs, q)
                 move = strategy.get(v) if v in played else None
                 if obs not in p.goal_states and move is not None and move != LOSE:
-                    a = move[3]
+                    _, _, q1, a = move
                     output[(q, obs)] = a
                     update[(q, obs)] = dpw.delta[(q1, a)]
                 else:

@@ -288,3 +288,48 @@ def test_json_artifacts_reparse(tmp_path, capsys):
     p = load_pondp(str(out))
     doc = pondp_to_json_dict(p)
     assert doc == json.loads(out.read_text())
+
+
+def test_verify_constraint_honours_budget(tmp_path, capsys, monkeypatch):
+    """The constraint check counts the automaton states it builds against
+    --budget and GENPLAN_BUDGET; overflowing is malformed input (exit 2)."""
+    fondp = tmp_path / "twovar.json"
+    assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
+    capsys.readouterr()
+    args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, "qnp(X) & qnp(Y)"]
+    code, doc = run_cli(capsys, *args)
+    assert code == 0
+    code, doc = run_cli(capsys, "--budget", "5", *args)
+    assert code == 2
+    assert doc["error"] == "SizeBudgetExceededError"
+    monkeypatch.setenv("GENPLAN_BUDGET", "5")
+    code, doc = run_cli(capsys, *args)
+    assert code == 2
+    assert doc["error"] == "SizeBudgetExceededError"
+
+
+def test_ltl2dpw_output_formats(tmp_path, capsys, monkeypatch):
+    """-o writes exactly one file, in the format --format asks for."""
+    import genplan.cli as cli
+
+    saved = []
+    save_json = cli.save_json
+    monkeypatch.setattr(cli, "save_json", lambda doc, path: saved.append(path) or save_json(doc, path))
+    argv = ["ltl2dpw", "F a", "--alphabet", "a,b"]
+
+    out = tmp_path / "json" / "dpw.json"
+    out.parent.mkdir()
+    code, doc = run_cli(capsys, *argv, "-o", str(out))
+    assert code == 0 and doc["output"] == str(out)
+    assert saved == [str(out)]
+    assert os.listdir(out.parent) == ["dpw.json"]
+    assert set(json.loads(out.read_text())) == {"states", "alphabet", "delta", "initial", "priority"}
+
+    saved.clear()
+    out = tmp_path / "dot" / "dpw.dot"
+    out.parent.mkdir()
+    code, _ = run_cli(capsys, "--format", "dot", *argv, "-o", str(out))
+    assert code == 0
+    assert saved == []
+    assert os.listdir(out.parent) == ["dpw.dot"]
+    assert out.read_text().startswith("digraph")

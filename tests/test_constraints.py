@@ -3,25 +3,33 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genplan import ltl as L
 from genplan.constraints import (
     ALL_TRAJECTORIES,
+    accepted_policy_lasso,
     conjoin,
     constraint_formula,
+    counterexample_search,
     explicit_constraint,
     fairness_constraint,
     fairness_to_ltl,
     implies,
+    ltl_constraint,
     qnp_constraint,
     qnp_constraints,
     satisfies,
 )
-from genplan.errors import NotLtlExpressibleError, UnknownVariableError
+from genplan.errors import NotLtlExpressibleError, SizeBudgetExceededError, UnknownVariableError
 from genplan.model import FiniteTrajectory, Lasso, Policy, Under, check_solution, run_policy
 from genplan.omega import dpw_accepts, nba_to_dpw
 from genplan.ltl import eval_lasso, ltl_to_nba, parse_ltl
+from genplan.projection import lift_trajectory
+from genplan.qnp import parse_qnp, syntactic_projection
 
-from .helpers import ZERO, POS, concrete_counter, counter_projection, rand_word
+from .helpers import ZERO, POS, concrete_counter, counter_projection, rand_formula, rand_word
 
 SIGMA = {"Inc", "Dec", ZERO, POS}
 
@@ -250,3 +258,73 @@ def test_fairness_to_ltl_budget():
     p = concrete_counter(6, bound=8, dec_steps=(1, 2))
     with pytest.raises(NotLtlExpressibleError):
         fairness_to_ltl(p, budget=10)
+
+
+# ---------------------------------------------------------------------------
+# Constraint check on on-the-fly automata
+# ---------------------------------------------------------------------------
+
+TWOVAR = (
+    "vars X Y\ninit_values X in {2}\ninit_values Y in {2}\n"
+    "action a\n  pre X>0\n  dec X\n  inc Y\n"
+    "action b\n  pre Y>0\n  dec Y\ngoal X=0 Y=0\n"
+)
+
+
+def _memoryless_product(p, choice):
+    """Policy product of a memoryless choice (state -> action) in the shape
+    `counterexample_search` takes: initial nodes, node -> (action, node)
+    edges, and the region reachable without visiting a goal."""
+    start = [(s, "m0") for s in sorted(p.init, key=str)]
+    edges = {}
+    for s in p.states:
+        a = choice.get(s)
+        succ = sorted(p.succ[(a, s)], key=str) if a is not None else []
+        edges[(s, "m0")] = [(a, (s2, "m0")) for s2 in succ]
+    reach = {v for v in start if v[0] not in p.goal_states}
+    queue = list(reach)
+    while queue:
+        v = queue.pop()
+        for _, w in edges[v]:
+            if w[0] not in p.goal_states and w not in reach:
+                reach.add(w)
+                queue.append(w)
+    return start, edges, reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30))
+def test_lazy_counterexample_search_agrees_with_full_dpw(seed):
+    """On the four-observation two-variable projection under a random
+    memoryless policy, the search over on-the-fly conjunct automata finds a
+    lasso iff the same search over the fully determinized constraint does,
+    and every lasso it returns satisfies the constraint."""
+    rng = random.Random(seed)
+    p = syntactic_projection(parse_qnp(TWOVAR)).fondp
+    sigma = frozenset(set(p.observations) | set(p.actions))
+    letters = sorted(sigma)
+    f = L.land(*[rand_formula(rng, 3, letters) for _ in range(rng.randint(1, 2))])
+    c = ltl_constraint(f)
+    choice = {
+        s: rng.choice(sorted(p.avail[s]) + [None])
+        for s in sorted(p.states)
+        if p.avail[s]
+    }
+    start, edges, reach = _memoryless_product(p, choice)
+    lasso = counterexample_search(p, c, start, edges, reach)
+    full = [nba_to_dpw(ltl_to_nba(f, sigma))]
+    reference = accepted_policy_lasso(p, c.level, full, start, edges, reach)
+    assert (lasso is None) == (reference is None)
+    if lasso is not None:
+        assert eval_lasso(f, lift_trajectory(p, lasso).word(), sigma)
+
+
+def test_constraint_check_budget_names_its_stage():
+    p = syntactic_projection(parse_qnp(TWOVAR)).fondp
+    mu = Policy.memoryless({"X>0,Y=0": "a", "X>0,Y>0": "b", "X=0,Y>0": "b"})
+    cv = conjoin(qnp_constraints(["X", "Y"]))
+    assert check_solution(p, mu, Under(cv)).is_solution
+    with pytest.raises(
+        SizeBudgetExceededError, match="constraint-check determinization .* 14 states"
+    ):
+        check_solution(p, mu, Under(cv), budget=14)

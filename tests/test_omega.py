@@ -498,3 +498,88 @@ def test_parity_cycle_search():
     cyc = cycle_with_max_parity(nodes, succ, pri, 0)
     assert cyc is not None and max(pri[v] for v in cyc) == 2
     assert cycle_with_max_parity(nodes, succ, pri, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# On-the-fly determinization
+# ---------------------------------------------------------------------------
+
+
+def _ltl_text_constraint(q, p):
+    """The counter constraints of a QNP as an LTL constraint, so synthesis
+    takes the generic tableau and determinization route."""
+    from genplan.constraints import conjoin, constraint_formula, ltl_constraint, qnp_constraints
+
+    cv = conjoin(qnp_constraints(q.variables))
+    return ltl_constraint(constraint_formula(cv, p), name=cv.name)
+
+
+def _memoryless_policies(p):
+    """Every memoryless policy acting at each non-goal observation."""
+    states = sorted(s for s in p.states if s not in p.goal_states)
+    for pick in itertools.product(*[sorted(p.avail[s]) for s in states]):
+        yield Policy.memoryless({p.obs_fn[s]: a for s, a in zip(states, pick)})
+
+
+def test_lazy_synthesis_agrees_with_full_dpw_game():
+    """On the cross-engine suite (QNPs with at most two variables, counter
+    constraints as LTL text), synthesis on the on-the-fly automaton gives
+    the verdict of the game on the fully determinized one; realizable
+    policies pass the constraint check and unrealizable instances refute
+    every memoryless policy with a witness."""
+    from genplan.constraints import satisfies
+    from genplan.qnp import syntactic_projection
+
+    from .test_acceptance import _qnp_suite
+
+    for name, q in _qnp_suite().items():
+        if len(q.variables) > 2:
+            continue
+        p = syntactic_projection(q).fondp
+        c = _ltl_text_constraint(q, p)
+        res = synthesize(p, c)
+        sigma = frozenset(set(p.observations) | set(p.actions))
+        full = build_parity_game(p, nba_to_dpw(ltl_to_nba(res.formula, sigma)))
+        sol = solve_parity(full)
+        full_realizable = all(sol.region[v] == CONTROLLER for v in full.initial)
+        assert res.realizable == full_realizable, name
+        if res.realizable:
+            assert check_solution(p, res.policy, Under(c)).is_solution, name
+            continue
+        for mu in _memoryless_policies(p):
+            t = refute_policy(res, p, mu)
+            assert t is not None, name
+            if hasattr(t, "cycle_states"):
+                assert not is_goal_reaching(p, t), name
+                assert satisfies(c, t, p), name
+
+
+def test_lazy_synthesis_builds_only_reached_states():
+    """Generic synthesis on the two-variable QNP determinizes only the
+    automaton states its game reaches (96; the full automaton has 20,109
+    before the quotient)."""
+    from genplan.qnp import parse_qnp, syntactic_projection
+
+    from .test_acceptance import TWOVAR
+
+    q = parse_qnp(TWOVAR)
+    p = syntactic_projection(q).fondp
+    res = synthesize(p, _ltl_text_constraint(q, p))
+    assert res.realizable
+    assert len(res.dpw.states) <= 200
+
+
+def test_budget_errors_name_their_stage():
+    """A budget that the NBA constructions fit in but determinization does
+    not is reported with the determinization stage and its size."""
+    from genplan.constraints import ltl_constraint
+    from genplan.errors import SizeBudgetExceededError
+
+    f = parse_ltl('F G ! Inc & G F Dec -> G F "X=0"', SIGMA)
+    with pytest.raises(SizeBudgetExceededError, match="full determinization .* 2 states"):
+        nba_to_dpw(ltl_to_nba(f, SIGMA), budget=2)
+    c = ltl_constraint(parse_ltl("G F Dec & G F Inc", SIGMA))
+    with pytest.raises(
+        SizeBudgetExceededError, match="synthesis-game determinization .* 10 states"
+    ):
+        synthesize(counter_projection(), c, budget=10)
