@@ -24,7 +24,7 @@ from .constraints import (
     ltl_constraint,
     qnp_constraint,
 )
-from .errors import GenplanError
+from .errors import GenplanError, decoding
 from .model import (
     FAIR,
     STRONG,
@@ -43,7 +43,6 @@ from .model import (
     run_policy,
     save_json,
     trajectory_to_json_dict,
-    validate,
 )
 from .projection import as_fondp, project
 
@@ -53,16 +52,17 @@ DEFAULT_BUDGET = 10**6
 def _load_class(path):
     with open(path) as fh:
         doc = json.load(fh)
-    members = tuple(pondp_from_json_dict(m) for m in doc["members"])
-    if "goal_observations" in doc:
-        return PondpClass(
-            actions=frozenset(doc["actions"]),
-            observations=frozenset(doc["observations"]),
-            goal_observations=frozenset(doc["goal_observations"]),
-            avail_by_obs={o: frozenset(v) for o, v in doc["avail_by_obs"].items()},
-            members=members,
-        )
-    return infer_class(members)
+    with decoding("class JSON"):
+        members = tuple(pondp_from_json_dict(m) for m in doc["members"])
+        if "goal_observations" in doc:
+            return PondpClass(
+                actions=frozenset(doc["actions"]),
+                observations=frozenset(doc["observations"]),
+                goal_observations=frozenset(doc["goal_observations"]),
+                avail_by_obs={o: frozenset(v) for o, v in doc["avail_by_obs"].items()},
+                members=members,
+            )
+        return infer_class(members)
 
 
 def _load_policy(path):
@@ -140,9 +140,6 @@ def _cmd_project(args):
 
 def _cmd_synthesize(args):
     p = as_fondp(load_pondp(args.input))
-    issues = validate(p)
-    if issues:
-        raise GenplanError(f"problem fails validation: {issues[0][1]}")
     specs = args.constraint or ["true"]
     constraint = conjoin([_parse_constraint(s, p) for s in specs])
     result = omega.synthesize(p, constraint, budget=args.budget)
@@ -326,6 +323,8 @@ def _cmd_ltl2dpw(args):
 def _cmd_show(args):
     with open(args.input) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        doc = {}
     if "delta" in doc and "priority" in doc:
         dot = omega.dpw_to_dot(omega.dpw_from_json_dict(doc))
     elif "succ" in doc:
@@ -436,10 +435,7 @@ def main(argv=None):
     start = time.time()
     try:
         code = args.func(args)
-    except GenplanError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GenplanError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 2
     if args.verbose:

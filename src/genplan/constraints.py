@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import graph
 from . import ltl as L
 from .errors import (
     AlphabetMismatchError,
     NotLtlExpressibleError,
     UnknownVariableError,
 )
-from .ltl import _sccs
-from .model import FiniteTrajectory, is_fair
+from .model import FiniteTrajectory, Lasso, _fair_counterexample, is_fair
 from .projection import lift_trajectory
 
 
@@ -207,8 +207,10 @@ def satisfies(c, t, p):
 # ---------------------------------------------------------------------------
 
 
-def _letter(c_level, p, s):
-    return s if c_level == "state" else p.obs_fn[s]
+def _letter(level, p):
+    """The letter function of a constraint level: a state reads as itself
+    or as its observation."""
+    return (lambda s: s) if level == "state" else p.obs_fn.__getitem__
 
 
 def _conjunct_formulas(f):
@@ -239,146 +241,86 @@ def _conjunct_nbas(c, p, budget):
     ]
 
 
-def _trajectory_product(p, automata):
-    """Layered product of p's trajectory structure with DPWs.
+def _bilayer_product(inits, automata, moves):
+    """Product of a move structure with deterministic automata, in two
+    layers.
 
-    ``automata`` is a list of (dpw, level) pairs.  Nodes are
-    ("n", s, qs) before consuming the state/observation letter and
-    ("m", s, a, qs) after it, pending the action letter; edges carry no
-    labels beyond the structure.  Returns (inits, nodes, edges, prios)
-    where prios gives the tuple of automaton priorities at each node.
+    ``automata`` is a list of (dpw, letter) pairs, where ``letter(v)`` is
+    the symbol the automaton reads at base node ``v``; ``moves(v)`` lists
+    the (action, successor base nodes) pairs of ``v``.  Nodes are
+    ("n", v, qs) before the automata read v's letter and ("m", v, a, qs)
+    after it, pending the action letter ``a``.  Only nodes reachable from
+    ``inits`` are built, in depth-first order, so an automaton built on
+    the fly numbers its states the same way on every run.  Returns
+    (initial nodes, nodes, edges, priority tuple of each node).
     """
-    def obs_step(s, qs):
-        return tuple(
-            d.delta[(q, _letter(level, p, s))] for (d, level), q in zip(automata, qs)
-        )
-
-    def act_step(a, qs):
-        return tuple(d.delta[(q, a)] for (d, _), q in zip(automata, qs))
-
-    inits = [("n", s, tuple(d.initial for d, _ in automata)) for s in sorted(p.init, key=str)]
-    nodes = set(inits)
+    start = [("n", v, tuple(d.initial for d, _ in automata)) for v in inits]
+    nodes = set(start)
     edges = {}
-    queue = list(inits)
-    while queue:
-        v = queue.pop()
-        kind = v[0]
-        outs = []
-        if kind == "n":
-            _, s, qs = v
-            qs1 = obs_step(s, qs)
-            for a in sorted(p.avail.get(s, ()), key=str):
-                m = ("m", s, a, qs1)
+    outcomes = {}
+    stack = list(start)
+    while stack:
+        x = stack.pop()
+        if x[0] == "n":
+            _, v, qs = x
+            qs1 = tuple(d.delta[(q, letter(v))] for (d, letter), q in zip(automata, qs))
+            outs = []
+            for a, succs in moves(v):
+                m = ("m", v, a, qs1)
+                outcomes[m] = succs
                 outs.append(m)
-                if m not in nodes:
-                    nodes.add(m)
-                    queue.append(m)
         else:
-            _, s, a, qs1 = v
-            qs2 = act_step(a, qs1)
-            for s2 in sorted(p.succ[(a, s)], key=str):
-                n2 = ("n", s2, qs2)
-                outs.append(n2)
-                if n2 not in nodes:
-                    nodes.add(n2)
-                    queue.append(n2)
-        edges[v] = outs
-
-    def prios(v):
-        qs = v[2] if v[0] == "n" else v[3]
-        return tuple(d.priority[q] for (d, _), q in zip(automata, qs))
-
-    return inits, nodes, edges, {v: prios(v) for v in nodes}
+            _, v, a, qs1 = x
+            qs2 = tuple(d.delta[(q, a)] for (d, _), q in zip(automata, qs1))
+            outs = [("n", w, qs2) for w in outcomes[x]]
+        edges[x] = outs
+        for y in outs:
+            if y not in nodes:
+                nodes.add(y)
+                stack.append(y)
+    prio_of = {
+        x: tuple(d.priority[q] for (d, _), q in zip(automata, x[-1])) for x in nodes
+    }
+    return start, nodes, edges, prio_of
 
 
-def _product_lasso(inits, edges, cycle):
-    """Turn a bilayer product cycle into a state-level Lasso with a prefix
-    from an initial node."""
-    while cycle[0][0] != "n":
-        cycle = cycle[1:] + cycle[:1]
-    head = cycle[0]
-    parent = {v: None for v in inits}
-    queue = list(inits)
-    while queue:
-        v = queue.pop(0)
-        if v == head:
-            break
-        for w in edges[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    chain = [head]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
+def _trajectory_product(p, automata):
+    """Bilayer product of p's transition structure with (dpw, level)
+    automata; the base nodes are p's states."""
 
-    def unpack(seq):
-        states, actions = [], []
-        for v in seq:
-            if v[0] == "n":
-                states.append(v[1])
-            else:
-                actions.append(v[2])
-        return states, actions
+    def moves(s):
+        return [
+            (a, sorted(p.succ[(a, s)], key=str))
+            for a in sorted(p.avail.get(s, ()), key=str)
+        ]
 
-    pre_states, pre_actions = unpack(chain[:-1])
-    cyc_states, cyc_actions = unpack(cycle)
-    from .model import Lasso
-
-    return Lasso(
-        prefix_states=tuple(pre_states),
-        prefix_actions=tuple(pre_actions),
-        cycle_states=tuple(cyc_states),
-        cycle_actions=tuple(cyc_actions),
+    return _bilayer_product(
+        sorted(p.init, key=str),
+        [(d, _letter(level, p)) for d, level in automata],
+        moves,
     )
 
 
-def _cycle_covering(comp, succ, tup, prio_of):
-    """A concrete cycle within a strongly connected set visiting, for each
-    automaton index, a node realizing the target priority."""
-    want = []
-    for i, pt in enumerate(tup):
-        want.append(next(v for v in sorted(comp, key=str) if prio_of[v][i] == pt))
-    start = want[0]
-    cycle = []
-    cur = start
-    for goal in want[1:] + [start]:
-        seg = _bfs_segment(cur, goal, comp, succ)
-        if seg is None:
-            return None
-        cycle.extend(seg)
-        cur = goal
-    if not cycle:
-        seg = _bfs_segment(start, start, comp, succ, nonempty=True)
-        if seg is None:
-            return None
-        cycle = seg
-    return [start] + cycle[:-1]
+def _product_lasso(inits, edges, cycle, state_of):
+    """Turn a bilayer product cycle into a state-level Lasso with a
+    shortest prefix from an initial node; ``state_of`` maps a base node to
+    its problem state."""
+    if cycle[0][0] != "n":
+        cycle = cycle[1:] + cycle[:1]
+    prefix = graph.shortest_path(inits, edges.__getitem__, {cycle[0]})[:-1]
 
+    def split(seq):
+        states = tuple(state_of(x[1]) for x in seq if x[0] == "n")
+        return states, tuple(x[2] for x in seq if x[0] == "m")
 
-def _bfs_segment(src, goal, comp, succ, nonempty=False):
-    """Nodes after ``src`` on a shortest path src -> goal inside comp
-    (including goal); [] when src == goal and empty paths are allowed."""
-    if src == goal and not nonempty:
-        return []
-    parent = {}
-    queue = [src]
-    seen = {src}
-    while queue:
-        u = queue.pop(0)
-        for w in succ(u):
-            if w == goal:
-                seg = [w]
-                while u != src:
-                    seg.append(u)
-                    u = parent[u]
-                seg.reverse()
-                return seg
-            if w in comp and w not in seen:
-                seen.add(w)
-                parent[w] = u
-                queue.append(w)
-    return None
+    pre_states, pre_actions = split(prefix)
+    cyc_states, cyc_actions = split(cycle)
+    return Lasso(
+        prefix_states=pre_states,
+        prefix_actions=pre_actions,
+        cycle_states=cyc_states,
+        cycle_actions=cyc_actions,
+    )
 
 
 def _even_targets(prio_dicts):
@@ -432,31 +374,12 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     automata = [(d, c.level) for d in d_pos] + [(d_neg, c_prime.level)]
     inits, nodes, edges, prio_of = _trajectory_product(p, automata)
     targets = _even_targets([set(d.priority.values()) for d, _ in automata])
-    cycle = _find_even_cycle(nodes, lambda v: edges[v], prio_of, targets)
+    cycle = graph.dominant_cycle(nodes, edges.__getitem__, prio_of, targets)
     if cycle is None:
         return ImplicationResult(holds=True)
-    return ImplicationResult(holds=False, witness=_product_lasso(inits, edges, cycle))
-
-
-def _find_even_cycle(nodes, succ_fn, prio_of, targets):
-    for tup in targets:
-        sub = {v for v in nodes if all(pv <= pt for pv, pt in zip(prio_of[v], tup))}
-
-        def succ(v):
-            return [w for w in succ_fn(v) if w in sub]
-
-        for comp in _sccs(sorted(sub, key=str), succ):
-            comp_set = set(comp)
-            if len(comp) == 1 and comp[0] not in succ(comp[0]):
-                continue
-            if not all(
-                any(prio_of[v][i] == pt for v in comp_set) for i, pt in enumerate(tup)
-            ):
-                continue
-            cycle = _cycle_covering(comp_set, succ, tup, prio_of)
-            if cycle is not None:
-                return cycle
-    return None
+    return ImplicationResult(
+        holds=False, witness=_product_lasso(inits, edges, cycle, lambda s: s)
+    )
 
 
 def _fair_accepting_lasso(p, dpw, level):
@@ -469,99 +392,66 @@ def _fair_accepting_lasso(p, dpw, level):
     edges in one closed walk, which makes the projected lasso fair.
     """
     inits, nodes, edges, prio_of = _trajectory_product(p, [(dpw, level)])
-
-    def closed_components(node_set):
-        """Maximal move-closed strongly connected substructures."""
-        out = []
-        stack = [frozenset(node_set)]
-        while stack:
-            cur = set(stack.pop())
-            while True:
-                keep = set()
-                for v in cur:
-                    if v[0] == "m":
-                        continue
-                    if any(
-                        m in cur and all(w in cur for w in edges[m])
-                        for m in edges[v]
-                    ):
-                        keep.add(v)
-                pruned = {
-                    v
-                    for v in cur
-                    if (v[0] == "n" and v in keep)
-                    or (
-                        v[0] == "m"
-                        and all(w in cur and w in keep for w in edges[v])
-                    )
-                }
-                if pruned == cur:
-                    break
-                cur = pruned
-            if not cur:
-                continue
-
-            def succ(v, _cur=cur):
-                if v[0] == "n":
-                    return [
-                        m
-                        for m in edges[v]
-                        if m in _cur and all(w in _cur for w in edges[m])
-                    ]
-                return [w for w in edges[v] if w in _cur]
-
-            comps = _sccs(sorted(cur, key=str), succ)
-            if len(comps) == 1 and set(comps[0]) == cur:
-                comp = comps[0]
-                if len(comp) > 1 or comp[0] in succ(comp[0]):
-                    out.append((frozenset(cur), succ))
-                continue
-            for comp in comps:
-                if len(comp) > 1 or comp[0] in succ(comp[0], frozenset(comp)):
-                    stack.append(frozenset(comp))
-        return out
-
-    reach = set(inits)
-    queue = list(inits)
-    while queue:
-        v = queue.pop()
-        for w in edges[v]:
-            if w not in reach:
-                reach.add(w)
-                queue.append(w)
-
     evens = sorted({q for q in dpw.priority.values() if q % 2 == 0}, reverse=True)
     for pe in evens:
-        sub = {v for v in reach if prio_of[v][0] <= pe}
-        for comp, succ in closed_components(sub):
+        sub = {v for v in nodes if prio_of[v][0] <= pe}
+        for comp, succ in _closed_components(sub, edges):
             if not any(prio_of[v][0] == pe for v in comp):
                 continue
-            walk = _edge_covering_walk(comp, succ)
+            walk = graph.covering_walk(comp, succ)
             if walk is not None:
-                return _product_lasso(inits, edges, walk)
+                return _product_lasso(inits, edges, walk, lambda s: s)
     return None
 
 
-def _edge_covering_walk(comp, succ):
-    """A closed walk covering every edge of the component (so every sibling
-    outcome of every used move occurs on the cycle)."""
-    nodes_sorted = sorted(comp, key=str)
-    start = nodes_sorted[0]
-    to_cover = [(u, w) for u in nodes_sorted for w in succ(u) if w in comp]
-    if not to_cover:
-        return None
-    walk = [start]
-    for u, w in to_cover:
-        seg = _bfs_segment(walk[-1], u, comp, succ)
-        if seg is None:
-            return None
-        walk.extend(seg)
-        walk.append(w)
-    seg = _bfs_segment(walk[-1], start, comp, succ)
-    if seg is None:
-        return None
-    walk.extend(seg)
-    return walk[:-1]
+def _closed_components(nodes, edges):
+    """Maximal move-closed strongly connected substructures of a bilayer
+    product, with the successor function that keeps them closed."""
+    stack = [nodes]
+    while stack:
+        cur = _closed_core(stack.pop(), edges)
+
+        def succ(v, cur=cur):
+            if v[0] == "n":
+                return [m for m in edges[v] if m in cur and all(w in cur for w in edges[m])]
+            return [w for w in edges[v] if w in cur]
+
+        comps = graph.sccs(sorted(cur, key=str), succ)
+        if len(comps) == 1:
+            if graph.has_cycle(comps[0], succ):
+                yield cur, succ
+            continue
+        stack.extend(set(comp) for comp in comps if graph.has_cycle(comp, succ))
+
+
+def _closed_core(nodes, edges):
+    """The largest subset of ``nodes`` in which every "n" node keeps one of
+    its moves and every kept move keeps all its outcomes."""
+    pred = {}
+    moves_left = {}
+    dead = []
+    for v in nodes:
+        inside = [w for w in edges[v] if w in nodes]
+        for w in inside:
+            pred.setdefault(w, []).append(v)
+        if v[0] == "n":
+            closed = moves_left[v] = len(inside)
+        else:
+            closed = len(inside) == len(edges[v])
+        if not closed:
+            dead.append(v)
+    core = set(nodes).difference(dead)
+    while dead:
+        for v in pred.get(dead.pop(), ()):
+            if v not in core:
+                continue
+            if v[0] == "n":
+                moves_left[v] -= 1
+                if moves_left[v]:
+                    continue
+            core.discard(v)
+            dead.append(v)
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +476,7 @@ def counterexample_search(p, c, start, edges, reach, budget=L.DEFAULT_BUDGET):
             "solution check"
         )
     if c.kind == "fairness":
-        return _fair_policy_lasso(p, start, edges, reach)
+        return _fair_counterexample(start, edges, reach)
 
     dpws = [
         omega.LazyDpw(a, budget, stage="constraint-check determinization")
@@ -601,115 +491,20 @@ def accepted_policy_lasso(p, level, dpws, start, edges, reach):
     None: a cycle whose dominant priority is even in each of them at once.
     The automata are read only from their initial states on."""
 
-    def letter(node):
-        s = node[0]
-        return s if level == "state" else p.obs_fn[s]
+    def moves(v):
+        if not edges[v]:
+            return []
+        return [(edges[v][0][0], [w for _, w in edges[v] if w in reach])]
 
-    inits = [("n", v, tuple(d.initial for d in dpws)) for v in start if v in reach]
-    nodes = set(inits)
-    bedges = {}
-    queue = list(inits)
-    while queue:
-        x = queue.pop()
-        outs = []
-        if x[0] == "n":
-            _, v, qs = x
-            qs1 = tuple(d.delta[(q, letter(v))] for d, q in zip(dpws, qs))
-            if edges[v]:
-                a = edges[v][0][0]
-                m = ("m", v, a, qs1)
-                outs.append(m)
-                if m not in nodes:
-                    nodes.add(m)
-                    queue.append(m)
-        else:
-            _, v, a, qs1 = x
-            qs2 = tuple(d.delta[(q, a)] for d, q in zip(dpws, qs1))
-            for act, v2 in edges[v]:
-                if v2 not in reach:
-                    continue
-                n2 = ("n", v2, qs2)
-                outs.append(n2)
-                if n2 not in nodes:
-                    nodes.add(n2)
-                    queue.append(n2)
-        bedges[x] = outs
-
-    prio_of = {
-        x: tuple(
-            d.priority[q] for d, q in zip(dpws, x[2] if x[0] == "n" else x[3])
-        )
-        for x in nodes
-    }
+    letter = _letter(level, p)
+    inits, nodes, bedges, prio_of = _bilayer_product(
+        [v for v in start if v in reach], [(d, lambda v: letter(v[0])) for d in dpws], moves
+    )
     # a cycle can only use priorities that occur on explored nodes
     targets = _even_targets(
         [{pr[i] for pr in prio_of.values()} for i in range(len(dpws))]
     )
-    cycle = _find_even_cycle(nodes, lambda v: bedges[v], prio_of, targets)
+    cycle = graph.dominant_cycle(nodes, bedges.__getitem__, prio_of, targets)
     if cycle is None:
         return None
-    return _policy_product_lasso(inits, bedges, cycle)
-
-
-def _policy_product_lasso(inits, bedges, cycle):
-    from .model import Lasso
-
-    while cycle[0][0] != "n":
-        cycle = cycle[1:] + cycle[:1]
-    head = cycle[0]
-    parent = {v: None for v in inits}
-    queue = list(inits)
-    while queue:
-        v = queue.pop(0)
-        if v == head:
-            break
-        for w in bedges[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    chain = [head]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
-
-    def unpack(seq):
-        states, actions = [], []
-        for x in seq:
-            if x[0] == "n":
-                states.append(x[1][0])
-            else:
-                actions.append(x[2])
-        return states, actions
-
-    pre_states, pre_actions = unpack(chain[:-1])
-    cyc_states, cyc_actions = unpack(cycle)
-    return Lasso(
-        prefix_states=tuple(pre_states),
-        prefix_actions=tuple(pre_actions),
-        cycle_states=tuple(cyc_states),
-        cycle_actions=tuple(cyc_actions),
-    )
-
-
-def _fair_policy_lasso(p, start, edges, reach):
-    """Fair goal-avoiding lasso under a policy: a bottom, outcome-closed
-    strongly connected chunk of the goal-free region, covered edge by edge."""
-    from .model import _fair_trap_lasso
-
-    # nodes from which the goal region is unreachable
-    can_exit = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in reach:
-            if v in can_exit:
-                continue
-            for _, w in edges[v]:
-                if w not in reach or w in can_exit:
-                    can_exit.add(v)
-                    changed = True
-                    break
-    trapped = reach - can_exit
-    if not trapped:
-        return None
-    return _fair_trap_lasso(start, edges, trapped)
+    return _product_lasso(inits, bedges, cycle, lambda v: v[0])

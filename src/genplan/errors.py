@@ -1,8 +1,27 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class GenplanError(Exception):
     """Base class for all toolkit errors."""
+
+
+class MalformedInputError(GenplanError):
+    """An input document lacks a field, has one of the wrong shape, or
+    describes a problem that fails validation."""
+
+
+@contextmanager
+def decoding(what):
+    """Report the KeyError, TypeError, ValueError or AttributeError raised
+    while decoding a ``what`` document as a MalformedInputError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedInputError(f"malformed {what}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedInputError(f"malformed {what}: {exc}") from None
 
 
 class UnavailableActionError(GenplanError):

@@ -10,6 +10,7 @@ distance-minimizing, lowest-named action choice.
 
 from __future__ import annotations
 
+from . import graph
 from .model import FAIR, Policy, check_solution
 
 UNSOLVABLE = "UNSOLVABLE"
@@ -23,48 +24,30 @@ def strong_cyclic_plan(p):
     """
     safe = set(p.states)
     while True:
-        # actions usable inside the safe set
         usable = {
-            s: [a for a in sorted(p.avail.get(s, ()), key=str)
-                if p.succ[(a, s)] <= safe]
-            for s in safe
+            s: [a for a in p.avail.get(s, ()) if p.succ[(a, s)] <= safe] for s in safe
         }
-        # backward reachability to the goal through usable actions
-        reach = {s for s in safe if s in p.goal_states}
-        changed = True
-        while changed:
-            changed = False
-            for s in safe - reach:
-                for a in usable[s]:
-                    if p.succ[(a, s)] & reach:
-                        reach.add(s)
-                        changed = True
-                        break
-        if reach == safe:
+        # distance to the goal through usable actions, from one backward search
+        dist = graph.backward_reachable(
+            safe,
+            lambda s: [t for a in usable[s] for t in p.succ[(a, s)]],
+            safe & p.goal_states,
+        )
+        if dist.keys() == safe:
             break
-        safe = reach
+        safe = set(dist)
     if not (p.init <= safe):
         return UNSOLVABLE
 
-    # distance-minimizing deterministic extraction
-    dist = {s: 0 for s in safe if s in p.goal_states}
-    frontier = set(dist)
-    d = 0
-    choice = {}
-    while frontier:
-        d += 1
-        nxt = set()
-        for s in sorted(safe - dist.keys(), key=str):
-            for a in sorted(p.avail.get(s, ()), key=str):
-                if p.succ[(a, s)] <= safe and min(
-                    dist.get(t, d) for t in p.succ[(a, s)]
-                ) == d - 1:
-                    choice[s] = a
-                    nxt.add(s)
-                    break
-        for s in nxt:
-            dist[s] = d
-        frontier = nxt
+    # distance-minimizing deterministic extraction: the lowest-named usable
+    # action with an outcome one step closer to the goal
+    choice = {
+        s: min(
+            (a for a in usable[s] if any(dist[t] == dist[s] - 1 for t in p.succ[(a, s)])),
+            key=str,
+        )
+        for s in safe - p.goal_states
+    }
 
     reachable = set()
     queue = [s for s in p.init if s not in p.goal_states]
@@ -85,76 +68,3 @@ def verify_strong_cyclic(p, mu):
     """Delegates to the fair-solution check; the verdict carries a fair
     counterexample lasso (a reachable non-goal bottom component) on failure."""
     return check_solution(p, mu, FAIR)
-
-
-def _atoms(obs):
-    return frozenset(str(obs).split(","))
-
-
-def erase_commitments(policy, closed_proj, open_proj):
-    """Project a memoryless policy on a closed projection down to the open
-    projection by dropping commitment bookkeeping: an open observation maps
-    to the closed policy's action wherever the consistent closed
-    observations agree on a non-bookkeeping action.
-
-    Used by cross-engine tests; returns None when no open observation gets
-    an action.
-    """
-    mapping = policy.as_memoryless_mapping()
-    out = {}
-    for obs in sorted(open_proj.observations, key=str):
-        atoms = _atoms(obs)
-        candidates = set()
-        for cobs, a in mapping.items():
-            if atoms <= _atoms(cobs) and not a.startswith(("set(", "unset(")):
-                candidates.add(a)
-        if len(candidates) == 1:
-            out[obs] = candidates.pop()
-    return Policy.memoryless(out) if out else None
-
-
-def lift_policy_to_closed(policy, closed_proj):
-    """Drive a policy that ignores commitment fluents on the closed
-    projection by inserting set/unset steps when its chosen action is
-    blocked by a commitment precondition.
-
-    Returns a memoryless policy on the closed projection, or None when no
-    consistent completion exists (composability failure).
-    """
-    by_atoms = {_atoms(s): s for s in closed_proj.states}
-    commitments = sorted(
-        {a for atoms in by_atoms for a in atoms if a.startswith("q_")}
-    )
-    policy_by_atoms = {
-        _atoms(o): a for (m, o), a in policy.output.items() if m == policy.initial
-    }
-    out = {}
-    ok = True
-    for obs in sorted(closed_proj.observations, key=str):
-        atoms = _atoms(obs)
-        open_atoms = frozenset(a for a in atoms if not a.startswith("q_"))
-        want = policy_by_atoms.get(open_atoms)
-        if want is None:
-            continue
-        if want in closed_proj.avail.get(obs, frozenset()):
-            out[obs] = want
-            continue
-        fixed = None
-        for flag in commitments:
-            v = flag[2:]
-            setter, unsetter = f"set({v})", f"unset({v})"
-            if setter in closed_proj.avail.get(obs, frozenset()) and flag not in atoms:
-                trial = by_atoms.get(atoms | {flag})
-                if trial and want in closed_proj.avail.get(trial, frozenset()):
-                    fixed = setter
-                    break
-            if unsetter in closed_proj.avail.get(obs, frozenset()) and flag in atoms:
-                trial = by_atoms.get(atoms - {flag})
-                if trial and want in closed_proj.avail.get(trial, frozenset()):
-                    fixed = unsetter
-                    break
-        if fixed is None:
-            ok = False
-            continue
-        out[obs] = fixed
-    return Policy.memoryless(out) if ok else None

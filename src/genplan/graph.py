@@ -1,0 +1,190 @@
+"""Graph searches shared by both decision engines and their witnesses.
+
+A graph is given by its nodes and a successor function ``succ(v)`` that
+returns a list of nodes.  Ties are broken by list order: sources in the
+order given, successors in the order ``succ`` returns them, and node sets
+sorted by ``str``.  So every search is deterministic, and witnesses built
+from it are reproducible byte for byte.  Standard library only; nothing
+here knows about problems, automata or games.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+
+def sccs(nodes, succ):
+    """Tarjan's algorithm, iterative; returns the strongly connected
+    components, each as a list, in the order Tarjan completes them."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    out = []
+    counter = [0]
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(succ(root)))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ(w))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
+
+
+def has_cycle(comp, succ):
+    """Whether a strongly connected component contains a cycle: it has more
+    than one node, or its one node has a self-loop."""
+    return len(comp) > 1 or comp[0] in succ(comp[0])
+
+
+def reachable(sources, succ):
+    """The set of nodes reachable from ``sources``, sources included."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for w in succ(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def backward_reachable(nodes, succ, targets):
+    """``targets`` together with the members of ``nodes`` that have a path
+    to a target through members of ``nodes``, as a dict from each of them
+    to the length of its shortest path to a target (0 for a target).
+
+    Only edges leaving ``nodes`` are read.  The predecessor lists are
+    built once and searched breadth first, so the cost is linear in those
+    edges."""
+    pred = {}
+    for v in nodes:
+        for w in succ(v):
+            pred.setdefault(w, []).append(v)
+    dist = dict.fromkeys(targets, 0)
+    queue = deque(dist)
+    while queue:
+        w = queue.popleft()
+        for v in pred.get(w, ()):
+            if v not in dist:
+                dist[v] = dist[w] + 1
+                queue.append(v)
+    return dist
+
+
+def shortest_path(sources, succ, targets, allowed=None, nonempty=False):
+    """A shortest path ``[source, ..., target]`` from a node of
+    ``sources`` to a node of ``targets``, or None.
+
+    Breadth first; the first path found wins.  The nodes strictly between
+    the ends lie in ``allowed`` (any node when None).  A source that is a
+    target is the path ``[source]`` unless ``nonempty`` asks for at least
+    one edge."""
+    if not nonempty:
+        for s in sources:
+            if s in targets:
+                return [s]
+    parent = dict.fromkeys(sources)
+    queue = deque(parent)
+    while queue:
+        u = queue.popleft()
+        for w in succ(u):
+            if w in targets:
+                path = [w, u]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            if w not in parent and (allowed is None or w in allowed):
+                parent[w] = u
+                queue.append(w)
+    return None
+
+
+def _hop(u, v, succ, allowed):
+    """The nodes after ``u`` on a shortest path from u to v in ``allowed``."""
+    return shortest_path([u], succ, (v,), allowed)[1:]
+
+
+def dominant_cycle(nodes, succ, priority, targets):
+    """A cycle inside ``nodes`` whose maximum priority is ``t`` for one of
+    the priority tuples ``t`` in ``targets``, or None.
+
+    ``priority[v]`` is a tuple with one entry per priority function, and
+    the maximum is taken entry by entry.  Target tuples are tried in
+    order.  For each, the search keeps the nodes whose priorities are all
+    at most the target and looks for a strongly connected component that
+    has a cycle and realizes every target entry.  The cycle is returned as
+    a node list, closing back to its first node: from the least node (by
+    ``str``) realizing the first entry, through the least node realizing
+    each further entry, by shortest paths."""
+    for top in targets:
+        sub = {v for v in nodes if all(p <= t for p, t in zip(priority[v], top))}
+
+        def inner(v):
+            return [w for w in succ(v) if w in sub]
+
+        for comp in sccs(sorted(sub, key=str), inner):
+            if not has_cycle(comp, inner) or not all(
+                any(priority[v][i] == t for v in comp) for i, t in enumerate(top)
+            ):
+                continue
+            order = sorted(comp, key=str)
+            want = [next(v for v in order if priority[v][i] == t) for i, t in enumerate(top)]
+            comp = set(comp)
+            cycle = want[:1]
+            for v in want[1:] + want[:1]:
+                cycle += _hop(cycle[-1], v, inner, comp)
+            if len(cycle) == 1:
+                cycle = shortest_path(want[:1], inner, want[:1], comp, nonempty=True)
+            return cycle[:-1]
+    return None
+
+
+def covering_walk(nodes, succ):
+    """A closed walk through every edge inside the strongly connected set
+    ``nodes``, or None when it has no edge.  The walk starts at the least
+    node (by ``str``), takes the edges in the order of their source node
+    and of ``succ``, joins them by shortest paths, and is returned as a
+    node list that closes back to its first node."""
+    order = sorted(nodes, key=str)
+    edges = [(u, w) for u in order for w in succ(u) if w in nodes]
+    if not edges:
+        return None
+    walk = order[:1]
+    for u, w in edges:
+        walk += _hop(walk[-1], u, succ, nodes)
+        walk.append(w)
+    walk += _hop(walk[-1], order[0], succ, nodes)
+    return walk[:-1]

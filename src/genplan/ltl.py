@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import graph
 from .errors import (
     AlphabetMismatchError,
     LtlParseError,
@@ -189,6 +190,15 @@ _TOKEN_RE = re.compile(
 
 _RESERVED = {"X", "U", "F", "G", "true", "false"}
 
+# The deepest nesting parse_ltl accepts, counted both in the text (each
+# operator operand and each parenthesis opens a level) and in the syntax
+# tree (its height).  The parser recurses six frames per parenthesis, and
+# Formula.size, subformulas, pretty and formula hashing one or two per
+# tree level, so this keeps them all well under Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
+
 
 def _tokenize(text):
     tokens = []
@@ -224,6 +234,7 @@ class _Parser:
         self.tokens = tokens
         self.alphabet = alphabet
         self.i = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -238,18 +249,29 @@ class _Parser:
         if val != value:
             raise LtlParseError(f"expected {value!r}, found {val!r}", position=pos)
 
+    def nested(self, parse):
+        """Parse with ``parse`` one nesting level deeper."""
+        self.level += 1
+        if self.level > MAX_NESTING:
+            raise LtlParseError(_TOO_DEEP, position=self.peek()[2])
+        f = parse()
+        self.level -= 1
+        return f
+
     def parse(self):
         f = self.impl()
         kind, val, pos = self.peek()
         if kind != "end":
             raise LtlParseError(f"trailing input at {val!r}", position=pos)
+        if _height(f) > MAX_NESTING:
+            raise LtlParseError(_TOO_DEEP, position=0)
         return f
 
     def impl(self):
         left = self.disj()
         if self.peek()[1] == "->":
             self.take()
-            return implies(left, self.impl())
+            return implies(left, self.nested(self.impl))
         return left
 
     def disj(self):
@@ -270,26 +292,26 @@ class _Parser:
         left = self.unary()
         if self.peek()[0] == "kw" and self.peek()[1] == "U":
             self.take()
-            return Until(left, self.until())
+            return Until(left, self.nested(self.until))
         return left
 
     def unary(self):
         kind, val, pos = self.peek()
         if val == "!":
             self.take()
-            return lnot(self.unary())
+            return lnot(self.nested(self.unary))
         if kind == "kw" and val == "X":
             self.take()
-            return Next(self.unary())
+            return Next(self.nested(self.unary))
         if kind == "kw" and val == "F":
             self.take()
-            return eventually(self.unary())
+            return eventually(self.nested(self.unary))
         if kind == "kw" and val == "G":
             self.take()
-            return always(self.unary())
+            return always(self.nested(self.unary))
         if val == "(":
             self.take()
-            f = self.impl()
+            f = self.nested(self.impl)
             self.expect(")")
             return f
         if kind == "kw" and val == "true":
@@ -306,8 +328,19 @@ class _Parser:
         raise LtlParseError(f"unexpected token {val!r}", position=pos)
 
 
+def _height(f):
+    """Height of the syntax tree, computed without recursion."""
+    best, stack = 0, [(f, 1)]
+    while stack:
+        g, h = stack.pop()
+        best = max(best, h)
+        stack.extend((c, h + 1) for c in children(g))
+    return best
+
+
 def parse_ltl(text, alphabet=None):
-    """Parse LTL text over ``alphabet``; letters are bare identifiers or quoted."""
+    """Parse LTL text over ``alphabet``; letters are bare identifiers or
+    quoted.  Nesting deeper than ``MAX_NESTING`` raises LtlParseError."""
     return _Parser(_tokenize(text), alphabet).parse()
 
 
@@ -708,54 +741,6 @@ def _tableau_nba(f, alphabet, budget):
 # ---------------------------------------------------------------------------
 
 
-def _sccs(nodes, succ):
-    """Tarjan's algorithm, iterative; returns list of strongly connected components."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
-
-
 def trim_nba(nba):
     """Language-preserving reduction: prune states that are unreachable or
     cannot reach an accepting cycle, then alternate forward and backward
@@ -770,40 +755,16 @@ def trim_nba(nba):
 
 
 def _prune_nba(nba):
-    reach = set(nba.initial)
-    frontier = list(nba.initial)
-    while frontier:
-        q = frontier.pop()
-        for a in nba.alphabet:
-            for r in nba.successors(q, a):
-                if r not in reach:
-                    reach.add(r)
-                    frontier.append(r)
-
     def succ_all(q):
-        out = []
-        for a in nba.alphabet:
-            out.extend(r for r in nba.successors(q, a) if r in reach)
-        return out
+        return [r for a in nba.alphabet for r in nba.successors(q, a)]
 
-    comps = _sccs(sorted(reach), succ_all)
+    reach = graph.reachable(nba.initial, succ_all)
     good = set()
-    for comp in comps:
-        has_cycle = len(comp) > 1 or comp[0] in succ_all(comp[0])
-        if has_cycle and any(q in nba.accepting for q in comp):
+    for comp in graph.sccs(sorted(reach), succ_all):
+        if graph.has_cycle(comp, succ_all) and any(q in nba.accepting for q in comp):
             good.update(comp)
-    live = set(good)
-    changed = True
-    while changed:
-        changed = False
-        for q in reach:
-            if q in live:
-                continue
-            if any(r in live for r in succ_all(q)):
-                live.add(q)
-                changed = True
-    live &= reach
-    if not (live & set(nba.initial)):
+    live = graph.backward_reachable(reach, succ_all, good)
+    if not (live.keys() & nba.initial):
         return Nba(
             states=(), alphabet=nba.alphabet, transitions={},
             initial=frozenset(), accepting=frozenset(),
@@ -998,26 +959,13 @@ def nba_accepts_lasso(nba, w):
     def pos_next(i):
         return i + 1 if i + 1 < total else np
 
-    start = {(0, q) for q in nba.initial}
-    reach = set(start)
-    frontier = list(start)
-    while frontier:
-        i, q = frontier.pop()
-        for r in nba.successors(q, w.at(i)):
-            node = (pos_next(i), r)
-            if node not in reach:
-                reach.add(node)
-                frontier.append(node)
-    loop_nodes = [nd for nd in reach if nd[0] >= np]
-
     def succ(nd):
         i, q = nd
-        j = pos_next(i)
-        return [(j, r) for r in nba.successors(q, w.at(i)) if (j, r) in reach]
+        return [(pos_next(i), r) for r in nba.successors(q, w.at(i))]
 
-    for comp in _sccs(sorted(loop_nodes), succ):
-        comp_set = set(comp)
-        has_cycle = len(comp) > 1 or any(nd in succ(nd) for nd in comp)
-        if has_cycle and any(q in nba.accepting for _, q in comp_set):
+    reach = graph.reachable([(0, q) for q in nba.initial], succ)
+    loop_nodes = [nd for nd in reach if nd[0] >= np]
+    for comp in graph.sccs(sorted(loop_nodes), succ):
+        if graph.has_cycle(comp, succ) and any(q in nba.accepting for _, q in comp):
             return True
     return False

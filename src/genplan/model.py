@@ -14,11 +14,14 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from . import graph
 from .errors import (
     InvalidPolicyError,
+    MalformedInputError,
     NotATrajectoryError,
     ResolverExhaustedError,
     UnavailableActionError,
+    decoding,
 )
 from .ltl import DEFAULT_BUDGET
 
@@ -527,44 +530,31 @@ def _policy_product(p, mu):
     return start, nodes, edges, stops, invalid
 
 
-def _trace_to(start_nodes, edges, target):
-    """Shortest product path from an initial node to ``target``; returns the
-    (states, actions) pair including the target state."""
-    parent = {n: None for n in start_nodes}
-    queue = list(start_nodes)
-    while queue:
-        node = queue.pop(0)
-        if node == target:
-            rev_states = [node[0]]
-            rev_actions = []
-            while parent[node] is not None:
-                prev, a = parent[node]
-                rev_actions.append(a)
-                rev_states.append(prev[0])
-                node = prev
-            return list(reversed(rev_states)), list(reversed(rev_actions))
-        for a, node2 in edges.get(node, ()):
-            if node2 not in parent:
-                parent[node2] = (node, a)
-                queue.append(node2)
-    raise KeyError(f"unreachable product node {target!r}")
+def _successors(edges):
+    return lambda node: [m for _, m in edges[node]]
+
+
+def _actions_along(edges, path):
+    return tuple(next(a for a, m in edges[u] if m == w) for u, w in zip(path, path[1:]))
+
+
+def _finite_trace(start_nodes, edges, target):
+    """The finite trajectory of a shortest product path from an initial node
+    to ``target``."""
+    path = graph.shortest_path(start_nodes, _successors(edges), {target})
+    return FiniteTrajectory(
+        states=tuple(n[0] for n in path), actions=_actions_along(edges, path)
+    )
 
 
 def _lasso_from_product(start_nodes, edges, cycle_nodes_path):
     """Build a Lasso from a product cycle (list of nodes, closing implicitly)."""
-    head = cycle_nodes_path[0]
-    pre_states, pre_actions = _trace_to(start_nodes, edges, head)
-    cyc_states = [n[0] for n in cycle_nodes_path]
-    cyc_actions = []
-    for i, n in enumerate(cycle_nodes_path):
-        n2 = cycle_nodes_path[(i + 1) % len(cycle_nodes_path)]
-        a = next(a for a, m in edges[n] if m == n2)
-        cyc_actions.append(a)
+    prefix = _finite_trace(start_nodes, edges, cycle_nodes_path[0])
     return Lasso(
-        prefix_states=tuple(pre_states[:-1]),
-        prefix_actions=tuple(pre_actions),
-        cycle_states=tuple(cyc_states),
-        cycle_actions=tuple(cyc_actions),
+        prefix_states=prefix.states[:-1],
+        prefix_actions=prefix.actions,
+        cycle_states=tuple(n[0] for n in cycle_nodes_path),
+        cycle_actions=_actions_along(edges, cycle_nodes_path + cycle_nodes_path[:1]),
     )
 
 
@@ -580,67 +570,36 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     every constraint.  ``budget`` caps the automaton states that check
     builds.
     """
-    from .ltl import _sccs
-
     start, nodes, edges, stops, invalid = _policy_product(p, mu)
     if invalid is not None:
-        node, a = invalid
-        states, actions = _trace_to(start, edges, node)
-        return Verdict(
-            kind="INVALID_POLICY",
-            witness=FiniteTrajectory(states=tuple(states), actions=tuple(actions)),
-        )
+        return Verdict(kind="INVALID_POLICY", witness=_finite_trace(start, edges, invalid[0]))
 
-    goal_free = {n for n in nodes if n[0] not in p.goal_states}
-    # restrict to the goal-free region reachable without passing a goal
-    reach = set()
-    queue = [n for n in start if n in goal_free]
-    reach.update(queue)
-    while queue:
-        node = queue.pop()
-        for a, n2 in edges[node]:
-            if n2 in goal_free and n2 not in reach:
-                reach.add(n2)
-                queue.append(n2)
+    # the goal-free region reachable without passing a goal
+    reach = graph.reachable(
+        [n for n in start if n[0] not in p.goal_states],
+        lambda n: [m for _, m in edges[n] if m[0] not in p.goal_states],
+    )
 
     for node in sorted(stops & reach, key=str):
-        states, actions = _trace_to(start, edges, node)
-        return Verdict(
-            kind="NOT_A_SOLUTION",
-            counterexample=FiniteTrajectory(states=tuple(states), actions=tuple(actions)),
-        )
+        return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(start, edges, node))
 
     def succ_gf(n):
         return [m for _, m in edges[n] if m in reach]
 
     if mode == STRONG:
-        for comp in _sccs(sorted(reach, key=str), succ_gf):
-            comp_set = set(comp)
-            if len(comp) > 1 or any(n in succ_gf(n) for n in comp):
-                cycle = _cycle_in_component(comp_set, succ_gf)
+        for comp in graph.sccs(sorted(reach, key=str), succ_gf):
+            if graph.has_cycle(comp, succ_gf):
+                v0 = min(comp, key=str)
+                cycle = graph.shortest_path([v0], succ_gf, {v0}, set(comp), nonempty=True)
                 return Verdict(
                     kind="NOT_A_SOLUTION",
-                    counterexample=_lasso_from_product(start, edges, cycle),
+                    counterexample=_lasso_from_product(start, edges, cycle[:-1]),
                 )
         return Verdict(kind="STRONG_SOLUTION")
 
     if mode == FAIR:
-        # every reachable goal-free node must reach a goal node
-        can_reach_goal = set()
-        changed = True
-        while changed:
-            changed = False
-            for n in reach:
-                if n in can_reach_goal:
-                    continue
-                for _, m in edges[n]:
-                    if m not in goal_free or m in can_reach_goal:
-                        can_reach_goal.add(n)
-                        changed = True
-                        break
-        trapped = reach - can_reach_goal
-        if trapped:
-            lasso = _fair_trap_lasso(start, edges, trapped)
+        lasso = _fair_counterexample(start, edges, reach)
+        if lasso is not None:
             return Verdict(kind="NOT_A_SOLUTION", counterexample=lasso)
         return Verdict(kind="FAIR_SOLUTION")
 
@@ -662,72 +621,24 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _cycle_in_component(comp, succ):
-    """A concrete cycle inside a strongly connected node set."""
-    v0 = sorted(comp, key=str)[0]
-    parent = {v0: None}
-    queue = [v0]
-    while queue:
-        u = queue.pop(0)
-        for w in succ(u):
-            if w == v0:
-                path = [u]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            if w in comp and w not in parent:
-                parent[w] = u
-                queue.append(w)
-    raise AssertionError("component without cycle")
-
-
-def _fair_trap_lasso(start, edges, trapped):
-    """A fair counterexample lasso: reach a bottom SCC of the goal-unreachable
-    region and cover all its policy transitions in one closed walk."""
-    from .ltl import _sccs
+def _fair_counterexample(start, edges, reach):
+    """A fair lasso of the policy product that stays in the goal-free
+    region ``reach`` forever, or None.  It exists iff some node of
+    ``reach`` cannot leave it; then it reaches a bottom strongly connected
+    component of those nodes and covers all its policy transitions in one
+    closed walk."""
+    trapped = reach.difference(
+        graph.backward_reachable(reach, _successors(edges), edges.keys() - reach)
+    )
 
     def succ(n):
         return [m for _, m in edges[n] if m in trapped]
 
-    comps = _sccs(sorted(trapped, key=str), succ)
-    # bottom component: no edges leaving it within trapped
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = i
-    bottom = None
-    for i, comp in enumerate(comps):
-        if all(comp_of[m] == i for n in comp for m in succ(n)):
-            bottom = set(comp)
-            break
-    assert bottom is not None
-    # closed walk covering every edge inside the bottom component
-    edges_to_cover = [(n, m) for n in sorted(bottom, key=str) for m in succ(n) if m in bottom]
-    walk = [sorted(bottom, key=str)[0]]
-
-    def path(u, v):
-        parent = {u: None}
-        queue = [u]
-        while queue:
-            x = queue.pop(0)
-            if x == v:
-                out = []
-                while parent[x] is not None:
-                    out.append(x)
-                    x = parent[x]
-                return list(reversed(out))
-            for y in succ(x):
-                if y in bottom and y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        raise AssertionError("bottom SCC not strongly connected")
-
-    for n, m in edges_to_cover:
-        walk.extend(path(walk[-1], n))
-        walk.append(m)
-    walk.extend(path(walk[-1], walk[0]))
-    cycle = walk[:-1] if len(walk) > 1 else walk
-    return _lasso_from_product(start, edges, cycle)
+    for comp in graph.sccs(sorted(trapped, key=str), succ):
+        comp = set(comp)
+        if all(m in comp for n in comp for m in succ(n)):
+            return _lasso_from_product(start, edges, graph.covering_walk(comp, succ))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -767,21 +678,22 @@ def pondp_to_json_dict(p, cls=None):
 
 
 def pondp_from_json_dict(doc):
-    succ = {}
-    for key, targets in doc["succ"].items():
-        a, _, s = key.partition("|")
-        succ[(a, s)] = frozenset(targets)
-    return Pondp(
-        states=frozenset(doc["states"]),
-        init=frozenset(doc["init"]),
-        observations=frozenset(doc["observations"]),
-        actions=frozenset(doc["actions"]),
-        goal_states=frozenset(doc["goal_states"]),
-        avail={s: frozenset(v) for s, v in doc["avail"].items()},
-        obs_fn=dict(doc["obs"]),
-        succ=succ,
-        annotations=doc.get("annotations", {}),
-    )
+    with decoding("problem JSON"):
+        succ = {}
+        for key, targets in doc["succ"].items():
+            a, _, s = key.partition("|")
+            succ[(a, s)] = frozenset(targets)
+        return Pondp(
+            states=frozenset(doc["states"]),
+            init=frozenset(doc["init"]),
+            observations=frozenset(doc["observations"]),
+            actions=frozenset(doc["actions"]),
+            goal_states=frozenset(doc["goal_states"]),
+            avail={s: frozenset(v) for s, v in doc["avail"].items()},
+            obs_fn=dict(doc["obs"]),
+            succ=succ,
+            annotations=doc.get("annotations", {}),
+        )
 
 
 def policy_to_json_dict(mu):
@@ -800,17 +712,24 @@ def policy_to_json_dict(mu):
 
 
 def policy_from_json_dict(doc):
-    return Policy(
-        memory_states=tuple(doc["memory_states"]),
-        initial=doc["initial"],
-        update={(m, o): m2 for m, o, m2 in doc.get("update", [])},
-        output={(m, o): a for m, o, a in doc.get("output", [])},
-    )
+    with decoding("policy JSON"):
+        return Policy(
+            memory_states=tuple(doc["memory_states"]),
+            initial=doc["initial"],
+            update={(m, o): m2 for m, o, m2 in doc.get("update", [])},
+            output={(m, o): a for m, o, a in doc.get("output", [])},
+        )
 
 
 def load_pondp(path):
+    """Read a problem file; a problem that fails `validate` raises
+    MalformedInputError naming the first diagnostic."""
     with open(path) as fh:
-        return pondp_from_json_dict(json.load(fh))
+        p = pondp_from_json_dict(json.load(fh))
+    issues = validate(p)
+    if issues:
+        raise MalformedInputError(f"problem fails validation: {issues[0][1]}")
+    return p
 
 
 def save_json(doc, path):

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from . import ltl
-from .errors import AlphabetMismatchError, SizeBudgetExceededError
-from .ltl import Word, _sccs
+from . import graph, ltl
+from .errors import AlphabetMismatchError, SizeBudgetExceededError, decoding
+from .ltl import Word
 
 DEFAULT_BUDGET = ltl.DEFAULT_BUDGET
 
@@ -55,19 +55,18 @@ class Dpw:
 
 
 def dpw_from_json_dict(doc):
-    states = tuple(doc["states"])
-    alphabet = frozenset(doc["alphabet"])
-    delta = {}
-    for key, tgt in doc["delta"].items():
-        q, _, a = key.rpartition("|")
-        delta[(q, a)] = tgt
-    return Dpw(
-        states=states,
-        alphabet=alphabet,
-        delta=delta,
-        initial=doc["initial"],
-        priority={q: int(p) for q, p in doc["priority"].items()},
-    )
+    with decoding("DPW JSON"):
+        delta = {}
+        for key, tgt in doc["delta"].items():
+            q, _, a = key.rpartition("|")
+            delta[(q, a)] = tgt
+        return Dpw(
+            states=tuple(doc["states"]),
+            alphabet=frozenset(doc["alphabet"]),
+            delta=delta,
+            initial=doc["initial"],
+            priority={q: int(p) for q, p in doc["priority"].items()},
+        )
 
 
 def dpw_accepts(d, w):
@@ -474,50 +473,11 @@ def solve_parity(g):
 
 def cycle_with_max_parity(nodes, succ, priority, parity):
     """Find a cycle whose maximum priority has the given parity, restricted
-    to ``nodes``; returns the cycle as a node list or None.
-
-    Works by fixing a candidate dominant priority p of the right parity,
-    restricting to priorities <= p, and looking for a strongly connected
-    component that contains a p-node and a cycle.
-    """
+    to ``nodes``; returns the cycle as a node list or None."""
     prios = sorted({priority[v] for v in nodes if priority[v] % 2 == parity}, reverse=True)
-    for p in prios:
-        sub = {v for v in nodes if priority[v] <= p}
-
-        def s(v):
-            return [w for w in succ(v) if w in sub]
-
-        for comp in _sccs(sorted(sub, key=repr), s):
-            comp_set = set(comp)
-            if not any(priority[v] == p for v in comp_set):
-                continue
-            has_cycle = len(comp) > 1 or any(v in s(v) for v in comp)
-            if not has_cycle:
-                continue
-            # build a concrete cycle through some p-node
-            top = next(v for v in comp if priority[v] == p)
-            cyc = _cycle_through(top, comp_set, s)
-            if cyc is not None:
-                return cyc
-    return None
-
-
-def _cycle_through(v, comp, succ):
-    """A cycle from v back to v inside comp (nonempty; None if impossible)."""
-    parent = {v: None}
-    queue = [v]
-    while queue:
-        u = queue.pop(0)
-        for w in succ(u):
-            if w == v:
-                path = [u]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            if w in comp and w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return None
+    return graph.dominant_cycle(
+        nodes, succ, {v: (priority[v],) for v in nodes}, [(p,) for p in prios]
+    )
 
 
 def verify_strategy(g, solution, player):
@@ -769,19 +729,13 @@ def _qnp_direct_for_problem(p, variables):
 def _played_region(game, strategy):
     """Nodes reachable from the initial nodes when the controller follows
     ``strategy`` and the environment moves freely."""
-    reach = set(game.initial)
-    queue = list(game.initial)
-    while queue:
-        v = queue.pop()
+
+    def succ(v):
         if game.owner[v] == CONTROLLER and v in strategy:
-            outs = [strategy[v]]
-        else:
-            outs = game.edges[v]
-        for w in outs:
-            if w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return reach
+            return [strategy[v]]
+        return game.edges[v]
+
+    return graph.reachable(game.initial, succ)
 
 
 def _play_is_winning(game, strategy):
@@ -895,124 +849,24 @@ def dpw_language_difference(d1, d2):
         raise AlphabetMismatchError("DPW alphabets differ")
     letters = sorted(d1.alphabet)
     init = (d1.initial, d2.initial)
-    nodes = {init}
-    edges = {}
-    queue = [init]
-    while queue:
-        v = queue.pop()
-        q1, q2 = v
-        outs = []
-        for a in letters:
-            w = (d1.delta[(q1, a)], d2.delta[(q2, a)])
-            outs.append((a, w))
-            if w not in nodes:
-                nodes.add(w)
-                queue.append(w)
-        edges[v] = outs
 
-    def pri1(v):
-        return d1.priority[v[0]]
+    def succ(v):
+        return [(d1.delta[(v[0], a)], d2.delta[(v[1], a)]) for a in letters]
 
-    def pri2(v):
-        return d2.priority[v[1]]
-
-    for pa, pb, side in _parity_pairs(d1, d2, nodes):
-        sub = {v for v in nodes if pri1(v) <= pa and pri2(v) <= pb}
-
-        def succ(v):
-            return [w for _, w in edges[v] if w in sub]
-
-        for comp in _sccs(sorted(sub, key=repr), succ):
-            comp_set = set(comp)
-            has_cycle = len(comp) > 1 or any(v in succ(v) for v in comp)
-            if not has_cycle:
-                continue
-            if not any(pri1(v) == pa for v in comp_set):
-                continue
-            if not any(pri2(v) == pb for v in comp_set):
-                continue
-            word = _difference_witness(init, edges, comp_set, pa, pb, pri1, pri2)
-            if word is not None:
-                return word
-    return None
-
-
-def _parity_pairs(d1, d2, nodes):
-    p1s = sorted({d1.priority[v[0]] for v in nodes})
-    p2s = sorted({d2.priority[v[1]] for v in nodes})
-    for pa in p1s:
-        for pb in p2s:
-            if pa % 2 != pb % 2:
-                yield pa, pb, None
-
-
-def _difference_witness(init, edges, comp, pa, pb, pri1, pri2):
-    """Prefix to the component plus a cycle visiting a pa-node and a pb-node."""
-    parent = {init: None}
-    queue = [init]
-    entry = None
-    while queue:
-        v = queue.pop(0)
-        if v in comp:
-            entry = v
-            break
-        for a, w in edges[v]:
-            if w not in parent:
-                parent[w] = (v, a)
-                queue.append(w)
-    if entry is None:
+    nodes = graph.reachable([init], succ)
+    prio = {v: (d1.priority[v[0]], d2.priority[v[1]]) for v in nodes}
+    p1s = sorted({pr[0] for pr in prio.values()})
+    p2s = sorted({pr[1] for pr in prio.values()})
+    targets = [(pa, pb) for pa in p1s for pb in p2s if pa % 2 != pb % 2]
+    cycle = graph.dominant_cycle(nodes, succ, prio, targets)
+    if cycle is None:
         return None
-    prefix = []
-    v = entry
-    while parent[v] is not None:
-        u, a = parent[v]
-        prefix.append(a)
-        v = u
-    prefix.reverse()
+    prefix = graph.shortest_path([init], succ, {cycle[0]})
 
-    cycle = []
-    cur = entry
-    for want in (lambda v: pri1(v) == pa, lambda v: pri2(v) == pb, lambda v: v == entry):
-        hop = _letters_to(cur, want, edges, comp, allow_empty=True)
-        if hop is None:
-            return None
-        letters, cur = hop
-        cycle.extend(letters)
-    if not cycle:
-        hop = _letters_to(entry, lambda v: v == entry, edges, comp, allow_empty=False)
-        if hop is None:
-            return None
-        cycle = hop[0]
-    return Word(tuple(prefix), tuple(cycle))
+    def spell(path):
+        return tuple(letters[succ(u).index(w)] for u, w in zip(path, path[1:]))
 
-
-def _letters_to(src, want, edges, comp, allow_empty):
-    """Shortest in-component letter path from src to a node satisfying
-    ``want`` (nonempty unless allow_empty and src qualifies)."""
-    if allow_empty and want(src):
-        return [], src
-    parent = {}
-    queue = [src]
-    seen = {src}
-    while queue:
-        u = queue.pop(0)
-        for a, w in edges[u]:
-            if w not in comp:
-                continue
-            if want(w):
-                letters = [a]
-                uu = u
-                while uu in parent:
-                    p, la = parent[uu]
-                    letters.append(la)
-                    uu = p
-                letters.reverse()
-                return letters, w
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (u, a)
-                queue.append(w)
-    return None
+    return Word(spell(prefix), spell(cycle + cycle[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1111,20 +965,6 @@ def qnp_dpw_direct(variables, goal_letters, obs_zero, inc_letters, dec_letters, 
 # ---------------------------------------------------------------------------
 
 
-def nba_to_dot(a, name="nba"):
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for q in a.states:
-        shape = "doublecircle" if q in a.accepting else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
-    for q in a.initial:
-        lines.append(f'  "init_{q}" [shape=point]; "init_{q}" -> "{q}";')
-    for (q, sym), tgts in sorted(a.transitions.items(), key=repr):
-        for r in tgts:
-            lines.append(f'  "{q}" -> "{r}" [label="{sym}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def dpw_to_dot(d, name="dpw"):
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     ids = {q: i for i, q in enumerate(d.states)}
@@ -1133,19 +973,5 @@ def dpw_to_dot(d, name="dpw"):
     lines.append(f"  init [shape=point]; init -> n{ids[d.initial]};")
     for (q, sym), r in sorted(d.delta.items(), key=repr):
         lines.append(f'  n{ids[q]} -> n{ids[r]} [label="{sym}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def game_to_dot(g, name="game"):
-    lines = [f"digraph {name} {{"]
-    ids = {v: i for i, v in enumerate(g.nodes)}
-    for v in g.nodes:
-        shape = "box" if g.owner[v] == CONTROLLER else "diamond"
-        label = f"{g.priority[v]}"
-        lines.append(f'  n{ids[v]} [shape={shape},label="{label}"];')
-    for v in g.nodes:
-        for w in g.edges[v]:
-            lines.append(f"  n{ids[v]} -> n{ids[w]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

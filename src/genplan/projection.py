@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidClassError
+from .errors import InvalidClassError, MalformedInputError
 from .model import (
     FiniteTrajectory,
     Lasso,
@@ -29,7 +29,7 @@ class Fondp(Pondp):
         super().__post_init__()
         for s in self.states:
             if self.obs_fn[s] != s:
-                raise ValueError(f"obs({s!r}) != {s!r}: not fully observable")
+                raise MalformedInputError(f"obs({s!r}) != {s!r}: not fully observable")
 
 
 def as_fondp(p):

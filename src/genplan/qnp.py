@@ -535,7 +535,7 @@ def simulate(q, mu, chosen, seed=0, max_steps=100000, stop_at_goal=True):
     validate_qnp(q)
     rng = SeededResolver(seed).rng
     fl = q.init_fluents
-    vals = tuple(Fraction(chosen[v]) for v in q.variables)
+    vals = tuple(_parse_value(chosen[v], f"initial value of {v}") for v in q.variables)
     for i, v in enumerate(q.variables):
         if not q.init_values[v].contains(vals[i]):
             raise OutOfRangeError(f"{v}={vals[i]} outside the declared descriptor")
@@ -553,8 +553,8 @@ def simulate(q, mu, chosen, seed=0, max_steps=100000, stop_at_goal=True):
         if name is None:
             return FiniteTrajectory(states=tuple(states), actions=tuple(actions))
         mem = mu.next_memory(mem, obs)
-        a = by_name[name]
-        if not all(_holds(l, fl, vals, q.variables) for l in a.pre):
+        a = by_name.get(name)
+        if a is None or not all(_holds(l, fl, vals, q.variables) for l in a.pre):
             from .errors import InvalidPolicyError
 
             raise InvalidPolicyError(

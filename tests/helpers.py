@@ -8,9 +8,10 @@ semantics over a bounded lasso universe.
 
 import itertools
 
+from genplan import graph
 from genplan import ltl as L
 from genplan.ltl import Word
-from genplan.model import Pondp, infer_class
+from genplan.model import Policy, Pondp, infer_class
 from genplan.omega import CONTROLLER, Dpw
 from genplan.projection import as_fondp
 
@@ -157,7 +158,7 @@ def _dominant_cycle_nodes(nodes, succ, priority, parity):
         def s(v):
             return [w for w in succ(v) if w in sub]
 
-        for comp in L._sccs(sorted(sub, key=repr), s):
+        for comp in graph.sccs(sorted(sub, key=repr), s):
             comp_set = set(comp)
             if not any(priority[v] == p for v in comp_set):
                 continue
@@ -405,3 +406,81 @@ class LassoUniverseCheck:
                 for d in self.automata:
                     assert dpw_accepts(d, w) == ev, f"literal check failed on {w}"
         return None
+
+
+# ---------------------------------------------------------------------------
+# Commitment bookkeeping between open and closed projections
+# ---------------------------------------------------------------------------
+
+
+def _atoms(obs):
+    return frozenset(str(obs).split(","))
+
+
+def erase_commitments(policy, closed_proj, open_proj):
+    """Project a memoryless policy on a closed projection down to the open
+    projection by dropping commitment bookkeeping: an open observation maps
+    to the closed policy's action wherever the consistent closed
+    observations agree on a non-bookkeeping action.
+
+    Used by cross-engine tests; returns None when no open observation gets
+    an action.
+    """
+    mapping = policy.as_memoryless_mapping()
+    out = {}
+    for obs in sorted(open_proj.observations, key=str):
+        atoms = _atoms(obs)
+        candidates = set()
+        for cobs, a in mapping.items():
+            if atoms <= _atoms(cobs) and not a.startswith(("set(", "unset(")):
+                candidates.add(a)
+        if len(candidates) == 1:
+            out[obs] = candidates.pop()
+    return Policy.memoryless(out) if out else None
+
+
+def lift_policy_to_closed(policy, closed_proj):
+    """Drive a policy that ignores commitment fluents on the closed
+    projection by inserting set/unset steps when its chosen action is
+    blocked by a commitment precondition.
+
+    Returns a memoryless policy on the closed projection, or None when no
+    consistent completion exists (composability failure).
+    """
+    by_atoms = {_atoms(s): s for s in closed_proj.states}
+    commitments = sorted(
+        {a for atoms in by_atoms for a in atoms if a.startswith("q_")}
+    )
+    policy_by_atoms = {
+        _atoms(o): a for (m, o), a in policy.output.items() if m == policy.initial
+    }
+    out = {}
+    ok = True
+    for obs in sorted(closed_proj.observations, key=str):
+        atoms = _atoms(obs)
+        open_atoms = frozenset(a for a in atoms if not a.startswith("q_"))
+        want = policy_by_atoms.get(open_atoms)
+        if want is None:
+            continue
+        if want in closed_proj.avail.get(obs, frozenset()):
+            out[obs] = want
+            continue
+        fixed = None
+        for flag in commitments:
+            v = flag[2:]
+            setter, unsetter = f"set({v})", f"unset({v})"
+            if setter in closed_proj.avail.get(obs, frozenset()) and flag not in atoms:
+                trial = by_atoms.get(atoms | {flag})
+                if trial and want in closed_proj.avail.get(trial, frozenset()):
+                    fixed = setter
+                    break
+            if unsetter in closed_proj.avail.get(obs, frozenset()) and flag in atoms:
+                trial = by_atoms.get(atoms - {flag})
+                if trial and want in closed_proj.avail.get(trial, frozenset()):
+                    fixed = unsetter
+                    break
+        if fixed is None:
+            ok = False
+            continue
+        out[obs] = fixed
+    return Policy.memoryless(out) if ok else None

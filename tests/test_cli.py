@@ -4,6 +4,9 @@ codes, and reproducibility."""
 import json
 import os
 
+import pytest
+
+from genplan import fond
 from genplan.cli import main
 from genplan.model import load_pondp, policy_from_json_dict, pondp_to_json_dict, save_json
 from genplan.qnp import parse_qnp, syntactic_projection
@@ -333,3 +336,61 @@ def test_ltl2dpw_output_formats(tmp_path, capsys, monkeypatch):
     assert saved == []
     assert os.listdir(out.parent) == ["dpw.dot"]
     assert out.read_text().startswith("digraph")
+
+
+def _edited_problem(tmp_path, name, edit):
+    with open(COUNTER_FONDP) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _add_ghost_action(doc):
+    doc["actions"].append("Ghost")
+    doc["avail"]["X>0"].append("Ghost")
+
+
+def test_invalid_problem_is_malformed_input(tmp_path, capsys):
+    """A problem that fails validation is malformed input (exit 2) for every
+    command that loads one: not a negative answer, not a traceback."""
+    outside = _edited_problem(tmp_path, "outside", lambda d: d.update(init=["nowhere"]))
+    ghost = _edited_problem(tmp_path, "ghost", _add_ghost_action)
+    for path, message in ((outside, "'nowhere' not in states"), (ghost, "succ('Ghost', 'X>0')")):
+        for argv in (
+            ["plan", path],
+            ["verify", "--mode", "fair", path, CANONICAL],
+            ["simulate", path, "--policy", CANONICAL],
+            ["synthesize", path],
+        ):
+            code, doc = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert doc["error"] == "MalformedInputError"
+            assert message in doc["message"]
+
+
+def test_missing_field_is_malformed_input(tmp_path, capsys):
+    path = _edited_problem(tmp_path, "nosucc", lambda d: d.pop("succ"))
+    code, doc = run_cli(capsys, "plan", path)
+    assert code == 2
+    assert doc["message"] == "malformed problem JSON: missing key 'succ'"
+
+
+def test_internal_error_is_not_malformed_input(monkeypatch):
+    """Only input errors exit 2; a KeyError raised inside the planner is a
+    fault of the program and propagates."""
+
+    def broken(p):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(fond, "strong_cyclic_plan", broken)
+    with pytest.raises(KeyError):
+        main(["plan", COUNTER_FONDP])
+
+
+def test_ltl2dpw_deep_nesting_is_malformed_input(capsys):
+    for text in ("X " * 3000 + "a", "(" * 1200 + "a" + ")" * 1200):
+        code, doc = run_cli(capsys, "ltl2dpw", text, "--alphabet", "a,b")
+        assert code == 2
+        assert doc["error"] == "LtlParseError"

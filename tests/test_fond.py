@@ -2,18 +2,12 @@
 
 import random
 
-from genplan.fond import (
-    UNSOLVABLE,
-    erase_commitments,
-    lift_policy_to_closed,
-    strong_cyclic_plan,
-    verify_strong_cyclic,
-)
+from genplan.fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
 from genplan.model import Policy, Pondp, Under, check_solution, is_fair, is_goal_reaching
 from genplan.constraints import qnp_constraint
 from genplan.qnp import close_qnp, parse_qnp, syntactic_projection
 
-from .helpers import POS, counter_projection
+from .helpers import POS, counter_projection, erase_commitments, lift_policy_to_closed
 
 COUNTER = (
     "vars X\ninit_values X in {5}\n"

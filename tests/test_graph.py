@@ -1,0 +1,116 @@
+"""Property tests for the graph kernel against brute-force oracles on
+random small digraphs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genplan import graph
+
+from .helpers import _can_reach, _dominant_cycle_nodes
+
+
+@st.composite
+def digraphs(draw, max_nodes=8):
+    """(nodes, successor lists, priorities) with nodes 0..n-1."""
+    n = draw(st.integers(1, max_nodes))
+    succ = [
+        sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=3))))
+        for _ in range(n)
+    ]
+    priority = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return list(range(n)), succ, priority
+
+
+def closure(nodes, succ):
+    """reach[v]: the nodes reachable from v by a path of one or more edges."""
+    reach = {v: set(succ[v]) for v in nodes}
+    for k in nodes:
+        for v in nodes:
+            if k in reach[v]:
+                reach[v] |= reach[k]
+    return reach
+
+
+def is_closed_walk(walk, succ):
+    return all(walk[(i + 1) % len(walk)] in succ[v] for i, v in enumerate(walk))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_sccs_are_mutual_reachability_classes(g):
+    nodes, succ, _ = g
+    reach = closure(nodes, succ)
+    expected = {
+        frozenset([v] + [w for w in nodes if w in reach[v] and v in reach[w]])
+        for v in nodes
+    }
+    comps = graph.sccs(nodes, succ.__getitem__)
+    assert sorted(v for comp in comps for v in comp) == nodes
+    assert {frozenset(comp) for comp in comps} == expected
+    for comp in comps:
+        assert graph.has_cycle(comp, succ.__getitem__) == (comp[0] in reach[comp[0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.sets(st.integers(0, 7)))
+def test_backward_reachable_matches_oracle(g, targets):
+    nodes, succ, _ = g
+    targets = {t for t in targets if t < len(nodes)}
+    dist = graph.backward_reachable(nodes, succ.__getitem__, targets)
+    assert set(dist) == _can_reach(set(nodes), succ.__getitem__, targets)
+    for v, d in dist.items():
+        if v in targets:
+            assert d == 0
+        else:
+            assert d == 1 + min(dist[w] for w in succ[v] if w in dist)
+    assert graph.reachable([0], succ.__getitem__) == {0} | closure(nodes, succ)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.sets(st.integers(0, 7)), st.booleans())
+def test_shortest_path_is_shortest(g, targets, nonempty):
+    nodes, succ, _ = g
+    targets = {t for t in targets if t < len(nodes)}
+    path = graph.shortest_path([0], succ.__getitem__, targets, nonempty=nonempty)
+    # BFS layers from 0 by brute force: layer k holds the ends of k-edge walks
+    layers = [{0}]
+    for _ in nodes:
+        layers.append({w for v in layers[-1] for w in succ[v]})
+    hits = [k for k, layer in enumerate(layers) if layer & targets and (k or not nonempty)]
+    if not hits:
+        assert path is None
+        return
+    assert path[0] == 0 and path[-1] in targets
+    assert all(w in succ[v] for v, w in zip(path, path[1:]))
+    assert len(path) - 1 == hits[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.integers(0, 1))
+def test_dominant_cycle_with_one_priority(g, parity):
+    nodes, succ, priority = g
+    prios = sorted({p for p in priority if p % 2 == parity}, reverse=True)
+    cycle = graph.dominant_cycle(
+        nodes, succ.__getitem__, {v: (priority[v],) for v in nodes}, [(p,) for p in prios]
+    )
+    oracle = _dominant_cycle_nodes(set(nodes), succ.__getitem__, priority, parity)
+    assert (cycle is None) == (not oracle)
+    if cycle is not None:
+        assert is_closed_walk(cycle, succ)
+        assert max(priority[v] for v in cycle) % 2 == parity
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_covering_walk_covers_every_edge(g):
+    nodes, succ, _ = g
+    for comp in graph.sccs(nodes, succ.__getitem__):
+        comp = set(comp)
+        walk = graph.covering_walk(comp, succ.__getitem__)
+        inside = {(v, w) for v in comp for w in succ[v] if w in comp}
+        if not inside:
+            assert walk is None
+            continue
+        assert walk[0] == min(comp) and set(walk) <= comp
+        assert is_closed_walk(walk, succ)
+        assert {(v, walk[(i + 1) % len(walk)]) for i, v in enumerate(walk)} == inside

@@ -94,6 +94,31 @@ def test_formula_size():
     assert TRUE.size == 1
 
 
+def test_nesting_limit():
+    """Nesting up to MAX_NESTING, in the text or in the syntax tree, parses,
+    translates and survives the recursive formula functions; one level more
+    is a parse error, not a RecursionError."""
+    n = L.MAX_NESTING
+
+    def parens(k):
+        return "(" * k + "a" + ")" * k
+
+    def chain(k):  # a left-deep conjunction: a syntax tree of height k
+        return " & ".join(["a"] * k)
+
+    for text in (parens(n), chain(n)):
+        f = parse_ltl(text, {"a", "b"})
+        assert parse_ltl(pretty(f)) == f
+        assert len(L.subformulas(f)) <= f.size
+        hash(f)
+        nba = ltl_to_nba(f, {"a", "b"})
+        assert nba_accepts_lasso(nba, Word((), ("a",)))
+        assert not nba_accepts_lasso(nba, Word((), ("b", "a")))
+    for text in (parens(n + 1), chain(n + 1), "X " * n + "a", "a U " * n + "a"):
+        with pytest.raises(LtlParseError, match="nested deeper"):
+            parse_ltl(text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**30))
 def test_pretty_roundtrip(seed):
