@@ -430,10 +430,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is None:
-        args.budget = int(os.environ.get("GENPLAN_BUDGET", DEFAULT_BUDGET))
     start = time.time()
     try:
+        if args.budget is None:
+            with decoding("GENPLAN_BUDGET"):
+                args.budget = int(os.environ.get("GENPLAN_BUDGET", DEFAULT_BUDGET))
         code = args.func(args)
     except (GenplanError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

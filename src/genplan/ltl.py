@@ -473,59 +473,6 @@ class Nba:
         return self.transitions.get((q, a), ())
 
 
-def _consistent_states(f, alphabet):
-    """Enumerate maximally consistent truth assignments over the closure.
-
-    A state is an assignment to all subformulas that respects boolean
-    structure, assigns at most one closure letter (matching a concrete
-    alphabet symbol), and satisfies the local expansion of Until.
-    Returns (states, untils) where each state is a dict with keys
-    'val' (sub -> bool) and 'letters' (compatible alphabet symbols).
-    """
-    subs = subformulas(f)
-    cl_letters = [g for g in subs if isinstance(g, Letter)]
-    nexts = [g for g in subs if isinstance(g, Next)]
-    untils = [g for g in subs if isinstance(g, Until)]
-    free = nexts + untils
-
-    # letter assignment options: one per alphabet symbol; symbols not in
-    # the closure collapse to a single "no closure letter true" option.
-    options = []
-    other = sorted(a for a in alphabet if a not in {l.name for l in cl_letters})
-    for l in cl_letters:
-        if l.name in alphabet:
-            options.append(({m: m == l for m in cl_letters}, (l.name,)))
-    if other:
-        options.append(({m: False for m in cl_letters}, tuple(other)))
-
-    states = []
-    for letter_val, symbols in options:
-        for mask in range(1 << len(free)):
-            val = {}
-            ok = True
-            for g in subs:
-                if isinstance(g, TrueF):
-                    val[g] = True
-                elif isinstance(g, Letter):
-                    val[g] = letter_val[g]
-                elif isinstance(g, Not):
-                    val[g] = not val[g.operand]
-                elif isinstance(g, And):
-                    val[g] = val[g.left] and val[g.right]
-                else:
-                    val[g] = bool(mask & (1 << free.index(g)))
-            for u in untils:
-                if val[u.right] and not val[u]:
-                    ok = False
-                    break
-                if val[u] and not val[u.right] and not val[u.left]:
-                    ok = False
-                    break
-            if ok:
-                states.append({"val": val, "letters": symbols})
-    return states, untils, nexts
-
-
 def _disjuncts(f):
     """Top-level disjunctive decomposition (¬(g ∧ h) = ¬g ∨ ¬h)."""
     if isinstance(f, Not) and isinstance(f.operand, And):
@@ -541,8 +488,10 @@ def ltl_to_nba(f, alphabet=None, budget=DEFAULT_BUDGET):
     The formula is decomposed along its top-level boolean structure first:
     disjuncts become an automaton union and conjuncts a synchronized Buchi
     product, so each closure tableau stays small.  Tableau states are the
-    maximally consistent closure subsets with generalized-Buchi acceptance
-    (one set per Until obligation), degeneralized with a counter.
+    maximally consistent closure subsets (atoms, each an int bitmask over
+    the indexed subformulas) with generalized-Buchi acceptance (one set
+    per Until obligation), degeneralized with a counter.  The result is
+    trimmed, and its state numbering does not depend on string hashing.
     """
     if alphabet is None:
         alphabet = letters_of(f)
@@ -591,6 +540,7 @@ def _product_nba(a, b, alphabet, budget):
         return index[key]
 
     initial = frozenset(sid(qa, qb, 0) for qa in a.initial for qb in b.initial)
+    letters = sorted(alphabet)
     transitions = {}
     queue = list(initial)
     seen = set(queue)
@@ -603,7 +553,7 @@ def _product_nba(a, b, alphabet, budget):
             i2 = 0
         else:
             i2 = i
-        for sym in alphabet:
+        for sym in letters:
             tgts = []
             for ra in a.successors(qa, sym):
                 for rb in b.successors(qb, sym):
@@ -648,63 +598,115 @@ def _union_nba(parts, alphabet):
 
 
 def _tableau_nba(f, alphabet, budget):
-    atoms, untils, nexts = _consistent_states(f, alphabet)
-    if len(atoms) * max(1, len(untils)) > budget:
-        raise SizeBudgetExceededError(
-            f"tableau would need {len(atoms)} x {max(1, len(untils))} states, "
-            f"budget {budget}"
-        )
+    """Closure tableau of ``f``: its maximally consistent atoms, explored
+    from those that contain ``f``.
 
-    def may_follow(a, b):
-        va, vb = a["val"], b["val"]
-        for x in nexts:
-            if vb[x.operand] != va[x]:
-                return False
-        for u in untils:
-            if va[u] and not va[u.right] and not vb[u]:
-                return False
-            if not va[u] and va[u.left] and vb[u]:
-                return False
-        return True
+    Subformulas are indexed once, children before parents, and an atom is
+    an int bitmask over those indices: bit i is set iff subformula i holds.
+    Each letter option (one per closure letter, plus one "no closure
+    letter" option that carries every other alphabet symbol) fixes the
+    letter bits, and each choice of the X and U bits then fixes the
+    boolean ones; the atom is kept if every Until agrees with its local
+    expansion.  An explored atom's X and U obligations become one
+    (must_one, must_zero) mask pair that its successors must match.
+    Until obligations are generalized-Buchi sets, degeneralized with a
+    counter.  The budget bounds atoms x counter values, which bounds the
+    states, and is checked as each atom is enumerated.
+    """
+    subs = subformulas(f)
+    index = {g: i for i, g in enumerate(subs)}
+
+    def bit(g):
+        return 1 << index[g]
+
+    nexts = [(bit(g), bit(g.operand)) for g in subs if isinstance(g, Next)]
+    untils = [(bit(g), bit(g.left), bit(g.right)) for g in subs if isinstance(g, Until)]
+    # X bits, then U bits, in the choice counter: this order numbers the atoms
+    free = [x for x, _ in nexts] + [u for u, _, _ in untils]
+    # boolean subformulas in closure order, as (bit, child bits, value of
+    # the child bits that makes the subformula true)
+    ops = []
+    for g in subs:
+        if isinstance(g, Not):
+            ops.append((bit(g), bit(g.operand), 0))
+        elif isinstance(g, And):
+            both = bit(g.left) | bit(g.right)
+            ops.append((bit(g), both, both))
+    top = sum(bit(g) for g in subs if isinstance(g, TrueF))
+    closure = {g.name: bit(g) for g in subs if isinstance(g, Letter)}
+    options = [(top | b, (name,)) for name, b in closure.items() if name in alphabet]
+    other = tuple(sorted(a for a in alphabet if a not in closure))
+    if other:
+        options.append((top, other))
+    k = max(1, len(untils))
+
+    masks, letters = [], []
+    for start, symbols in options:
+        for choice in range(1 << len(free)):
+            m = start
+            for j, b in enumerate(free):
+                if choice >> j & 1:
+                    m |= b
+            for b, children_bits, want in ops:
+                if m & children_bits == want:
+                    m |= b
+            if any(
+                (m & r and not m & u) or (m & u and not m & (l | r))
+                for u, l, r in untils
+            ):
+                continue
+            masks.append(m)
+            letters.append(symbols)
+            if len(masks) * k > budget:
+                raise SizeBudgetExceededError(
+                    f"tableau would need at least {len(masks)} x {k} states, "
+                    f"budget {budget}"
+                )
+
+    def must(m):
+        one = zero = 0
+        for x, operand in nexts:
+            if m & x:
+                one |= operand
+            else:
+                zero |= operand
+        for u, l, r in untils:
+            if m & u and not m & r:
+                one |= u
+            elif not m & u and m & l:
+                zero |= u
+        return one, zero
 
     # reachable tableau exploration
-    initial_atoms = [i for i, a in enumerate(atoms) if a["val"][f]]
+    initial_atoms = [i for i, m in enumerate(masks) if m & bit(f)]
     reach = set(initial_atoms)
     frontier = list(initial_atoms)
     succs = {}
     while frontier:
         i = frontier.pop()
-        a = atoms[i]
-        nxt = tuple(j for j, b in enumerate(atoms) if may_follow(a, b))
+        one, zero = must(masks[i])
+        nxt = tuple(j for j, m in enumerate(masks) if m & one == one and not m & zero)
         succs[i] = nxt
         for j in nxt:
             if j not in reach:
                 reach.add(j)
                 frontier.append(j)
-        if len(reach) > budget:
-            raise SizeBudgetExceededError(
-                f"tableau exploration exceeded budget: {len(reach)} states "
-                f"reached, budget {budget}"
-            )
-
-    # degeneralization counter over the Until acceptance sets
-    k = max(1, len(untils))
 
     def acc_ok(i, idx):
         if not untils:
             return True
-        u = untils[idx]
-        return (not atoms[i]["val"][u]) or atoms[i]["val"][u.right]
+        u, _, r = untils[idx]
+        return not masks[i] & u or bool(masks[i] & r)
 
     states = []
-    index = {}
+    number = {}
 
     def sid(i, c):
         key = (i, c)
-        if key not in index:
-            index[key] = len(states)
+        if key not in number:
+            number[key] = len(states)
             states.append(key)
-        return index[key]
+        return number[key]
 
     transitions = {}
     initial = frozenset(sid(i, 0) for i in initial_atoms)
@@ -714,7 +716,7 @@ def _tableau_nba(f, alphabet, budget):
         s = pending.pop()
         i, c = states[s]
         c2 = (c + 1) % k if acc_ok(i, c) else c
-        for sym in atoms[i]["letters"]:
+        for sym in letters[i]:
             tgts = []
             for j in succs[i]:
                 t = sid(j, c2)
@@ -755,8 +757,10 @@ def trim_nba(nba):
 
 
 def _prune_nba(nba):
-    def succ_all(q):
-        return [r for a in nba.alphabet for r in nba.successors(q, a)]
+    edges = {q: [] for q in nba.states}
+    for (q, a), tgts in nba.transitions.items():
+        edges[q].append((a, tgts))
+    succ_all = {q: [r for _, tgts in out for r in tgts] for q, out in edges.items()}.__getitem__
 
     reach = graph.reachable(nba.initial, succ_all)
     good = set()
@@ -773,8 +777,8 @@ def _prune_nba(nba):
     index = {q: i for i, q in enumerate(keep)}
     transitions = {}
     for q in keep:
-        for a in sorted(nba.alphabet):
-            tgts = tuple(sorted(index[r] for r in nba.successors(q, a) if r in live))
+        for a, tgts in sorted(edges[q]):
+            tgts = tuple(sorted(index[r] for r in tgts if r in live))
             if tgts:
                 transitions[(index[q], a)] = tgts
     return Nba(
@@ -796,41 +800,34 @@ def _bisim_quotient(nba, backward):
     """
     if not nba.states:
         return nba
-    letters = sorted(nba.alphabet)
+    edges = {q: [] for q in nba.states}
+    for (q, a), tgts in nba.transitions.items():
+        for r in tgts:
+            if backward:
+                edges[r].append((a, q))
+            else:
+                edges[q].append((a, r))
     if backward:
-        preds = {(q, a): set() for q in nba.states for a in letters}
-        for (q, a), tgts in nba.transitions.items():
-            for r in tgts:
-                preds[(r, a)].add(q)
-
-        def neighbors(q, a):
-            return preds[(q, a)]
-
-        block = {
-            q: (q in nba.accepting, q in nba.initial) for q in nba.states
-        }
+        block = {q: (q in nba.accepting, q in nba.initial) for q in nba.states}
     else:
-        def neighbors(q, a):
-            return nba.successors(q, a)
-
         block = {q: (q in nba.accepting,) for q in nba.states}
 
+    # Refinement only splits classes, so an unchanged class count means an
+    # unchanged partition; classes are numbered by their first member.
+    n_classes = len(set(block.values()))
     while True:
-        sig = {}
-        for q in nba.states:
-            sig[q] = (
-                block[q],
-                tuple(frozenset(block[r] for r in neighbors(q, a)) for a in letters),
-            )
+        sig = {
+            q: (block[q], frozenset((a, block[r]) for a, r in edges[q]))
+            for q in nba.states
+        }
         classes = {}
         for q in nba.states:
             classes.setdefault(sig[q], len(classes))
-        new_block = {q: classes[sig[q]] for q in nba.states}
-        if new_block == block:
+        block = {q: classes[sig[q]] for q in nba.states}
+        if len(classes) == n_classes:
             break
-        block = new_block
+        n_classes = len(classes)
 
-    n_classes = len(set(block.values()))
     if n_classes == len(nba.states):
         return nba
     transitions = {}

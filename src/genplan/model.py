@@ -683,6 +683,11 @@ def pondp_from_json_dict(doc):
         for key, targets in doc["succ"].items():
             a, _, s = key.partition("|")
             succ[(a, s)] = frozenset(targets)
+        obs_fn = dict(doc["obs"])
+        # Hashing every value rejects a list or object (TypeError) where a
+        # state, observation or action is named; the other fields are
+        # hashed by frozenset() below, obs values only here.
+        frozenset(obs_fn.values())
         return Pondp(
             states=frozenset(doc["states"]),
             init=frozenset(doc["init"]),
@@ -690,7 +695,7 @@ def pondp_from_json_dict(doc):
             actions=frozenset(doc["actions"]),
             goal_states=frozenset(doc["goal_states"]),
             avail={s: frozenset(v) for s, v in doc["avail"].items()},
-            obs_fn=dict(doc["obs"]),
+            obs_fn=obs_fn,
             succ=succ,
             annotations=doc.get("annotations", {}),
         )

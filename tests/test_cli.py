@@ -394,3 +394,36 @@ def test_ltl2dpw_deep_nesting_is_malformed_input(capsys):
         code, doc = run_cli(capsys, "ltl2dpw", text, "--alphabet", "a,b")
         assert code == 2
         assert doc["error"] == "LtlParseError"
+
+
+def test_bad_budget_variable_is_malformed_input(capsys, monkeypatch):
+    monkeypatch.setenv("GENPLAN_BUDGET", "lots")
+    code, doc = run_cli(capsys, "plan", COUNTER_FONDP)
+    assert code == 2
+    assert doc["error"] == "MalformedInputError"
+    assert "GENPLAN_BUDGET" in doc["message"]
+
+
+def test_unhashable_problem_value_is_malformed_input(tmp_path, capsys):
+    """A list or object where a problem names a state, observation or
+    action is malformed input, not a traceback."""
+    edits = {
+        "obs": lambda d: d["obs"].update({"X=0": ["a"]}),
+        "states": lambda d: d["states"].append(["X=2"]),
+        "observations": lambda d: d["observations"].append({"o": 1}),
+        "actions": lambda d: d["actions"].append(["Dec"]),
+        "avail": lambda d: d["avail"]["X>0"].append(["Inc"]),
+        "succ": lambda d: d["succ"]["Dec|X>0"].append(["X=0"]),
+    }
+    for name, edit in edits.items():
+        code, doc = run_cli(capsys, "plan", _edited_problem(tmp_path, name, edit))
+        assert code == 2, name
+        assert doc["error"] == "MalformedInputError"
+        assert doc["message"].startswith("malformed problem JSON: ")
+
+
+def test_ltl2dpw_tableau_budget_is_malformed_input(capsys):
+    code, doc = run_cli(capsys, "--budget", "1000", "ltl2dpw", "X " * 20 + "a", "--alphabet", "a,b")
+    assert code == 2
+    assert doc["error"] == "SizeBudgetExceededError"
+    assert doc["message"].startswith("tableau") and "budget 1000" in doc["message"]

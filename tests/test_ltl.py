@@ -2,7 +2,11 @@
 translation to Buchi automata."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -282,3 +286,53 @@ def test_nba_budget():
     f = parse_ltl("G F a & F G b & G F c", {"a", "b", "c"})
     with pytest.raises(SizeBudgetExceededError):
         ltl_to_nba(f, {"a", "b", "c"}, budget=2)
+
+
+def test_tableau_budget_is_checked_while_enumerating():
+    """X^20 a has 2^21 atoms; the budget stops the enumeration at the first
+    atom past it instead of after building them all."""
+    from genplan.errors import SizeBudgetExceededError
+
+    f = parse_ltl("X " * 20 + "a")
+    start = time.perf_counter()
+    with pytest.raises(SizeBudgetExceededError, match="tableau .* budget 1000"):
+        ltl_to_nba(f, {"a", "b"}, budget=1000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nba_numbering_ignores_hash_seed():
+    """The same formula and alphabet give the same NBA under any string
+    hash seed."""
+    code = (
+        "from genplan.ltl import ltl_to_nba, parse_ltl\n"
+        "n = ltl_to_nba(parse_ltl('F d & c U b'), {'a', 'b', 'c', 'd'})\n"
+        "print(n.states, sorted(n.transitions.items()), sorted(n.initial), sorted(n.accepting))"
+    )
+    src = os.path.dirname(os.path.dirname(L.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**30), st.integers(20, 80))
+def test_nba_wide_alphabet(seed, width):
+    """Formulas over three letters read over 20-80 symbols: the symbols the
+    formula does not mention share the "no closure letter" atoms, and
+    lassos that use them must still agree with the oracle."""
+    rng = random.Random(seed)
+    letters = ["a", "b", "c"]
+    outside = [f"z{k}" for k in range(width - len(letters))]
+    alphabet = set(letters) | set(outside)
+    f = rand_formula(rng, rng.randint(1, 4), letters)
+    nba = ltl_to_nba(f, alphabet)
+    for _ in range(20):
+        w = rand_word(rng, letters + rng.sample(outside, 3), 4, 4)
+        assert nba_accepts_lasso(nba, w) == eval_lasso(f, w, alphabet), f"{pretty(f)} on {w}"
