@@ -10,6 +10,7 @@ deterministic given their inputs and --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -200,7 +201,7 @@ def _cmd_plan(args):
     if mu == fond.UNSOLVABLE:
         _emit({"command": "plan", "reason": "UNSOLVABLE"})
         return 1
-    verdict = fond.verify_strong_cyclic(p, mu)
+    verdict = fond.verify_strong_cyclic(p, mu, budget=args.budget)
     if args.output:
         save_json(policy_to_json_dict(mu), args.output)
     _emit(
@@ -230,7 +231,7 @@ def _cmd_verify(args):
         cx = verdict.counterexample or verdict.witness
         highlight = cx.visited_states() if cx is not None else ()
         with open(args.dot, "w") as fh:
-            fh.write(product_to_dot(p, mu, highlight=highlight))
+            fh.write(product_to_dot(p, mu, highlight=highlight, budget=args.budget))
     _emit({"command": "verify", "mode": args.mode, **verdict.to_json_dict()})
     return 0 if verdict.is_solution else 1
 
@@ -355,7 +356,10 @@ def _policy_to_dot(mu):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use; parsing
+    never changes it."""
     parser = argparse.ArgumentParser(
         prog="genplan",
         description="Generalized planning: projection, LTL synthesis, QNP "
@@ -366,9 +370,10 @@ def build_parser():
         "--budget",
         type=int,
         default=None,
-        help="cap on the automaton states each construction builds; synthesis "
-        "and constraint checks count only the states they reach, ltl2dpw the "
-        "full automaton (default 10^6; GENPLAN_BUDGET overrides)",
+        help="cap on the states each construction builds: automaton states "
+        "(synthesis and constraint checks count only the states they reach, "
+        "ltl2dpw the full automaton) and the policy product nodes of plan and "
+        "verify (default 10^6; GENPLAN_BUDGET overrides)",
     )
     parser.add_argument("--format", choices=["json", "dot"], default="json")
     parser.add_argument("--verbose", action="store_true")

@@ -459,10 +459,10 @@ def _closed_core(nodes, edges):
 # ---------------------------------------------------------------------------
 
 
-def counterexample_search(p, c, start, edges, reach, budget=L.DEFAULT_BUDGET):
-    """Find a goal-avoiding lasso of the policy product that satisfies the
-    constraint, or None.  ``edges`` maps product nodes to (action, node)
-    pairs and ``reach`` is the goal-free reachable region.
+def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET):
+    """Find a goal-avoiding lasso of the policy product ``prod`` (a
+    `model.PolicyProduct`) that satisfies the constraint, or None.
+    ``reach`` is the set of ids of its goal-free reachable region.
 
     The constraint is decomposed into conjuncts, each determinized on its
     own and on the fly, so only the automaton states the product reaches
@@ -476,35 +476,41 @@ def counterexample_search(p, c, start, edges, reach, budget=L.DEFAULT_BUDGET):
             "solution check"
         )
     if c.kind == "fairness":
-        return _fair_counterexample(start, edges, reach)
+        return _fair_counterexample(prod, reach)
 
     dpws = [
         omega.LazyDpw(a, budget, stage="constraint-check determinization")
         for a in _conjunct_nbas(c, p, budget)
     ]
-    return accepted_policy_lasso(p, c.level, dpws, start, edges, reach)
+    return accepted_policy_lasso(p, c.level, dpws, prod, reach)
 
 
-def accepted_policy_lasso(p, level, dpws, start, edges, reach):
+def accepted_policy_lasso(p, level, dpws, prod, reach):
     """A lasso of the policy product (arguments as for
     `counterexample_search`) accepted by every automaton in ``dpws``, or
     None: a cycle whose dominant priority is even in each of them at once.
-    The automata are read only from their initial states on."""
+    The automata are read only from their initial states on.  The base
+    nodes of the bilayer product are the (state, memory) pairs, because
+    the cycle search breaks ties by their ``str``."""
+    nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
 
     def moves(v):
-        if not edges[v]:
+        i = index[v]
+        if not succ[i]:
             return []
-        return [(edges[v][0][0], [w for _, w in edges[v] if w in reach])]
+        return [(act[i], [nodes[j] for j in succ[i] if j in reach])]
 
     letter = _letter(level, p)
-    inits, nodes, bedges, prio_of = _bilayer_product(
-        [v for v in start if v in reach], [(d, lambda v: letter(v[0])) for d in dpws], moves
+    inits, bnodes, bedges, prio_of = _bilayer_product(
+        [nodes[i] for i in prod.start if i in reach],
+        [(d, lambda v: letter(v[0])) for d in dpws],
+        moves,
     )
     # a cycle can only use priorities that occur on explored nodes
     targets = _even_targets(
         [{pr[i] for pr in prio_of.values()} for i in range(len(dpws))]
     )
-    cycle = graph.dominant_cycle(nodes, bedges.__getitem__, prio_of, targets)
+    cycle = graph.dominant_cycle(bnodes, bedges.__getitem__, prio_of, targets)
     if cycle is None:
         return None
     return _product_lasso(inits, bedges, cycle, lambda v: v[0])

@@ -10,7 +10,9 @@ distance-minimizing, lowest-named action choice.
 
 from __future__ import annotations
 
-from . import graph
+from collections import deque
+
+from .ltl import DEFAULT_BUDGET
 from .model import FAIR, Policy, check_solution
 
 UNSOLVABLE = "UNSOLVABLE"
@@ -24,30 +26,37 @@ def strong_cyclic_plan(p):
     """
     safe = set(p.states)
     while True:
-        usable = {
-            s: [a for a in p.avail.get(s, ()) if p.succ[(a, s)] <= safe] for s in safe
-        }
-        # distance to the goal through usable actions, from one backward search
-        dist = graph.backward_reachable(
-            safe,
-            lambda s: [t for a in usable[s] for t in p.succ[(a, s)]],
-            safe & p.goal_states,
-        )
-        if dist.keys() == safe:
+        # one pass over the actions whose outcomes all stay inside safe:
+        # predecessor lists labelled with the action
+        pred = {s: [] for s in safe}
+        for s in safe:
+            for a in p.avail.get(s, ()):
+                targets = p.succ[(a, s)]
+                if targets <= safe:
+                    edge = (s, a)
+                    for t in targets:
+                        pred[t].append(edge)
+        # breadth first from the goal: each state's distance, and the
+        # lowest-named action with an outcome one layer closer
+        dist = dict.fromkeys(safe & p.goal_states, 0)
+        choice = {}
+        queue = deque(dist)
+        while queue:
+            t = queue.popleft()
+            d = dist[t] + 1
+            for s, a in pred[t]:
+                ds = dist.get(s)
+                if ds is None:
+                    dist[s] = d
+                    choice[s] = a
+                    queue.append(s)
+                elif ds == d and str(a) < str(choice[s]):
+                    choice[s] = a
+        if len(dist) == len(safe):
             break
         safe = set(dist)
     if not (p.init <= safe):
         return UNSOLVABLE
-
-    # distance-minimizing deterministic extraction: the lowest-named usable
-    # action with an outcome one step closer to the goal
-    choice = {
-        s: min(
-            (a for a in usable[s] if any(dist[t] == dist[s] - 1 for t in p.succ[(a, s)])),
-            key=str,
-        )
-        for s in safe - p.goal_states
-    }
 
     reachable = set()
     queue = [s for s in p.init if s not in p.goal_states]
@@ -64,7 +73,8 @@ def strong_cyclic_plan(p):
     return Policy.memoryless(mapping)
 
 
-def verify_strong_cyclic(p, mu):
+def verify_strong_cyclic(p, mu, budget=DEFAULT_BUDGET):
     """Delegates to the fair-solution check; the verdict carries a fair
-    counterexample lasso (a reachable non-goal bottom component) on failure."""
-    return check_solution(p, mu, FAIR)
+    counterexample lasso (a reachable non-goal bottom component) on failure.
+    ``budget`` caps the policy product it builds."""
+    return check_solution(p, mu, FAIR, budget=budget)

@@ -10,7 +10,7 @@ here knows about problems, automata or games.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
 
 def sccs(nodes, succ):
@@ -88,10 +88,10 @@ def backward_reachable(nodes, succ, targets):
     Only edges leaving ``nodes`` are read.  The predecessor lists are
     built once and searched breadth first, so the cost is linear in those
     edges."""
-    pred = {}
+    pred = defaultdict(list)
     for v in nodes:
         for w in succ(v):
-            pred.setdefault(w, []).append(v)
+            pred[w].append(v)
     dist = dict.fromkeys(targets, 0)
     queue = deque(dist)
     while queue:

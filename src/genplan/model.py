@@ -20,6 +20,7 @@ from .errors import (
     MalformedInputError,
     NotATrajectoryError,
     ResolverExhaustedError,
+    SizeBudgetExceededError,
     UnavailableActionError,
     decoding,
 )
@@ -84,33 +85,35 @@ def validate(p, cls=None):
     empty iff the problem (and its class fit, when given) is valid.
     Each diagnostic is a (code, message, witness) triple."""
     out = []
+    states, avail, succ, obs_fn = p.states, p.avail, p.succ, p.obs_fn
     if not p.init:
         out.append(("empty init", "no initial state", None))
-    for s in p.init - p.states:
+    for s in p.init - states:
         out.append(("init not a state", f"initial state {s!r} not in states", s))
-    for s in p.goal_states - p.states:
+    for s in p.goal_states - states:
         out.append(("goal not a state", f"goal state {s!r} not in states", s))
-    for s in p.states:
-        if s not in p.obs_fn:
+    for s in states:
+        if s not in obs_fn:
             out.append(("missing observation", f"state {s!r} has no observation", s))
-        elif p.obs_fn[s] not in p.observations:
+        elif obs_fn[s] not in p.observations:
             out.append(
                 ("unknown observation", f"obs({s!r}) not in observations", s)
             )
-        for a in p.avail.get(s, ()):
+        for a in avail.get(s, ()):
             if a not in p.actions:
                 out.append(("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
-            if not p.succ.get((a, s)):
+            if not succ.get((a, s)):
                 out.append(
                     ("empty successor set", f"succ({a!r}, {s!r}) empty or missing", (s, a))
                 )
-    for (a, s), targets in p.succ.items():
-        if a not in p.avail.get(s, frozenset()):
+    for (a, s), targets in succ.items():
+        if a not in avail.get(s, ()):
             out.append(
                 ("successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a))
             )
-        for t in targets - p.states:
-            out.append(("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
+        if not targets <= states:
+            for t in targets - states:
+                out.append(("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
     if cls is not None:
         if not p.actions <= cls.actions:
             out.append(("foreign actions", "member actions outside the class pool", None))
@@ -490,71 +493,107 @@ class Verdict:
         return doc
 
 
-def _policy_product(p, mu):
-    """BFS the product of problem and policy from the initial states.
+@dataclass(frozen=True, eq=False)
+class PolicyProduct:
+    """The product of a problem with a policy, reachable from the initial
+    states, with nodes numbered in the order they are found.
 
-    Returns (nodes, edges, stops, invalid) where nodes are (state, memory)
-    pairs, edges map node -> list of successor nodes, stops collects nodes
-    with undefined output, and invalid is a witness pair (node, action) if
-    the policy picks an unavailable action somewhere reachable.
+    ``nodes[i]`` is the (state, memory) pair of node i and ``index`` its
+    inverse; ``succ[i]`` lists the successor ids in the ``str`` order of
+    their states and ``act[i]`` is the action the policy takes at node i
+    (None where it stops or picks an unavailable action).  ``start`` holds
+    the initial ids, ``stops`` the ids whose output is undefined, and
+    ``invalid`` the first id found whose action is unavailable, or None.
     """
-    start = [(s, mu.initial) for s in sorted(p.init, key=str)]
-    nodes = set(start)
-    edges = {}
-    stops = set()
+
+    nodes: list
+    index: dict
+    succ: list
+    act: list
+    start: list
+    stops: list
+    invalid: object
+
+
+def _policy_product(p, mu, budget=DEFAULT_BUDGET):
+    """Explore the product of ``p`` and ``mu`` from the initial states, last
+    found first, numbering nodes as they are found.  Raises
+    SizeBudgetExceededError once more than ``budget`` nodes are numbered
+    (checked before each node is expanded)."""
+    nodes = [(s, mu.initial) for s in sorted(p.init, key=str)]
+    index = {n: i for i, n in enumerate(nodes)}
+    succ = [()] * len(nodes)
+    act = [None] * len(nodes)
+    start = list(range(len(nodes)))
+    stops = []
     invalid = None
+    obs_fn, output, update, avail, p_succ = p.obs_fn, mu.output, mu.update, p.avail, p.succ
     queue = list(start)
     while queue:
-        node = queue.pop()
-        s, m = node
-        obs = p.obs_fn[s]
-        a = mu.output.get((m, obs))
+        if len(nodes) > budget:
+            raise SizeBudgetExceededError(
+                f"policy product exceeded budget: {len(nodes)} nodes built, budget {budget}"
+            )
+        i = queue.pop()
+        s, m = nodes[i]
+        obs = obs_fn[s]
+        a = output.get((m, obs))
         if a is None:
-            stops.add(node)
-            edges[node] = []
+            stops.append(i)
             continue
-        if a not in p.avail.get(s, frozenset()):
+        if a not in avail.get(s, ()):
             if invalid is None:
-                invalid = (node, a)
-            edges[node] = []
+                invalid = i
             continue
-        m2 = mu.next_memory(m, obs)
-        outs = []
-        for s2 in sorted(p.succ[(a, s)], key=str):
-            node2 = (s2, m2)
-            outs.append((a, node2))
-            if node2 not in nodes:
-                nodes.add(node2)
-                queue.append(node2)
-        edges[node] = outs
-    return start, nodes, edges, stops, invalid
+        act[i] = a
+        m2 = update.get((m, obs), m)
+        out = succ[i] = []
+        for s2 in sorted(p_succ[(a, s)], key=str):
+            node = (s2, m2)
+            j = index.get(node)
+            if j is None:
+                j = index[node] = len(nodes)
+                nodes.append(node)
+                succ.append(())
+                act.append(None)
+                queue.append(j)
+            out.append(j)
+    return PolicyProduct(nodes, index, succ, act, start, stops, invalid)
 
 
-def _successors(edges):
-    return lambda node: [m for _, m in edges[node]]
+def _by_str(prod):
+    """Sort key ordering node ids by the ``str`` of their (state, memory)
+    pairs."""
+    return lambda i: str(prod.nodes[i])
 
 
-def _actions_along(edges, path):
-    return tuple(next(a for a, m in edges[u] if m == w) for u, w in zip(path, path[1:]))
-
-
-def _finite_trace(start_nodes, edges, target):
+def _finite_trace(prod, target):
     """The finite trajectory of a shortest product path from an initial node
     to ``target``."""
-    path = graph.shortest_path(start_nodes, _successors(edges), {target})
+    path = graph.shortest_path(prod.start, prod.succ.__getitem__, {target})
     return FiniteTrajectory(
-        states=tuple(n[0] for n in path), actions=_actions_along(edges, path)
+        states=tuple(prod.nodes[i][0] for i in path),
+        actions=tuple(prod.act[i] for i in path[:-1]),
     )
 
 
-def _lasso_from_product(start_nodes, edges, cycle_nodes_path):
-    """Build a Lasso from a product cycle (list of nodes, closing implicitly)."""
-    prefix = _finite_trace(start_nodes, edges, cycle_nodes_path[0])
+def _lasso_from_product(prod, cycle):
+    """Build a Lasso from a product cycle (list of ids, closing implicitly)."""
+    prefix = _finite_trace(prod, cycle[0])
     return Lasso(
         prefix_states=prefix.states[:-1],
         prefix_actions=prefix.actions,
-        cycle_states=tuple(n[0] for n in cycle_nodes_path),
-        cycle_actions=_actions_along(edges, cycle_nodes_path + cycle_nodes_path[:1]),
+        cycle_states=tuple(prod.nodes[i][0] for i in cycle),
+        cycle_actions=tuple(prod.act[i] for i in cycle),
+    )
+
+
+def _goal_free_region(p, prod):
+    """The ids reachable from the initial nodes without passing a goal."""
+    free = [n[0] not in p.goal_states for n in prod.nodes]
+    succ = prod.succ
+    return graph.reachable(
+        [i for i in prod.start if free[i]], lambda i: [j for j in succ[i] if free[j]]
     )
 
 
@@ -567,38 +606,34 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     Under(c): every goal-avoiding infinite behavior of the product violates
     the constraint, decided through the automaton product (module omega);
     goal-free stops are counterexamples since finite trajectories satisfy
-    every constraint.  ``budget`` caps the automaton states that check
-    builds.
+    every constraint.  ``budget`` caps the policy product nodes and the
+    automaton states that check builds.
     """
-    start, nodes, edges, stops, invalid = _policy_product(p, mu)
-    if invalid is not None:
-        return Verdict(kind="INVALID_POLICY", witness=_finite_trace(start, edges, invalid[0]))
+    prod = _policy_product(p, mu, budget)
+    if prod.invalid is not None:
+        return Verdict(kind="INVALID_POLICY", witness=_finite_trace(prod, prod.invalid))
 
-    # the goal-free region reachable without passing a goal
-    reach = graph.reachable(
-        [n for n in start if n[0] not in p.goal_states],
-        lambda n: [m for _, m in edges[n] if m[0] not in p.goal_states],
-    )
+    reach = _goal_free_region(p, prod)
+    stop = min((i for i in prod.stops if i in reach), key=_by_str(prod), default=None)
+    if stop is not None:
+        return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(prod, stop))
 
-    for node in sorted(stops & reach, key=str):
-        return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(start, edges, node))
-
-    def succ_gf(n):
-        return [m for _, m in edges[n] if m in reach]
+    def succ_gf(i):
+        return [j for j in prod.succ[i] if j in reach]
 
     if mode == STRONG:
-        for comp in graph.sccs(sorted(reach, key=str), succ_gf):
+        for comp in graph.sccs(sorted(reach, key=_by_str(prod)), succ_gf):
             if graph.has_cycle(comp, succ_gf):
-                v0 = min(comp, key=str)
+                v0 = min(comp, key=_by_str(prod))
                 cycle = graph.shortest_path([v0], succ_gf, {v0}, set(comp), nonempty=True)
                 return Verdict(
                     kind="NOT_A_SOLUTION",
-                    counterexample=_lasso_from_product(start, edges, cycle[:-1]),
+                    counterexample=_lasso_from_product(prod, cycle[:-1]),
                 )
         return Verdict(kind="STRONG_SOLUTION")
 
     if mode == FAIR:
-        lasso = _fair_counterexample(start, edges, reach)
+        lasso = _fair_counterexample(prod, reach)
         if lasso is not None:
             return Verdict(kind="NOT_A_SOLUTION", counterexample=lasso)
         return Verdict(kind="FAIR_SOLUTION")
@@ -606,7 +641,7 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     if isinstance(mode, Under):
         from .constraints import counterexample_search
 
-        lasso = counterexample_search(p, mode.constraint, start, edges, reach, budget=budget)
+        lasso = counterexample_search(p, mode.constraint, prod, reach, budget=budget)
         if lasso is not None:
             return Verdict(
                 kind="NOT_A_SOLUTION",
@@ -621,23 +656,30 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _fair_counterexample(start, edges, reach):
+def _fair_counterexample(prod, reach):
     """A fair lasso of the policy product that stays in the goal-free
     region ``reach`` forever, or None.  It exists iff some node of
     ``reach`` cannot leave it; then it reaches a bottom strongly connected
     component of those nodes and covers all its policy transitions in one
     closed walk."""
-    trapped = reach.difference(
-        graph.backward_reachable(reach, _successors(edges), edges.keys() - reach)
-    )
+    succ = prod.succ
+    exits = {j for i in reach for j in succ[i] if j not in reach}
+    trapped = reach.difference(graph.backward_reachable(reach, succ.__getitem__, exits))
+    if not trapped:
+        return None
 
-    def succ(n):
-        return [m for _, m in edges[n] if m in trapped]
+    def inner(i):
+        return [j for j in succ[i] if j in trapped]
 
-    for comp in graph.sccs(sorted(trapped, key=str), succ):
+    for comp in graph.sccs(sorted(trapped, key=_by_str(prod)), inner):
         comp = set(comp)
-        if all(m in comp for n in comp for m in succ(n)):
-            return _lasso_from_product(start, edges, graph.covering_walk(comp, succ))
+        if all(j in comp for i in comp for j in inner(i)):
+            # the walk sorts its nodes by str: give it (state, memory) pairs
+            nodes, index = prod.nodes, prod.index
+            walk = graph.covering_walk(
+                {nodes[i] for i in comp}, lambda n: [nodes[j] for j in inner(index[n])]
+            )
+            return _lasso_from_product(prod, [index[n] for n in walk])
     return None
 
 
@@ -678,23 +720,24 @@ def pondp_to_json_dict(p, cls=None):
 
 
 def pondp_from_json_dict(doc):
+    """Decode a problem document; `Pondp` freezes the decoded lists."""
     with decoding("problem JSON"):
         succ = {}
         for key, targets in doc["succ"].items():
             a, _, s = key.partition("|")
-            succ[(a, s)] = frozenset(targets)
+            succ[(a, s)] = targets
         obs_fn = dict(doc["obs"])
         # Hashing every value rejects a list or object (TypeError) where a
-        # state, observation or action is named; the other fields are
-        # hashed by frozenset() below, obs values only here.
+        # state, observation or action is named; Pondp hashes the other
+        # fields when it freezes them, obs values only here.
         frozenset(obs_fn.values())
         return Pondp(
-            states=frozenset(doc["states"]),
-            init=frozenset(doc["init"]),
-            observations=frozenset(doc["observations"]),
-            actions=frozenset(doc["actions"]),
-            goal_states=frozenset(doc["goal_states"]),
-            avail={s: frozenset(v) for s, v in doc["avail"].items()},
+            states=doc["states"],
+            init=doc["init"],
+            observations=doc["observations"],
+            actions=doc["actions"],
+            goal_states=doc["goal_states"],
+            avail=doc["avail"],
             obs_fn=obs_fn,
             succ=succ,
             annotations=doc.get("annotations", {}),
@@ -718,12 +761,16 @@ def policy_to_json_dict(mu):
 
 def policy_from_json_dict(doc):
     with decoding("policy JSON"):
-        return Policy(
+        mu = Policy(
             memory_states=tuple(doc["memory_states"]),
             initial=doc["initial"],
             update={(m, o): m2 for m, o, m2 in doc.get("update", [])},
             output={(m, o): a for m, o, a in doc.get("output", [])},
         )
+        # Hashing rejects a list or object (TypeError) where a memory state
+        # or action is named; the keys of update and output are hashed above.
+        frozenset((mu.initial, *mu.memory_states, *mu.update.values(), *mu.output.values()))
+        return mu
 
 
 def load_pondp(path):
@@ -762,23 +809,24 @@ def trajectory_to_json_dict(t):
     }
 
 
-def product_to_dot(p, mu, name="product", highlight=()):
+def product_to_dot(p, mu, name="product", highlight=(), budget=DEFAULT_BUDGET):
     """DOT export of the policy product graph; ``highlight`` marks the
     states of a counterexample."""
     hi = set(highlight)
-    start, nodes, edges, stops, invalid = _policy_product(p, mu)
+    prod = _policy_product(p, mu, budget)
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    ids = {n: i for i, n in enumerate(sorted(nodes, key=str))}
-    for n, i in ids.items():
-        s, m = n
+    order = sorted(range(len(prod.nodes)), key=_by_str(prod))
+    ids = {i: k for k, i in enumerate(order)}
+    for i in order:
+        s, m = prod.nodes[i]
         shape = "doublecircle" if s in p.goal_states else "circle"
         color = ',style=filled,fillcolor="#ffdddd"' if s in hi else ""
-        lines.append(f'  n{i} [shape={shape},label="{s}\\n{m}"{color}];')
-    for n in start:
-        lines.append(f"  init_{ids[n]} [shape=point]; init_{ids[n]} -> n{ids[n]};")
-    for n in sorted(nodes, key=str):
-        for a, n2 in edges.get(n, ()):
-            lines.append(f'  n{ids[n]} -> n{ids[n2]} [label="{a}"];')
+        lines.append(f'  n{ids[i]} [shape={shape},label="{s}\\n{m}"{color}];')
+    for i in prod.start:
+        lines.append(f"  init_{ids[i]} [shape=point]; init_{ids[i]} -> n{ids[i]};")
+    for i in order:
+        for j in prod.succ[i]:
+            lines.append(f'  n{ids[i]} -> n{ids[j]} [label="{prod.act[i]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,17 +1,31 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here are deliberately separate from the library's algorithms:
-brute-force strategy enumeration for parity games, and an exact
-class-grouped agreement check between parity automata and the LTL
-semantics over a bounded lasso universe.
+brute-force strategy enumeration for parity games, an exact class-grouped
+agreement check between parity automata and the LTL semantics over a
+bounded lasso universe, and the earlier tuple-keyed policy product, its
+STRONG and FAIR checks and its planner, kept as references for the
+numbered ones.
 """
 
 import itertools
 
+from hypothesis import strategies as st
+
 from genplan import graph
 from genplan import ltl as L
 from genplan.ltl import Word
-from genplan.model import Policy, Pondp, infer_class
+from genplan.model import (
+    FAIR,
+    STRONG,
+    FiniteTrajectory,
+    Lasso,
+    Policy,
+    Pondp,
+    Under,
+    Verdict,
+    infer_class,
+)
 from genplan.omega import CONTROLLER, Dpw
 from genplan.projection import as_fondp
 
@@ -484,3 +498,220 @@ def lift_policy_to_closed(policy, closed_proj):
             continue
         out[obs] = fixed
     return Policy.memoryless(out) if ok else None
+
+
+# ---------------------------------------------------------------------------
+# Reference policy product, solution checks and planner (tuple-keyed)
+# ---------------------------------------------------------------------------
+
+
+def reference_policy_product(p, mu):
+    """The policy product keyed by (state, memory) pairs: (start, nodes,
+    edges, stops, invalid), where edges map a node to (action, node) pairs
+    and invalid is the first (node, action) found with an unavailable
+    action.  Explored last found first."""
+    start = [(s, mu.initial) for s in sorted(p.init, key=str)]
+    nodes = set(start)
+    edges = {}
+    stops = set()
+    invalid = None
+    queue = list(start)
+    while queue:
+        node = queue.pop()
+        s, m = node
+        obs = p.obs_fn[s]
+        a = mu.output.get((m, obs))
+        if a is None:
+            stops.add(node)
+            edges[node] = []
+            continue
+        if a not in p.avail.get(s, frozenset()):
+            if invalid is None:
+                invalid = (node, a)
+            edges[node] = []
+            continue
+        m2 = mu.next_memory(m, obs)
+        outs = []
+        for s2 in sorted(p.succ[(a, s)], key=str):
+            node2 = (s2, m2)
+            outs.append((a, node2))
+            if node2 not in nodes:
+                nodes.add(node2)
+                queue.append(node2)
+        edges[node] = outs
+    return start, nodes, edges, stops, invalid
+
+
+def _reference_successors(edges):
+    return lambda node: [m for _, m in edges[node]]
+
+
+def _reference_actions_along(edges, path):
+    return tuple(next(a for a, m in edges[u] if m == w) for u, w in zip(path, path[1:]))
+
+
+def _reference_trace(start, edges, target):
+    path = graph.shortest_path(start, _reference_successors(edges), {target})
+    return FiniteTrajectory(
+        states=tuple(n[0] for n in path), actions=_reference_actions_along(edges, path)
+    )
+
+
+def _reference_lasso(start, edges, cycle):
+    prefix = _reference_trace(start, edges, cycle[0])
+    return Lasso(
+        prefix_states=prefix.states[:-1],
+        prefix_actions=prefix.actions,
+        cycle_states=tuple(n[0] for n in cycle),
+        cycle_actions=_reference_actions_along(edges, cycle + cycle[:1]),
+    )
+
+
+def _reference_fair_lasso(start, edges, reach):
+    trapped = reach.difference(
+        graph.backward_reachable(reach, _reference_successors(edges), edges.keys() - reach)
+    )
+
+    def succ(n):
+        return [m for _, m in edges[n] if m in trapped]
+
+    for comp in graph.sccs(sorted(trapped, key=str), succ):
+        comp = set(comp)
+        if all(m in comp for n in comp for m in succ(n)):
+            return _reference_lasso(start, edges, graph.covering_walk(comp, succ))
+    return None
+
+
+def reference_check(p, mu, mode):
+    """`model.check_solution` over the tuple-keyed product, for STRONG,
+    FAIR and Under(fairness)."""
+    start, nodes, edges, stops, invalid = reference_policy_product(p, mu)
+    if invalid is not None:
+        return Verdict(kind="INVALID_POLICY", witness=_reference_trace(start, edges, invalid[0]))
+    reach = graph.reachable(
+        [n for n in start if n[0] not in p.goal_states],
+        lambda n: [m for _, m in edges[n] if m[0] not in p.goal_states],
+    )
+    for node in sorted(stops & reach, key=str):
+        return Verdict(
+            kind="NOT_A_SOLUTION", counterexample=_reference_trace(start, edges, node)
+        )
+
+    def succ_gf(n):
+        return [m for _, m in edges[n] if m in reach]
+
+    if mode == STRONG:
+        for comp in graph.sccs(sorted(reach, key=str), succ_gf):
+            if graph.has_cycle(comp, succ_gf):
+                v0 = min(comp, key=str)
+                cycle = graph.shortest_path([v0], succ_gf, {v0}, set(comp), nonempty=True)
+                return Verdict(
+                    kind="NOT_A_SOLUTION",
+                    counterexample=_reference_lasso(start, edges, cycle[:-1]),
+                )
+        return Verdict(kind="STRONG_SOLUTION")
+    lasso = _reference_fair_lasso(start, edges, reach)
+    if mode == FAIR:
+        if lasso is not None:
+            return Verdict(kind="NOT_A_SOLUTION", counterexample=lasso)
+        return Verdict(kind="FAIR_SOLUTION")
+    assert isinstance(mode, Under) and mode.constraint.kind == "fairness"
+    if lasso is not None:
+        return Verdict(kind="NOT_A_SOLUTION", constraint="fairness", counterexample=lasso)
+    return Verdict(kind="SOLVES_UNDER_CONSTRAINT", constraint="fairness")
+
+
+def reference_plan(p):
+    """`fond.strong_cyclic_plan` with a separate usable-action table and
+    choice pass in each round."""
+    safe = set(p.states)
+    while True:
+        usable = {
+            s: [a for a in p.avail.get(s, ()) if p.succ[(a, s)] <= safe] for s in safe
+        }
+        dist = graph.backward_reachable(
+            safe,
+            lambda s: [t for a in usable[s] for t in p.succ[(a, s)]],
+            safe & p.goal_states,
+        )
+        if dist.keys() == safe:
+            break
+        safe = set(dist)
+    if not (p.init <= safe):
+        return "UNSOLVABLE"
+    choice = {
+        s: min(
+            (a for a in usable[s] if any(dist[t] == dist[s] - 1 for t in p.succ[(a, s)])),
+            key=str,
+        )
+        for s in safe - p.goal_states
+    }
+    reachable = set()
+    queue = [s for s in p.init if s not in p.goal_states]
+    reachable.update(queue)
+    mapping = {}
+    while queue:
+        s = queue.pop()
+        a = choice[s]
+        mapping[p.obs_fn[s]] = a
+        for t in p.succ[(a, s)]:
+            if t not in reachable and t not in p.goal_states:
+                reachable.add(t)
+                queue.append(t)
+    return Policy.memoryless(mapping)
+
+
+@st.composite
+def coarse_problems(draw):
+    """Random problems: 2-8 states, 1-3 actions, each state's observation
+    drawn from fewer names than states, mostly the available actions of
+    its observation (one state in ten gets its own), one to three
+    outcomes per action, one or two initial states, up to two goals."""
+    n = draw(st.integers(2, 8))
+    states = [f"s{i}" for i in range(n)]
+    actions = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    names = [f"o{i}" for i in range(draw(st.integers(1, max(1, n - 1))))]
+    obs_fn = {s: draw(st.sampled_from(names)) for s in states}
+
+    def action_set():
+        return set(draw(st.lists(st.sampled_from(actions), min_size=1, max_size=3)))
+
+    by_obs = {o: action_set() for o in names}
+    avail, succ = {}, {}
+    for s in states:
+        avail[s] = action_set() if draw(st.integers(0, 9)) == 0 else by_obs[obs_fn[s]]
+        for a in avail[s]:
+            succ[(a, s)] = draw(st.sets(st.sampled_from(states), min_size=1, max_size=3))
+    return Pondp(
+        states=states,
+        init=draw(st.sets(st.sampled_from(states), min_size=1, max_size=2)),
+        observations=set(obs_fn.values()),
+        actions=actions,
+        goal_states=draw(st.sets(st.sampled_from(states), max_size=2)),
+        avail=avail,
+        obs_fn=obs_fn,
+        succ=succ,
+    )
+
+
+@st.composite
+def finite_memory_policies(draw, p):
+    """Random policies for ``p`` with 1-3 memory states and a partial memory
+    update.  Each output is undefined one time in ten, any of p's actions
+    (maybe unavailable where it is used) one time in ten, and otherwise
+    an action available in every state with that observation."""
+    memory = tuple(f"m{i}" for i in range(draw(st.integers(1, 3))))
+    output, update = {}, {}
+    for o in sorted(p.observations):
+        common = sorted(
+            frozenset.intersection(*(p.avail[s] for s in p.states if p.obs_fn[s] == o))
+        )
+        for key in ((m, o) for m in memory):
+            pick = draw(st.integers(0, 9))
+            if pick == 1 or (pick > 1 and not common):
+                output[key] = draw(st.sampled_from(sorted(p.actions)))
+            elif pick > 1:
+                output[key] = draw(st.sampled_from(common))
+            if draw(st.booleans()):
+                update[key] = draw(st.sampled_from(memory))
+    return Policy(memory_states=memory, initial=memory[0], update=update, output=output)

@@ -1,14 +1,27 @@
 """End-to-end tests of the command-line interface: artifacts, reports, exit
 codes, and reproducibility."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genplan import fond
-from genplan.cli import main
-from genplan.model import load_pondp, policy_from_json_dict, pondp_to_json_dict, save_json
+from genplan.cli import build_parser, main
+from genplan.errors import GenplanError
+from genplan.model import (
+    load_pondp,
+    policy_from_json_dict,
+    pondp_from_json_dict,
+    pondp_to_json_dict,
+    save_json,
+    validate,
+)
 from genplan.qnp import parse_qnp, syntactic_projection
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -427,3 +440,140 @@ def test_ltl2dpw_tableau_budget_is_malformed_input(capsys):
     assert code == 2
     assert doc["error"] == "SizeBudgetExceededError"
     assert doc["message"].startswith("tableau") and "budget 1000" in doc["message"]
+
+
+DEC_POLICY = {
+    "memory_states": ["m0"],
+    "initial": "m0",
+    "update": [],
+    "output": [["m0", "X>0", "Dec"]],
+}
+
+
+def test_verify_policy_product_honours_budget(tmp_path, capsys):
+    """The policy product counts its nodes against --budget in plan and
+    verify; overflowing is malformed input (exit 2) naming the stage."""
+    policy = tmp_path / "dec.json"
+    save_json(DEC_POLICY, str(policy))
+    for argv in (
+        ["verify", "--mode", "fair", COUNTER_FONDP, str(policy)],
+        ["verify", "--mode", "strong", COUNTER_FONDP, str(policy)],
+        ["plan", COUNTER_FONDP],
+    ):
+        code, doc = run_cli(capsys, "--budget", "1", *argv)
+        assert code == 2, argv
+        assert doc["error"] == "SizeBudgetExceededError"
+        assert doc["message"] == "policy product exceeded budget: 2 nodes built, budget 1"
+        code, doc = run_cli(capsys, "--budget", "2", *argv)
+        assert code in (0, 1) and "error" not in doc, argv
+
+
+def test_verify_constraint_budget_reaches_determinization(tmp_path, capsys):
+    """A budget the policy product and the tableau fit in still stops the
+    constraint check at determinization."""
+    fondp = tmp_path / "twovar.json"
+    assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
+    capsys.readouterr()
+    args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, "qnp(X) & qnp(Y)"]
+    code, doc = run_cli(capsys, "--budget", "14", *args)
+    assert code == 2
+    assert doc["error"] == "SizeBudgetExceededError"
+    assert doc["message"].startswith("constraint-check determinization exceeded budget")
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
+    """Consecutive requests share the parser but not their arguments: a
+    --budget or a subcommand option of one call is not seen by the next."""
+    assert build_parser() is build_parser()
+    policy = tmp_path / "dec.json"
+    save_json(DEC_POLICY, str(policy))
+    code, _ = run_cli(capsys, "--budget", "1", "verify", "--mode", "fair", COUNTER_FONDP, str(policy))
+    assert code == 2
+    code, doc = run_cli(capsys, "plan", COUNTER_FONDP)
+    assert code == 0 and doc["verification"]["verdict"] == "FAIR_SOLUTION"
+    code, doc = run_cli(capsys, "verify", "--mode", "strong", COUNTER_FONDP, str(policy))
+    assert code == 1 and doc["mode"] == "strong"
+    parsed = vars(build_parser().parse_args(["plan", COUNTER_FONDP]))
+    assert parsed["budget"] is None and "mode" not in parsed and "policy" not in parsed
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input contract
+# ---------------------------------------------------------------------------
+
+
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _paths(doc, at=()):
+    """Every position in a JSON document, the root included."""
+    yield at
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, at + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, at + (i,))
+
+
+def _mutate(doc, at, how):
+    """Apply one mutation at position ``at``: drop it, or put a list, an
+    object, an unknown name or a number in its place."""
+    if not at:
+        return {"drop": {}, "list": [doc], "object": {"x": doc}, "ghost": "ghost", "number": 7}[how]
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    value = parent[at[-1]]
+    if how == "drop":
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = {
+            "list": [value], "object": {"x": value}, "ghost": "ghost", "number": 7
+        }[how]
+    return doc
+
+
+@st.composite
+def _mutated(draw, doc, max_mutations=3):
+    for _ in range(draw(st.integers(1, max_mutations))):
+        at = draw(st.sampled_from(list(_paths(doc))))
+        doc = _mutate(doc, at, draw(st.sampled_from(["drop", "list", "object", "ghost", "number"])))
+    return doc
+
+
+def _well_formed(doc):
+    try:
+        return not validate(pondp_from_json_dict(doc))
+    except GenplanError:
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_input_contract_under_mutated_json(data):
+    """plan and verify on mutated problem and policy JSON exit 0, 1 or 2,
+    never raise, and answer 1 only for a problem that passes validate."""
+    problem = _load_json(COUNTER_FONDP)
+    policy = DEC_POLICY
+    if data.draw(st.booleans()):
+        problem = data.draw(_mutated(problem))
+    else:
+        policy = data.draw(_mutated(json.loads(json.dumps(policy))))
+    with tempfile.TemporaryDirectory() as tmp:
+        problem_path = os.path.join(tmp, "problem.json")
+        policy_path = os.path.join(tmp, "policy.json")
+        save_json(problem, problem_path)
+        save_json(policy, policy_path)
+        for argv in (
+            ["plan", problem_path],
+            ["verify", "--mode", "fair", problem_path, policy_path],
+            ["verify", "--mode", "strong", problem_path, policy_path],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert _well_formed(problem), argv

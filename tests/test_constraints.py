@@ -23,7 +23,16 @@ from genplan.constraints import (
     satisfies,
 )
 from genplan.errors import NotLtlExpressibleError, SizeBudgetExceededError, UnknownVariableError
-from genplan.model import FiniteTrajectory, Lasso, Policy, Under, check_solution, run_policy
+from genplan.model import (
+    FiniteTrajectory,
+    Lasso,
+    Policy,
+    Under,
+    _goal_free_region,
+    _policy_product,
+    check_solution,
+    run_policy,
+)
 from genplan.omega import dpw_accepts, nba_to_dpw
 from genplan.ltl import eval_lasso, ltl_to_nba, parse_ltl
 from genplan.projection import lift_trajectory
@@ -272,24 +281,13 @@ TWOVAR = (
 
 
 def _memoryless_product(p, choice):
-    """Policy product of a memoryless choice (state -> action) in the shape
-    `counterexample_search` takes: initial nodes, node -> (action, node)
-    edges, and the region reachable without visiting a goal."""
-    start = [(s, "m0") for s in sorted(p.init, key=str)]
-    edges = {}
-    for s in p.states:
-        a = choice.get(s)
-        succ = sorted(p.succ[(a, s)], key=str) if a is not None else []
-        edges[(s, "m0")] = [(a, (s2, "m0")) for s2 in succ]
-    reach = {v for v in start if v[0] not in p.goal_states}
-    queue = list(reach)
-    while queue:
-        v = queue.pop()
-        for _, w in edges[v]:
-            if w[0] not in p.goal_states and w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return start, edges, reach
+    """Policy product of a memoryless choice (state -> action, on a problem
+    whose observations are its states) in the shape
+    `counterexample_search` takes: the numbered product and the ids of the
+    region reachable without visiting a goal."""
+    mu = Policy.memoryless({p.obs_fn[s]: a for s, a in choice.items() if a is not None})
+    prod = _policy_product(p, mu)
+    return prod, _goal_free_region(p, prod)
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,10 +308,10 @@ def test_lazy_counterexample_search_agrees_with_full_dpw(seed):
         for s in sorted(p.states)
         if p.avail[s]
     }
-    start, edges, reach = _memoryless_product(p, choice)
-    lasso = counterexample_search(p, c, start, edges, reach)
+    prod, reach = _memoryless_product(p, choice)
+    lasso = counterexample_search(p, c, prod, reach)
     full = [nba_to_dpw(ltl_to_nba(f, sigma))]
-    reference = accepted_policy_lasso(p, c.level, full, start, edges, reach)
+    reference = accepted_policy_lasso(p, c.level, full, prod, reach)
     assert (lasso is None) == (reference is None)
     if lasso is not None:
         assert eval_lasso(f, lift_trajectory(p, lasso).word(), sigma)

@@ -2,12 +2,21 @@
 
 import random
 
+from hypothesis import given, settings
+
 from genplan.fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
 from genplan.model import Policy, Pondp, Under, check_solution, is_fair, is_goal_reaching
 from genplan.constraints import qnp_constraint
 from genplan.qnp import close_qnp, parse_qnp, syntactic_projection
 
-from .helpers import POS, counter_projection, erase_commitments, lift_policy_to_closed
+from .helpers import (
+    POS,
+    coarse_problems,
+    counter_projection,
+    erase_commitments,
+    lift_policy_to_closed,
+    reference_plan,
+)
 
 COUNTER = (
     "vars X\ninit_values X in {5}\n"
@@ -96,6 +105,18 @@ def test_planner_output_always_verifies():
             # certificate is that no policy exists, spot-check a few
             continue
         assert verify_strong_cyclic(p, mu).kind == "FAIR_SOLUTION", trial
+
+
+@settings(max_examples=300, deadline=None)
+@given(coarse_problems())
+def test_planner_matches_reference(p):
+    """The one-pass planner round returns the same policy, entry for entry
+    and in the same order, as the reference with a separate choice pass."""
+    mu, ref = strong_cyclic_plan(p), reference_plan(p)
+    if ref == UNSOLVABLE:
+        assert mu == UNSOLVABLE
+    else:
+        assert list(mu.output.items()) == list(ref.output.items())
 
 
 def test_monotonicity_adding_goal_transitions():

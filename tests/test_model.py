@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genplan.constraints import ALL_TRAJECTORIES, fairness_constraint, qnp_constraint
 from genplan.errors import (
@@ -37,7 +39,15 @@ from genplan.model import (
     validate_class,
 )
 
-from .helpers import ZERO, POS, concrete_counter, counter_projection
+from .helpers import (
+    ZERO,
+    POS,
+    coarse_problems,
+    concrete_counter,
+    counter_projection,
+    finite_memory_policies,
+    reference_check,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +404,38 @@ def test_verdict_soundness_random_sweep():
             assert is_generated_by(p, mu, cx), trial
             if mode == FAIR and isinstance(cx, Lasso):
                 assert is_fair(p, cx), trial
+
+
+def test_stop_counterexample_is_least_by_str():
+    """Of several goal-free stops, the counterexample ends at the least by
+    ``str``, not at the first one the product numbers."""
+    p = Pondp(
+        states={"s", "x", "z", "b"},
+        init={"s"},
+        observations={"s", "x", "z", "b"},
+        actions={"a"},
+        goal_states=set(),
+        avail={"s": {"a"}, "z": {"a"}, "x": set(), "b": set()},
+        obs_fn={v: v for v in "sxzb"},
+        succ={("a", "s"): {"x", "z"}, ("a", "z"): {"b"}},
+    )
+    mu = Policy.memoryless({"s": "a", "z": "a"})
+    for mode in (STRONG, FAIR, Under(fairness_constraint())):
+        cx = check_solution(p, mu, mode).counterexample
+        assert cx.states == ("s", "z", "b"), mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_checks_match_tuple_keyed_reference(data):
+    """On random partially observable problems and finite-memory policies,
+    the STRONG, FAIR and Under(fairness) verdicts, witnesses included, equal
+    those of the tuple-keyed reference product."""
+    p = data.draw(coarse_problems())
+    mu = data.draw(finite_memory_policies(p))
+    for mode in (STRONG, FAIR, Under(fairness_constraint())):
+        got = check_solution(p, mu, mode).to_json_dict()
+        assert got == reference_check(p, mu, mode).to_json_dict(), mode
 
 
 # ---------------------------------------------------------------------------
