@@ -4,7 +4,7 @@ Every command reads JSON/text artifacts, writes JSON (or DOT) artifacts,
 and prints a machine-readable JSON report on standard output.  Exit codes:
 0 success, 1 the pipeline ran but the answer is negative (unrealizable,
 unsolvable, not a solution), 2 malformed input.  All commands are
-deterministic given their inputs and --seed.
+deterministic given their inputs (and, for simulate, its --seed).
 """
 
 from __future__ import annotations
@@ -365,7 +365,6 @@ def build_parser():
         description="Generalized planning: projection, LTL synthesis, QNP "
         "compilation, FOND planning, verification, simulation.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (reproducible runs)")
     parser.add_argument(
         "--budget",
         type=int,
@@ -375,7 +374,6 @@ def build_parser():
         "ltl2dpw the full automaton) and the policy product nodes of plan and "
         "verify (default 10^6; GENPLAN_BUDGET overrides)",
     )
-    parser.add_argument("--format", choices=["json", "dot"], default="json")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -416,11 +414,13 @@ def build_parser():
     sp.add_argument("--init", help="initial values, e.g. X=20,Y=30 (QNP inputs)")
     sp.add_argument("--max-steps", type=int, default=100000)
     sp.add_argument("--no-stop-at-goal", action="store_true")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (reproducible runs)")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("ltl2dpw", help="formula to deterministic parity automaton")
     sp.add_argument("formula")
     sp.add_argument("--alphabet", required=True, help="comma-separated letters")
+    sp.add_argument("--format", choices=["json", "dot"], default="json")
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=_cmd_ltl2dpw)
 

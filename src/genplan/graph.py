@@ -1,11 +1,13 @@
-"""Graph searches shared by both decision engines and their witnesses.
+"""Graph searches and the one partition refinement shared by both decision
+engines, their automata and their witnesses.
 
 A graph is given by its nodes and a successor function ``succ(v)`` that
-returns a list of nodes.  Ties are broken by list order: sources in the
-order given, successors in the order ``succ`` returns them, and node sets
-sorted by ``str``.  So every search is deterministic, and witnesses built
-from it are reproducible byte for byte.  Standard library only; nothing
-here knows about problems, automata or games.
+returns a list of nodes (``refine`` reads labelled edges instead).  Ties
+are broken by list order: sources in the order given, successors in the
+order ``succ`` returns them, and node sets sorted by ``str``.  So every
+search is deterministic, and witnesses built from it are reproducible
+byte for byte.  Standard library only; nothing here knows about
+problems, automata or games.
 """
 
 from __future__ import annotations
@@ -170,6 +172,31 @@ def dominant_cycle(nodes, succ, priority, targets):
                 cycle = shortest_path(want[:1], inner, want[:1], comp, nonempty=True)
             return cycle[:-1]
     return None
+
+
+def refine(nodes, label, succ):
+    """The coarsest partition of ``nodes`` that refines ``label`` and is
+    stable: members of a class have the same set of (edge label, class)
+    pairs.  ``succ(v)`` lists the labelled edges ``(edge label, w)`` of v.
+
+    Naive signature refinement: each round splits every class by the
+    signatures of its members, until a round splits nothing.  Returns a
+    dict from each node to its class number; classes are numbered by their
+    first member in the order of ``nodes``."""
+    nodes = list(nodes)
+    edges = {v: list(succ(v)) for v in nodes}
+    block = {v: label(v) for v in nodes}
+    count = len(set(block.values()))
+    while True:
+        sig = {v: (block[v], frozenset((a, block[w]) for a, w in edges[v])) for v in nodes}
+        classes = {}
+        for v in nodes:
+            classes.setdefault(sig[v], len(classes))
+        block = {v: classes[sig[v]] for v in nodes}
+        # a round only splits classes, so an unchanged count is a fixpoint
+        if len(classes) == count:
+            return block
+        count = len(classes)
 
 
 def covering_walk(nodes, succ):

@@ -491,7 +491,8 @@ def ltl_to_nba(f, alphabet=None, budget=DEFAULT_BUDGET):
     maximally consistent closure subsets (atoms, each an int bitmask over
     the indexed subformulas) with generalized-Buchi acceptance (one set
     per Until obligation), degeneralized with a counter.  The result is
-    trimmed, and its state numbering does not depend on string hashing.
+    reduced by `trim_nba` (pruning, then forward and backward bisimulation
+    quotients), and its state numbering does not depend on string hashing.
     """
     if alphabet is None:
         alphabet = letters_of(f)
@@ -499,10 +500,7 @@ def ltl_to_nba(f, alphabet=None, budget=DEFAULT_BUDGET):
     missing = letters_of(f) - alphabet
     if missing:
         raise UnknownLetterError(f"formula letters outside alphabet: {sorted(missing)}")
-    nba = trim_nba(_nba_for(f, alphabet, budget))
-    if len(nba.states) > 60:
-        nba = trim_nba(simulation_reduce(nba))
-    return nba
+    return trim_nba(_nba_for(f, alphabet, budget))
 
 
 def _nba_for(f, alphabet, budget):
@@ -808,26 +806,11 @@ def _bisim_quotient(nba, backward):
             else:
                 edges[q].append((a, r))
     if backward:
-        block = {q: (q in nba.accepting, q in nba.initial) for q in nba.states}
+        label = {q: (q in nba.accepting, q in nba.initial) for q in nba.states}
     else:
-        block = {q: (q in nba.accepting,) for q in nba.states}
-
-    # Refinement only splits classes, so an unchanged class count means an
-    # unchanged partition; classes are numbered by their first member.
-    n_classes = len(set(block.values()))
-    while True:
-        sig = {
-            q: (block[q], frozenset((a, block[r]) for a, r in edges[q]))
-            for q in nba.states
-        }
-        classes = {}
-        for q in nba.states:
-            classes.setdefault(sig[q], len(classes))
-        block = {q: classes[sig[q]] for q in nba.states}
-        if len(classes) == n_classes:
-            break
-        n_classes = len(classes)
-
+        label = {q: q in nba.accepting for q in nba.states}
+    block = graph.refine(nba.states, label.__getitem__, edges.__getitem__)
+    n_classes = max(block.values()) + 1
     if n_classes == len(nba.states):
         return nba
     transitions = {}
@@ -840,106 +823,6 @@ def _bisim_quotient(nba, backward):
         transitions={k: tuple(sorted(v)) for k, v in transitions.items()},
         initial=frozenset(block[q] for q in nba.initial),
         accepting=frozenset(block[q] for q in nba.accepting),
-    )
-
-
-def simulation_reduce(nba):
-    """Quotient by mutual direct simulation and drop dominated transitions.
-
-    Direct simulation: q <= r when acceptance transfers (q in F implies
-    r in F) and every move of q is matched by a move of r to a simulating
-    state, coinductively.  Quotienting by mutual simulation and removing
-    strictly dominated siblings both preserve the language.
-    """
-    states = list(nba.states)
-    n = len(states)
-    if n == 0:
-        return nba
-    idx = {q: i for i, q in enumerate(states)}
-    letters = sorted(nba.alphabet)
-    succ = {
-        (i, a): [idx[r] for r in nba.successors(states[i], a)]
-        for i in range(n)
-        for a in letters
-    }
-    acc = [states[i] in nba.accepting for i in range(n)]
-
-    succ_mask = {
-        key: sum(1 << j for j in tgts) for key, tgts in succ.items()
-    }
-    # sim[i] = bitmask of j with  i <= j
-    sim = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if not acc[i] or acc[j]:
-                mask |= 1 << j
-        sim.append(mask)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            mask = sim[i]
-            if not mask:
-                continue
-            new_mask = mask
-            for a in letters:
-                for ip in succ[(i, a)]:
-                    # j survives only if some a-successor of j simulates ip
-                    keep = 0
-                    m = new_mask
-                    while m:
-                        low = m & -m
-                        j = low.bit_length() - 1
-                        m ^= low
-                        if succ_mask[(j, a)] & sim[ip]:
-                            keep |= low
-                    new_mask &= keep
-                    if not new_mask:
-                        break
-                if not new_mask:
-                    break
-            if new_mask != sim[i]:
-                sim[i] = new_mask
-                changed = True
-
-    def simulates(a, b):
-        return sim[a] >> b & 1
-
-    # mutual-simulation classes
-    block = {}
-    reps = []
-    for i in range(n):
-        for r in reps:
-            if simulates(i, r) and simulates(r, i):
-                block[i] = block[r]
-                break
-        else:
-            block[i] = len(reps)
-            reps.append(i)
-
-    transitions = {}
-    for i in reps:
-        b = block[i]
-        for a in letters:
-            tgts = set(succ[(i, a)])
-            # little brothers: drop targets strictly dominated by a sibling
-            kept = set()
-            for t in tgts:
-                if any(
-                    u != t and simulates(t, u) and not simulates(u, t)
-                    for u in tgts
-                ):
-                    continue
-                kept.add(block[t])
-            if kept:
-                transitions[(b, a)] = tuple(sorted(kept))
-    return Nba(
-        states=tuple(range(len(reps))),
-        alphabet=nba.alphabet,
-        transitions=transitions,
-        initial=frozenset(block[idx[q]] for q in nba.initial),
-        accepting=frozenset(block[i] for i in range(n) if acc[i]),
     )
 
 

@@ -199,19 +199,8 @@ class FiniteTrajectory:
         if len(self.states) != len(self.actions) + 1:
             raise ValueError("need exactly one more state than actions")
 
-    @property
-    def is_finite(self):
-        return True
-
     def visited_states(self):
         return self.states
-
-    def word_letters(self):
-        out = []
-        for s, a in zip(self.states, self.actions):
-            out.extend((s, a))
-        out.append(self.states[-1])
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -231,10 +220,6 @@ class Lasso:
             raise ValueError("prefix must alternate state action ... state action")
         if not self.cycle_states or len(self.cycle_states) != len(self.cycle_actions):
             raise ValueError("cycle must be a nonempty alternating sequence")
-
-    @property
-    def is_finite(self):
-        return False
 
     def visited_states(self):
         return self.prefix_states + self.cycle_states
@@ -312,9 +297,10 @@ def is_fair(p, t):
 class Policy:
     """Finite-memory observation-to-action transducer.
 
-    ``update`` is total on memory x observations, ``output`` is partial
-    (missing entries mean the policy stops).  A memoryless policy has a
-    single memory state."""
+    ``update`` and ``output`` are partial on memory x observations: a
+    missing update keeps the memory state (`next_memory`), and a missing
+    output means the policy stops.  A memoryless policy has a single
+    memory state."""
 
     memory_states: tuple
     initial: object
@@ -344,6 +330,31 @@ class Policy:
         for obs in obs_sequence[:-1]:
             m = self.next_memory(m, obs)
         return self.output.get((m, obs_sequence[-1]))
+
+    def minimized(self, observations):
+        """The Moore-minimal policy with the same `action` on sequences over
+        ``observations``.  Memory states are merged when they have the same
+        outputs and their updates lead to merged states (`graph.refine`,
+        starting from the outputs, with an undefined output as a label of
+        its own).  Each class keeps the name of its first member in
+        ``memory_states``, and the result writes out ``update`` in full.
+        Every memory state the policy names must be declared."""
+        obs = sorted(observations, key=str)
+        block = graph.refine(
+            self.memory_states,
+            lambda m: tuple(self.output.get((m, o)) for o in obs),
+            lambda m: [(o, self.next_memory(m, o)) for o in obs],
+        )
+        rep = {}
+        for m in self.memory_states:
+            rep.setdefault(block[m], m)
+        kept = tuple(rep.values())
+        return Policy(
+            memory_states=kept,
+            initial=rep[block[self.initial]],
+            update={(m, o): rep[block[self.next_memory(m, o)]] for m in kept for o in obs},
+            output={(m, o): self.output[(m, o)] for m in kept for o in obs if (m, o) in self.output},
+        )
 
     def as_memoryless_mapping(self):
         if not self.is_memoryless:
@@ -760,6 +771,9 @@ def policy_to_json_dict(mu):
 
 
 def policy_from_json_dict(doc):
+    """Decode a policy document.  Raises MalformedInputError when it is
+    malformed or names a memory state (its initial state, an update target,
+    or the memory of an update or output entry) outside ``memory_states``."""
     with decoding("policy JSON"):
         mu = Policy(
             memory_states=tuple(doc["memory_states"]),
@@ -769,7 +783,11 @@ def policy_from_json_dict(doc):
         )
         # Hashing rejects a list or object (TypeError) where a memory state
         # or action is named; the keys of update and output are hashed above.
-        frozenset((mu.initial, *mu.memory_states, *mu.update.values(), *mu.output.values()))
+        frozenset(mu.output.values())
+        named = {mu.initial, *mu.update.values(), *(m for m, _ in (*mu.update, *mu.output))}
+        undeclared = named - frozenset(mu.memory_states)
+        if undeclared:
+            raise ValueError(f"memory states not in memory_states: {sorted(undeclared, key=str)}")
         return mu
 
 

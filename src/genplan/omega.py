@@ -324,19 +324,9 @@ def quotient_dpw(d):
     the transition function; preserves the language and relabels states with
     integers."""
     letters = sorted(d.alphabet)
-    block = {q: d.priority[q] for q in d.states}
-    while True:
-        sig = {
-            q: (block[q], tuple(block[d.delta[(q, a)]] for a in letters))
-            for q in d.states
-        }
-        classes = {}
-        for q in d.states:
-            classes.setdefault(sig[q], len(classes))
-        new_block = {q: classes[sig[q]] for q in d.states}
-        if new_block == block:
-            break
-        block = new_block
+    block = graph.refine(
+        d.states, d.priority.__getitem__, lambda q: [(a, d.delta[(q, a)]) for a in letters]
+    )
     rep = {}
     for q in d.states:
         rep.setdefault(block[q], q)
@@ -612,7 +602,8 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     Builds ``constraint -> eventually goal`` over the projection's
     observation-action alphabet, determinizes it, and solves the resulting
     parity game, extracting a transducer policy whose memory is the
-    reachable automaton states.
+    played automaton states plus a ``halt`` state, Moore-minimized
+    (`model.Policy.minimized`).
 
     The automaton comes from the generic pipeline (tableau NBA, then
     compact-tree determinization as a `LazyDpw`, so only the automaton
@@ -647,27 +638,29 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
         memory = sorted(
             {v[2] for v in played if v[0] == "c"} | {dpw.initial}, key=str
         )
+        observations = sorted(p.observations, key=str)
         halt = "halt"
-        update = {}
+        update = {(halt, obs): halt for obs in observations}
         output = {}
         for q in memory:
-            for obs in sorted(p.observations, key=str):
+            for obs in observations:
                 v = ("c", obs, q)
                 move = strategy.get(v) if v in played else None
                 if obs not in p.goal_states and move is not None and move != LOSE:
                     _, _, q1, a = move
                     output[(q, obs)] = a
-                    update[(q, obs)] = dpw.delta[(q1, a)]
+                    # a move whose outcomes are all goal states leads to no
+                    # played automaton state
+                    done = all(w == WIN for w in game.edges[move])
+                    update[(q, obs)] = halt if done else dpw.delta[(q1, a)]
                 else:
                     update[(q, obs)] = halt
-        for obs in sorted(p.observations, key=str):
-            update[(halt, obs)] = halt
         policy = Policy(
-            memory_states=tuple(list(memory) + [halt]),
+            memory_states=tuple(memory) + (halt,),
             initial=dpw.initial,
             update=update,
             output=output,
-        )
+        ).minimized(observations)
         return SynthesisResult(
             realizable=True, policy=policy, game=game, solution=sol, dpw=dpw, formula=phi
         )

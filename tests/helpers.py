@@ -715,3 +715,31 @@ def finite_memory_policies(draw, p):
             if draw(st.booleans()):
                 update[key] = draw(st.sampled_from(memory))
     return Policy(memory_states=memory, initial=memory[0], update=update, output=output)
+
+
+def greatest_bisimulation(nodes, label, succ):
+    """The pairs of bisimilar nodes, by brute force: the greatest fixpoint
+    of the pair relation, starting from equal labels, in which each
+    labelled edge ``(a, x)`` of one node is matched by an edge ``(a, y)``
+    of the other with (x, y) in the relation."""
+    rel = {(u, v) for u in nodes for v in nodes if label(u) == label(v)}
+
+    def matched(u, v):
+        return all(any(b == a and (x, y) in rel for b, y in succ(v)) for a, x in succ(u))
+
+    while True:
+        kept = {(u, v) for u, v in rel if matched(u, v) and matched(v, u)}
+        if kept == rel:
+            return rel
+        rel = kept
+
+
+def moore_equivalent_pairs(mu, observations):
+    """The pairs of distinct memory states of ``mu`` that output the same on
+    every observation sequence, a missing update keeping the memory."""
+    rel = greatest_bisimulation(
+        mu.memory_states,
+        lambda m: tuple(mu.output.get((m, o)) for o in observations),
+        lambda m: [(o, mu.next_memory(m, o)) for o in observations],
+    )
+    return {(m, n) for m, n in rel if m != n}

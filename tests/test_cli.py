@@ -153,7 +153,7 @@ def test_simulate_fondp(tmp_path, capsys):
         str(policy),
     )
     code, doc = run_cli(
-        capsys, "--seed", "3", "simulate", COUNTER_FONDP, "--policy", str(policy)
+        capsys, "simulate", COUNTER_FONDP, "--policy", str(policy), "--seed", "3"
     )
     # on the two-state abstraction the seeded resolver eventually hits zero
     assert code == 0
@@ -344,7 +344,7 @@ def test_ltl2dpw_output_formats(tmp_path, capsys, monkeypatch):
     saved.clear()
     out = tmp_path / "dot" / "dpw.dot"
     out.parent.mkdir()
-    code, _ = run_cli(capsys, "--format", "dot", *argv, "-o", str(out))
+    code, _ = run_cli(capsys, *argv, "--format", "dot", "-o", str(out))
     assert code == 0
     assert saved == []
     assert os.listdir(out.parent) == ["dpw.dot"]
@@ -433,6 +433,25 @@ def test_unhashable_problem_value_is_malformed_input(tmp_path, capsys):
         assert code == 2, name
         assert doc["error"] == "MalformedInputError"
         assert doc["message"].startswith("malformed problem JSON: ")
+
+
+def test_undeclared_memory_is_malformed_input(tmp_path, capsys):
+    """A policy that names a memory state outside memory_states, as its
+    initial state, an update target or the memory of an update or output
+    entry, is malformed input."""
+    edits = {
+        "initial": {"initial": "m1"},
+        "update target": {"update": [["m0", "X>0", "m1"]]},
+        "update memory": {"update": [["m1", "X>0", "m0"]]},
+        "output memory": {"output": [["m0", "X>0", "Dec"], ["m1", "X=0", "Dec"]]},
+    }
+    for name, edit in edits.items():
+        policy = tmp_path / "policy.json"
+        save_json({**DEC_POLICY, **edit}, str(policy))
+        code, doc = run_cli(capsys, "verify", "--mode", "fair", COUNTER_FONDP, str(policy))
+        assert code == 2, name
+        assert doc["error"] == "MalformedInputError"
+        assert doc["message"] == "malformed policy JSON: memory states not in memory_states: ['m1']"
 
 
 def test_ltl2dpw_tableau_budget_is_malformed_input(capsys):

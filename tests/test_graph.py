@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from genplan import graph
 
-from .helpers import _can_reach, _dominant_cycle_nodes
+from .helpers import _can_reach, _dominant_cycle_nodes, greatest_bisimulation
 
 
 @st.composite
@@ -114,3 +114,29 @@ def test_covering_walk_covers_every_edge(g):
         assert walk[0] == min(comp) and set(walk) <= comp
         assert is_closed_walk(walk, succ)
         assert {(v, walk[(i + 1) % len(walk)]) for i, v in enumerate(walk)} == inside
+
+
+@st.composite
+def labelled_graphs(draw, max_nodes=7):
+    """(nodes in a drawn order, node labels, labelled successor lists) with
+    nodes 0..n-1 and edge labels 0 and 1.  Deterministic graphs have exactly
+    one edge per edge label at each node; the others have up to four edges."""
+    n = draw(st.integers(1, max_nodes))
+    node = st.integers(0, n - 1)
+    label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        edges = [[(a, draw(node)) for a in (0, 1)] for _ in range(n)]
+    else:
+        edges = [draw(st.lists(st.tuples(st.integers(0, 1), node), max_size=4)) for _ in range(n)]
+    return draw(st.permutations(range(n))), label, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graphs())
+def test_refine_is_bisimilarity_numbered_by_first_member(g):
+    nodes, label, edges = g
+    block = graph.refine(nodes, label.__getitem__, edges.__getitem__)
+    rel = greatest_bisimulation(nodes, label.__getitem__, edges.__getitem__)
+    assert {(u, v) for u in nodes for v in nodes if block[u] == block[v]} == rel
+    first_seen = list(dict.fromkeys(block[v] for v in nodes))
+    assert first_seen == list(range(len(first_seen)))

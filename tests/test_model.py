@@ -1,5 +1,6 @@
 """Tests for the problem model, trajectories, policies, and solution checking."""
 
+import itertools
 import random
 
 import pytest
@@ -46,6 +47,7 @@ from .helpers import (
     concrete_counter,
     counter_projection,
     finite_memory_policies,
+    moore_equivalent_pairs,
     reference_check,
 )
 
@@ -436,6 +438,31 @@ def test_checks_match_tuple_keyed_reference(data):
     for mode in (STRONG, FAIR, Under(fairness_constraint())):
         got = check_solution(p, mu, mode).to_json_dict()
         assert got == reference_check(p, mu, mode).to_json_dict(), mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_minimized_policy_acts_alike_and_is_minimal(data):
+    """Moore minimization keeps `Policy.action` on every observation sequence
+    up to length 4 and leaves no two equivalent memory states."""
+    p = data.draw(coarse_problems())
+    mu = data.draw(finite_memory_policies(p))
+    observations = sorted(p.observations)
+    mu = Policy(
+        memory_states=mu.memory_states,
+        initial=mu.initial,
+        update={(m, o): mu.next_memory(m, o) for m in mu.memory_states for o in observations},
+        output=mu.output,
+    )
+    small = mu.minimized(observations)
+    assert set(small.memory_states) <= set(mu.memory_states)
+    for n in range(1, 5):
+        for seq in itertools.product(observations, repeat=n):
+            assert small.action(seq) == mu.action(seq), seq
+    assert not moore_equivalent_pairs(small, observations)
+    pairs = moore_equivalent_pairs(mu, observations)
+    classes = {frozenset({m} | {n for k, n in pairs if k == m}) for m in mu.memory_states}
+    assert len(small.memory_states) == len(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,39 @@ def test_synthesize_two_var_direct_and_generic_agree():
         assert check_solution(proj, res.policy, Under(cv)).is_solution
 
 
+def test_synthesized_policies_declare_their_memory_and_are_minimal():
+    """Moves whose outcomes are all goal states once updated to automaton
+    states the game never played.  On both routes, every memory state a
+    synthesized policy names is declared, and no two are Moore-equivalent."""
+    from genplan.qnp import parse_qnp, syntactic_projection
+    from genplan.constraints import conjoin, qnp_constraints
+
+    from .helpers import moore_equivalent_pairs
+
+    suite = {
+        "blocks_clear": (
+            "fluents holding\nvars n\ninit_values n in [1,50]\n"
+            "action unstack_above\n  pre n>0 !holding\n  add holding\n  dec n\n"
+            "action putdown\n  pre holding\n  del holding\ngoal n=0 !holding\n"
+        ),
+        "counter_goal_positive": (
+            "vars X\ninit_values X in {0,2}\n"
+            "action Dec\n  pre X>0\n  dec X\naction Inc\n  inc X\ngoal X>0\n"
+        ),
+    }
+    for name, text in suite.items():
+        q = parse_qnp(text)
+        proj = syntactic_projection(q).fondp
+        cv = conjoin(qnp_constraints(q.variables))
+        for direct in (True, False):
+            mu = synthesize(proj, cv, direct=direct).policy
+            memory = set(mu.memory_states)
+            assert mu.initial in memory and set(mu.update.values()) <= memory, (name, direct)
+            assert {m for m, _ in (*mu.update, *mu.output)} <= memory, (name, direct)
+            assert not moore_equivalent_pairs(mu, sorted(proj.observations)), (name, direct)
+            assert check_solution(proj, mu, Under(cv)).is_solution, (name, direct)
+
+
 def test_pipeline_budget_smoke():
     """Desk-scale complexity check: the pipeline stays within budget on a
     formula of size about 25 over a 32-state projection."""
