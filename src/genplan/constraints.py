@@ -17,9 +17,12 @@ from . import ltl as L
 from .errors import (
     AlphabetMismatchError,
     NotLtlExpressibleError,
+    SizeBudgetExceededError,
     UnknownVariableError,
 )
-from .model import FiniteTrajectory, Lasso, _fair_counterexample, is_fair
+from .model import (
+    FiniteTrajectory, Lasso, _by_str, _covering_lasso, _fair_counterexample, is_fair,
+)
 from .projection import lift_trajectory
 
 
@@ -98,8 +101,7 @@ def conjoin(constraints, name=None):
 
 def _effect_letters(p, var, effect):
     effects = p.annotations.get("action_effects", {})
-    out = [a for a in sorted(p.actions, key=str) if effects.get(a, {}).get(var) == effect]
-    return out
+    return [a for a in sorted(p.actions, key=str) if effects.get(a, {}).get(var) == effect]
 
 
 def _zero_letters(p, var):
@@ -107,18 +109,37 @@ def _zero_letters(p, var):
     return [o for o in sorted(p.observations, key=str) if var in zero.get(o, ())]
 
 
-def _nonzero_letters(p, var):
-    zero = p.annotations.get("obs_zero", {})
-    return [o for o in sorted(p.observations, key=str) if var not in zero.get(o, ())]
-
-
-def _known_variables(p):
-    out = set(p.annotations.get("variables", ()))
+def _require_known(p, variables):
+    known = set(p.annotations.get("variables", ()))
     for eff in p.annotations.get("action_effects", {}).values():
-        out.update(eff)
+        known.update(eff)
     for vs in p.annotations.get("obs_zero", {}).values():
-        out.update(vs)
-    return out
+        known.update(vs)
+    for var in variables:
+        if var not in known:
+            raise UnknownVariableError(
+                f"variable {var!r} has no effect tags or zero atoms in the problem"
+            )
+
+
+def _qnp_template_vars(psi):
+    """Variables of a (conjunction of) weak counter-constraint templates, or
+    None when the constraint has any other shape."""
+    template = getattr(psi, "template", None)
+    if template is None:
+        return None
+    if template[0] == "qnp":
+        _, var, strong = template
+        return None if strong else (var,)
+    if template[0] == "and":
+        out = []
+        for c in template[1:]:
+            sub = _qnp_template_vars(c)
+            if sub is None:
+                return None
+            out.extend(sub)
+        return tuple(out)
+    return None
 
 
 def constraint_formula(c, p):
@@ -132,16 +153,14 @@ def constraint_formula(c, p):
     if tag == "and":
         return L.land(*[constraint_formula(ci, p) for ci in c.template[1:]])
     _, var, strong = c.template
-    if var not in _known_variables(p):
-        raise UnknownVariableError(
-            f"variable {var!r} has no effect tags or zero atoms in the problem"
-        )
+    _require_known(p, [var])
     inc = L.lor(*[L.Letter(a) for a in _effect_letters(p, var, "inc")])
     dec = L.lor(*[L.Letter(a) for a in _effect_letters(p, var, "dec")])
-    zero = L.lor(*[L.Letter(o) for o in _zero_letters(p, var)])
+    zeros = _zero_letters(p, var)
+    zero = L.lor(*[L.Letter(o) for o in zeros])
     antecedent = L.And(L.eventually(L.always(L.lnot(inc))), L.always(L.eventually(dec)))
     if strong:
-        nonzero = L.lor(*[L.Letter(o) for o in _nonzero_letters(p, var)])
+        nonzero = L.lor(*[L.Letter(o) for o in sorted(p.observations, key=str) if o not in zeros])
         consequent = L.eventually(L.always(L.lnot(nonzero)))
     else:
         consequent = L.always(L.eventually(zero))
@@ -220,16 +239,6 @@ def _conjunct_formulas(f):
     return [f]
 
 
-def _dpw_for(c, p, negate, budget):
-    from . import omega
-
-    f = constraint_formula(c, p)
-    if negate:
-        f = L.lnot(f)
-    sigma = constraint_alphabet(c, p)
-    return omega.nba_to_dpw(L.ltl_to_nba(f, sigma, budget=budget), budget=budget), sigma
-
-
 def _conjunct_nbas(c, p, budget):
     """One NBA per top-level conjunct of the bound formula; a word satisfies
     the constraint iff every conjunct automaton accepts it.  Keeps
@@ -241,7 +250,7 @@ def _conjunct_nbas(c, p, budget):
     ]
 
 
-def _bilayer_product(inits, automata, moves):
+def _bilayer_product(inits, automata, moves, budget=None):
     """Product of a move structure with deterministic automata, in two
     layers.
 
@@ -251,7 +260,9 @@ def _bilayer_product(inits, automata, moves):
     ("n", v, qs) before the automata read v's letter and ("m", v, a, qs)
     after it, pending the action letter ``a``.  Only nodes reachable from
     ``inits`` are built, in depth-first order, so an automaton built on
-    the fly numbers its states the same way on every run.  Returns
+    the fly numbers its states the same way on every run.  Raises
+    SizeBudgetExceededError once more than ``budget`` "n" nodes are built
+    (checked before each node is expanded; None sets no cap).  Returns
     (initial nodes, nodes, edges, priority tuple of each node).
     """
     start = [("n", v, tuple(d.initial for d, _ in automata)) for v in inits]
@@ -259,7 +270,13 @@ def _bilayer_product(inits, automata, moves):
     edges = {}
     outcomes = {}
     stack = list(start)
+    built = len(start)
     while stack:
+        if budget is not None and built > budget:
+            raise SizeBudgetExceededError(
+                f"constraint-check product exceeded budget: {built} nodes built, "
+                f"budget {budget}"
+            )
         x = stack.pop()
         if x[0] == "n":
             _, v, qs = x
@@ -278,6 +295,7 @@ def _bilayer_product(inits, automata, moves):
             if y not in nodes:
                 nodes.add(y)
                 stack.append(y)
+                built += y[0] == "n"
     prio_of = {
         x: tuple(d.priority[q] for (d, _), q in zip(automata, x[-1])) for x in nodes
     }
@@ -360,15 +378,17 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     if c_prime.kind == "fairness":
         c_prime = ltl_constraint(fairness_to_ltl(p), name="fairness", level="state")
 
-    d_neg, _ = _dpw_for(c_prime, p, negate=True, budget=budget)
+    from . import omega
+
+    f_neg = L.lnot(constraint_formula(c_prime, p))
+    nba_neg = L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget)
+    d_neg = omega.nba_to_dpw(nba_neg, budget=budget)
 
     if c.kind == "fairness":
         lasso = _fair_accepting_lasso(p, d_neg, c_prime.level)
         if lasso is not None:
             return ImplicationResult(holds=False, witness=lasso)
         return ImplicationResult(holds=True)
-
-    from . import omega
 
     d_pos = [omega.nba_to_dpw(a, budget=budget) for a in _conjunct_nbas(c, p, budget)]
     automata = [(d, c.level) for d in d_pos] + [(d_neg, c_prime.level)]
@@ -416,7 +436,7 @@ def _closed_components(nodes, edges):
                 return [m for m in edges[v] if m in cur and all(w in cur for w in edges[m])]
             return [w for w in edges[v] if w in cur]
 
-        comps = graph.sccs(sorted(cur, key=str), succ)
+        comps = list(graph.sccs(sorted(cur, key=str), succ))
         if len(comps) == 1:
             if graph.has_cycle(comps[0], succ):
                 yield cur, succ
@@ -464,9 +484,11 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET):
     `model.PolicyProduct`) that satisfies the constraint, or None.
     ``reach`` is the set of ids of its goal-free reachable region.
 
-    The constraint is decomposed into conjuncts, each determinized on its
-    own and on the fly, so only the automaton states the product reaches
-    are built.
+    A conjunction of builtin weak counter constraints is a Streett
+    condition on the product itself (`_streett_lasso`).  Any other
+    constraint is decomposed into conjuncts, each determinized on its own
+    and on the fly, so only the automaton states the product reaches are
+    built.
     """
     from . import omega
 
@@ -477,21 +499,61 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET):
         )
     if c.kind == "fairness":
         return _fair_counterexample(prod, reach)
+    variables = _qnp_template_vars(c)
+    if variables is not None:
+        return _streett_lasso(p, variables, prod, reach)
 
     dpws = [
         omega.LazyDpw(a, budget, stage="constraint-check determinization")
         for a in _conjunct_nbas(c, p, budget)
     ]
-    return accepted_policy_lasso(p, c.level, dpws, prod, reach)
+    return accepted_policy_lasso(p, c.level, dpws, prod, reach, budget)
 
 
-def accepted_policy_lasso(p, level, dpws, prod, reach):
+def _streett_lasso(p, variables, prod, reach):
+    """A lasso of the policy product inside ``reach`` that satisfies the weak
+    counter constraint of each of ``variables``, or None: SIEVE (Srivastava
+    et al., AAAI 2011) as Streett emptiness (Henzinger & Telle, 1996).  A
+    node requests X when its action decrements X, and answers X when its
+    action increments X or its observation has X = 0.  A cyclic component
+    with an unanswered request loses the nodes that make it and is split
+    again, so each branch recurses at most once per variable.  The first
+    cyclic component with none left is covered by the lasso's cycle."""
+    _require_known(p, variables)
+    effects = p.annotations.get("action_effects", {})
+    zero = p.annotations.get("obs_zero", {})
+    nodes, succ, act = prod.nodes, prod.succ, prod.act
+    dec, good = {}, {}
+    for i in reach:
+        eff, z = effects.get(act[i], {}), zero.get(p.obs_fn[nodes[i][0]], ())
+        dec[i] = {v for v in variables if eff.get(v) == "dec"}
+        good[i] = {v for v in variables if eff.get(v) == "inc" or v in z}
+
+    def search(region):
+        def inner(i):
+            return [j for j in succ[i] if j in region]
+
+        for comp in graph.sccs(sorted(region, key=_by_str(prod)), inner):
+            if graph.has_cycle(comp, inner):
+                bad = set().union(*map(dec.get, comp)) - set().union(*map(good.get, comp))
+                if not bad:
+                    return _covering_lasso(prod, comp, inner, reach)
+                lasso = search({i for i in comp if not dec[i] & bad})
+                if lasso is not None:
+                    return lasso
+        return None
+
+    return search(reach)
+
+
+def accepted_policy_lasso(p, level, dpws, prod, reach, budget=L.DEFAULT_BUDGET):
     """A lasso of the policy product (arguments as for
     `counterexample_search`) accepted by every automaton in ``dpws``, or
     None: a cycle whose dominant priority is even in each of them at once.
     The automata are read only from their initial states on.  The base
     nodes of the bilayer product are the (state, memory) pairs, because
-    the cycle search breaks ties by their ``str``."""
+    the cycle search breaks ties by their ``str``.  ``budget`` caps the
+    nodes of that product."""
     nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
 
     def moves(v):
@@ -505,6 +567,7 @@ def accepted_policy_lasso(p, level, dpws, prod, reach):
         [nodes[i] for i in prod.start if i in reach],
         [(d, lambda v: letter(v[0])) for d in dpws],
         moves,
+        budget,
     )
     # a cycle can only use priorities that occur on explored nodes
     targets = _even_targets(

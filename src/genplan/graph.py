@@ -16,13 +16,12 @@ from collections import defaultdict, deque
 
 
 def sccs(nodes, succ):
-    """Tarjan's algorithm, iterative; returns the strongly connected
-    components, each as a list, in the order Tarjan completes them."""
+    """Tarjan's algorithm, iterative; yields the strongly connected
+    components, each as a list, as Tarjan completes them."""
     index = {}
     low = {}
     on_stack = set()
     stack = []
-    out = []
     counter = [0]
     for root in nodes:
         if root in index:
@@ -60,8 +59,7 @@ def sccs(nodes, succ):
                     comp.append(w)
                     if w == v:
                         break
-                out.append(comp)
-    return out
+                yield comp
 
 
 def has_cycle(comp, succ):

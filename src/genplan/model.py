@@ -578,19 +578,21 @@ def _by_str(prod):
     return lambda i: str(prod.nodes[i])
 
 
-def _finite_trace(prod, target):
+def _finite_trace(prod, target, within=None):
     """The finite trajectory of a shortest product path from an initial node
-    to ``target``."""
-    path = graph.shortest_path(prod.start, prod.succ.__getitem__, {target})
+    to ``target`` through nodes of ``within`` (any node when None)."""
+    start = prod.start if within is None else [i for i in prod.start if i in within]
+    path = graph.shortest_path(start, prod.succ.__getitem__, {target}, within)
     return FiniteTrajectory(
         states=tuple(prod.nodes[i][0] for i in path),
         actions=tuple(prod.act[i] for i in path[:-1]),
     )
 
 
-def _lasso_from_product(prod, cycle):
-    """Build a Lasso from a product cycle (list of ids, closing implicitly)."""
-    prefix = _finite_trace(prod, cycle[0])
+def _lasso_from_product(prod, cycle, reach):
+    """Build a Lasso from a product cycle (list of ids, closing implicitly)
+    with a prefix inside the goal-free region ``reach``."""
+    prefix = _finite_trace(prod, cycle[0], reach)
     return Lasso(
         prefix_states=prefix.states[:-1],
         prefix_actions=prefix.actions,
@@ -627,7 +629,7 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     reach = _goal_free_region(p, prod)
     stop = min((i for i in prod.stops if i in reach), key=_by_str(prod), default=None)
     if stop is not None:
-        return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(prod, stop))
+        return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(prod, stop, reach))
 
     def succ_gf(i):
         return [j for j in prod.succ[i] if j in reach]
@@ -639,7 +641,7 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
                 cycle = graph.shortest_path([v0], succ_gf, {v0}, set(comp), nonempty=True)
                 return Verdict(
                     kind="NOT_A_SOLUTION",
-                    counterexample=_lasso_from_product(prod, cycle[:-1]),
+                    counterexample=_lasso_from_product(prod, cycle[:-1], reach),
                 )
         return Verdict(kind="STRONG_SOLUTION")
 
@@ -685,13 +687,20 @@ def _fair_counterexample(prod, reach):
     for comp in graph.sccs(sorted(trapped, key=_by_str(prod)), inner):
         comp = set(comp)
         if all(j in comp for i in comp for j in inner(i)):
-            # the walk sorts its nodes by str: give it (state, memory) pairs
-            nodes, index = prod.nodes, prod.index
-            walk = graph.covering_walk(
-                {nodes[i] for i in comp}, lambda n: [nodes[j] for j in inner(index[n])]
-            )
-            return _lasso_from_product(prod, [index[n] for n in walk])
+            return _covering_lasso(prod, comp, inner, reach)
     return None
+
+
+def _covering_lasso(prod, comp, inner, reach):
+    """The lasso of the policy product whose cycle is the covering walk of
+    the strongly connected id set ``comp`` under ``inner``, with a prefix
+    inside ``reach``."""
+    # the walk sorts its nodes by str: give it (state, memory) pairs
+    nodes, index = prod.nodes, prod.index
+    walk = graph.covering_walk(
+        {nodes[i] for i in comp}, lambda n: [nodes[j] for j in inner(index[n])]
+    )
+    return _lasso_from_product(prod, [index[n] for n in walk], reach)
 
 
 # ---------------------------------------------------------------------------

@@ -612,7 +612,7 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     (`qnp_dpw_direct`) recognizes the same language with exponentially
     fewer states, and is used instead; ``direct`` forces the choice.
     """
-    from .constraints import constraint_formula
+    from .constraints import _qnp_template_vars, constraint_formula
     from .model import Policy
 
     sigma = frozenset(set(p.observations) | set(p.actions))
@@ -677,26 +677,6 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
         dpw=dpw,
         formula=phi,
     )
-
-
-def _qnp_template_vars(psi):
-    """Variables of a (conjunction of) weak counter-constraint templates, or
-    None when the constraint has any other shape."""
-    template = getattr(psi, "template", None)
-    if template is None:
-        return None
-    if template[0] == "qnp":
-        _, var, strong = template
-        return None if strong else (var,)
-    if template[0] == "and":
-        out = []
-        for c in template[1:]:
-            sub = _qnp_template_vars(c)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return tuple(out)
-    return None
 
 
 def _qnp_direct_for_problem(p, variables):

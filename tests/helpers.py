@@ -550,15 +550,17 @@ def _reference_actions_along(edges, path):
     return tuple(next(a for a, m in edges[u] if m == w) for u, w in zip(path, path[1:]))
 
 
-def _reference_trace(start, edges, target):
-    path = graph.shortest_path(start, _reference_successors(edges), {target})
+def _reference_trace(start, edges, target, within=None):
+    if within is not None:
+        start = [n for n in start if n in within]
+    path = graph.shortest_path(start, _reference_successors(edges), {target}, within)
     return FiniteTrajectory(
         states=tuple(n[0] for n in path), actions=_reference_actions_along(edges, path)
     )
 
 
-def _reference_lasso(start, edges, cycle):
-    prefix = _reference_trace(start, edges, cycle[0])
+def _reference_lasso(start, edges, cycle, within):
+    prefix = _reference_trace(start, edges, cycle[0], within)
     return Lasso(
         prefix_states=prefix.states[:-1],
         prefix_actions=prefix.actions,
@@ -578,7 +580,7 @@ def _reference_fair_lasso(start, edges, reach):
     for comp in graph.sccs(sorted(trapped, key=str), succ):
         comp = set(comp)
         if all(m in comp for n in comp for m in succ(n)):
-            return _reference_lasso(start, edges, graph.covering_walk(comp, succ))
+            return _reference_lasso(start, edges, graph.covering_walk(comp, succ), reach)
     return None
 
 
@@ -594,7 +596,7 @@ def reference_check(p, mu, mode):
     )
     for node in sorted(stops & reach, key=str):
         return Verdict(
-            kind="NOT_A_SOLUTION", counterexample=_reference_trace(start, edges, node)
+            kind="NOT_A_SOLUTION", counterexample=_reference_trace(start, edges, node, reach)
         )
 
     def succ_gf(n):
@@ -607,7 +609,7 @@ def reference_check(p, mu, mode):
                 cycle = graph.shortest_path([v0], succ_gf, {v0}, set(comp), nonempty=True)
                 return Verdict(
                     kind="NOT_A_SOLUTION",
-                    counterexample=_reference_lasso(start, edges, cycle[:-1]),
+                    counterexample=_reference_lasso(start, edges, cycle[:-1], reach),
                 )
         return Verdict(kind="STRONG_SOLUTION")
     lasso = _reference_fair_lasso(start, edges, reach)

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from genplan import graph
 from genplan import ltl as L
 from genplan.constraints import (
     ALL_TRAJECTORIES,
@@ -19,9 +20,12 @@ from genplan.constraints import (
 from genplan.fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
 from genplan.ltl import eval_lasso, ltl_to_nba, nba_accepts_lasso
 from genplan.model import (
+    FAIR,
     Policy,
     SeededResolver,
     Under,
+    _goal_free_region,
+    _policy_product,
     check_solution,
     infer_class,
     is_generated_by,
@@ -291,6 +295,77 @@ def test_criterion_4_cross_engine():
             # constraints (the content of the commitment transformation)
             closed_verdict = check_solution(pc, plan, Under(cv))
             assert closed_verdict.kind == "SOLVES_UNDER_CONSTRAINT", name
+
+
+def sieve_terminates(p, mu, variables):
+    """SIEVE (Srivastava, Zilberstein, Immerman & Geffner, AAAI 2011) on the
+    goal-free policy graph of ``mu`` on ``p``: repeatedly remove the edges
+    that decrement a variable which no edge of their strongly connected
+    component increments; ``mu`` terminates iff no cycle is left."""
+    prod = _policy_product(p, mu)
+    reach = _goal_free_region(p, prod)
+    effects = p.annotations.get("action_effects", {})
+
+    def tags(i, effect):
+        return {v for v in variables if effects.get(prod.act[i], {}).get(v) == effect}
+
+    edges = {(i, j) for i in reach for j in prod.succ[i] if j in reach}
+    while True:
+        succ = {}
+        for i, j in sorted(edges):
+            succ.setdefault(i, []).append(j)
+        cut, cyclic = set(), False
+        for comp in graph.sccs(sorted(reach), lambda i: succ.get(i, [])):
+            inside = {(i, j) for i, j in edges if i in comp and j in comp}
+            cyclic = cyclic or bool(inside)
+            inc = set().union(*(tags(i, "inc") for i, _ in inside))
+            cut |= {(i, j) for i, j in inside if tags(i, "dec") - inc}
+        if not cut:
+            return not cyclic
+        edges -= cut
+
+
+def sieve_experiment():
+    """For the planner's policy on the closed and the open projection of
+    each suite QNP: (QNP, projection, FAIR solution, SIEVE-terminating,
+    solves under qnp(V)); a QNP the planner finds unsolvable gets None
+    for the three verdicts."""
+    rows = []
+    for name, q in sorted(_qnp_suite().items()):
+        cv = conjoin(qnp_constraints(q.variables))
+        for tag, qq in (("closed", close_qnp(q)), ("open", q)):
+            p = syntactic_projection(qq).fondp
+            plan = strong_cyclic_plan(p)
+            if plan == UNSOLVABLE:
+                rows.append((name, tag, None, None, None))
+                continue
+            fair = check_solution(p, plan, FAIR).kind == "FAIR_SOLUTION"
+            sieve = sieve_terminates(p, plan, sorted(q.variables))
+            under = check_solution(p, plan, Under(cv)).is_solution
+            rows.append((name, tag, fair, sieve, under))
+    return rows
+
+
+def test_fair_and_sieve_terminating_iff_solves_under_qnp():
+    """The termination proviso of the abstract as a constraint: a planner
+    policy is a FAIR solution that SIEVE finds terminating iff it solves
+    its projection under qnp(V) for the QNP's variables V."""
+    rows = sieve_experiment()
+    assert sum(fair is not None for _, tag, fair, _, _ in rows if tag == "closed") == 9
+    for name, tag, fair, sieve, under in rows:
+        if fair is not None:
+            assert (fair and sieve) == under, (name, tag, fair, sieve, under)
+    # a fair policy that alternates Dec and Inc forever fails both
+    p = syntactic_projection(_qnp_suite()["counter"]).fondp
+    toggle = Policy(
+        memory_states=("m0", "m1"),
+        initial="m0",
+        update={("m0", "X>0"): "m1", ("m1", "X>0"): "m0"},
+        output={("m0", "X>0"): "Dec", ("m1", "X>0"): "Inc"},
+    )
+    assert check_solution(p, toggle, FAIR).kind == "FAIR_SOLUTION"
+    assert not sieve_terminates(p, toggle, ["X"])
+    assert not check_solution(p, toggle, Under(qnp_constraint("X"))).is_solution
 
 
 # ---------------------------------------------------------------------------

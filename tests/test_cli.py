@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genplan import fond
+from genplan import fond, ltl
 from genplan.cli import build_parser, main
+from genplan.constraints import conjoin, constraint_formula, qnp_constraints
 from genplan.errors import GenplanError
 from genplan.model import (
     load_pondp,
@@ -306,13 +307,22 @@ def test_json_artifacts_reparse(tmp_path, capsys):
     assert doc == json.loads(out.read_text())
 
 
+def _qnp_as_ltl_text(fondp, variables):
+    """The builtin weak counter constraints of ``variables`` bound to the
+    problem file and pretty-printed as LTL text, which takes the automaton
+    route of the constraint check."""
+    c = conjoin(qnp_constraints(variables))
+    return ltl.pretty(constraint_formula(c, load_pondp(str(fondp))))
+
+
 def test_verify_constraint_honours_budget(tmp_path, capsys, monkeypatch):
     """The constraint check counts the automaton states it builds against
     --budget and GENPLAN_BUDGET; overflowing is malformed input (exit 2)."""
     fondp = tmp_path / "twovar.json"
     assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
     capsys.readouterr()
-    args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, "qnp(X) & qnp(Y)"]
+    text = _qnp_as_ltl_text(fondp, ["X", "Y"])
+    args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, text]
     code, doc = run_cli(capsys, *args)
     assert code == 0
     code, doc = run_cli(capsys, "--budget", "5", *args)
@@ -493,11 +503,38 @@ def test_verify_constraint_budget_reaches_determinization(tmp_path, capsys):
     fondp = tmp_path / "twovar.json"
     assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
     capsys.readouterr()
-    args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, "qnp(X) & qnp(Y)"]
+    text = _qnp_as_ltl_text(fondp, ["X", "Y"])
+    args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, text]
     code, doc = run_cli(capsys, "--budget", "14", *args)
     assert code == 2
     assert doc["error"] == "SizeBudgetExceededError"
     assert doc["message"].startswith("constraint-check determinization exceeded budget")
+
+
+def test_verify_builtin_constraint_budget_stops_at_policy_product(tmp_path, capsys):
+    """Builtin counter constraints build no automaton, so --budget stops
+    their check at the policy product."""
+    fondp = tmp_path / "twovar.json"
+    assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
+    capsys.readouterr()
+    args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, "qnp(X) & qnp(Y)"]
+    code, doc = run_cli(capsys, "--budget", "2", *args)
+    assert code == 2
+    assert doc["error"] == "SizeBudgetExceededError"
+    assert doc["message"].startswith("policy product exceeded budget")
+    code, doc = run_cli(capsys, "--budget", "4", *args)
+    assert code == 0 and doc["verdict"] == "SOLVES_UNDER_CONSTRAINT"
+
+
+def test_verify_constraint_unknown_variable(tmp_path, capsys):
+    """A builtin counter constraint on a variable the problem does not
+    annotate is malformed input."""
+    policy = tmp_path / "dec.json"
+    save_json(DEC_POLICY, str(policy))
+    args = ["verify", "--mode", "constraint", COUNTER_FONDP, str(policy), "qnp(Y)"]
+    code, doc = run_cli(capsys, *args)
+    assert code == 2
+    assert doc["error"] == "UnknownVariableError"
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):

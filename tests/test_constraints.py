@@ -1,6 +1,8 @@
 """Tests for trajectory constraints, their satisfaction, and implication."""
 
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from genplan import ltl as L
 from genplan.constraints import (
     ALL_TRAJECTORIES,
+    _conjunct_nbas,
     accepted_policy_lasso,
     conjoin,
     constraint_formula,
@@ -31,14 +34,25 @@ from genplan.model import (
     _goal_free_region,
     _policy_product,
     check_solution,
+    is_generated_by,
     run_policy,
 )
-from genplan.omega import dpw_accepts, nba_to_dpw
+from genplan.omega import LazyDpw, dpw_accepts, nba_to_dpw
 from genplan.ltl import eval_lasso, ltl_to_nba, parse_ltl
 from genplan.projection import lift_trajectory
-from genplan.qnp import parse_qnp, syntactic_projection
+from genplan.qnp import close_qnp, parse_qnp, syntactic_projection
 
-from .helpers import ZERO, POS, concrete_counter, counter_projection, rand_formula, rand_word
+from .helpers import (
+    POS,
+    ZERO,
+    coarse_problems,
+    concrete_counter,
+    counter_projection,
+    finite_memory_policies,
+    rand_formula,
+    rand_word,
+)
+from .test_acceptance import _qnp_suite
 
 SIGMA = {"Inc", "Dec", ZERO, POS}
 
@@ -317,12 +331,121 @@ def test_lazy_counterexample_search_agrees_with_full_dpw(seed):
         assert eval_lasso(f, lift_trajectory(p, lasso).word(), sigma)
 
 
+def _as_ltl_text(c, p):
+    """The constraint ``c`` bound to ``p`` and passed as LTL text, so that
+    even a builtin counter constraint takes the automaton route."""
+    sigma = set(p.observations) | set(p.actions)
+    return ltl_constraint(parse_ltl(L.pretty(constraint_formula(c, p)), sigma))
+
+
 def test_constraint_check_budget_names_its_stage():
     p = syntactic_projection(parse_qnp(TWOVAR)).fondp
     mu = Policy.memoryless({"X>0,Y=0": "a", "X>0,Y>0": "b", "X=0,Y>0": "b"})
-    cv = conjoin(qnp_constraints(["X", "Y"]))
+    cv = _as_ltl_text(conjoin(qnp_constraints(["X", "Y"])), p)
     assert check_solution(p, mu, Under(cv)).is_solution
     with pytest.raises(
         SizeBudgetExceededError, match="constraint-check determinization .* 14 states"
     ):
         check_solution(p, mu, Under(cv), budget=14)
+
+
+def test_constraint_check_product_honours_budget():
+    """The product of the policy with the conjunct automata counts its
+    nodes against the budget: 18 fits the policy product, the tableaux and
+    the automaton states, but not that product."""
+    p = syntactic_projection(parse_qnp(TWOVAR)).fondp
+    mu = Policy.memoryless({"X>0,Y=0": "a", "X>0,Y>0": "b", "X=0,Y>0": "b"})
+    cv = _as_ltl_text(conjoin(qnp_constraints(["X", "Y"])), p)
+    with pytest.raises(
+        SizeBudgetExceededError,
+        match="^constraint-check product exceeded budget: 19 nodes built, budget 18$",
+    ):
+        check_solution(p, mu, Under(cv), budget=18)
+    assert check_solution(p, mu, Under(cv), budget=19).is_solution
+
+
+def _suite_projections():
+    """(name, projection, variables) for the open and the closed syntactic
+    projection of every QNP of the criterion-4 suite."""
+    out = []
+    for name, q in sorted(_qnp_suite().items()):
+        for tag, qq in (("open", q), ("closed", close_qnp(q))):
+            out.append((f"{name}/{tag}", syntactic_projection(qq).fondp, sorted(q.variables)))
+    return out
+
+
+SUITE_PROJECTIONS = _suite_projections()
+
+
+def _assert_routes_agree(name, p, variables, mu):
+    """For every nonempty set of ``variables``, the Streett route finds a
+    lasso iff the conjunct automata do, and every lasso either route finds
+    avoids the goal, satisfies the constraint and is generated by ``mu``."""
+    prod = _policy_product(p, mu)
+    reach = _goal_free_region(p, prod)
+    for k in range(1, len(variables) + 1):
+        for subset in combinations(variables, k):
+            c = conjoin(qnp_constraints(subset))
+            lasso = counterexample_search(p, c, prod, reach)
+            # the route every non-builtin constraint takes
+            dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET)]
+            reference = accepted_policy_lasso(p, c.level, dpws, prod, reach)
+            assert (lasso is None) == (reference is None), (name, subset)
+            for t in (lasso, reference):
+                if t is not None:
+                    assert not set(t.visited_states()) & p.goal_states
+                    assert satisfies(c, t, p), (name, subset)
+                    assert is_generated_by(p, mu, t), (name, subset)
+
+
+def test_streett_route_answers_a_decrement_by_increment_or_zero():
+    """An increment of X (a policy alternating Dec and Inc) answers a
+    decrement of X, and so does observing X = 0 (Dec looping at zero once
+    zero is no goal): either cycle satisfies qnp(X), on both routes."""
+    p = counter_projection()
+    toggle = Policy(
+        memory_states=("m0", "m1"),
+        initial="m0",
+        update={("m0", POS): "m1", ("m1", POS): "m0"},
+        output={("m0", POS): "Dec", ("m1", POS): "Inc"},
+    )
+    no_goal = replace(p, goal_states=frozenset())
+    for q, mu in ((p, toggle), (no_goal, Policy.memoryless({POS: "Dec", ZERO: "Dec"}))):
+        prod = _policy_product(q, mu)
+        reach = _goal_free_region(q, prod)
+        assert counterexample_search(q, qnp_constraint("X"), prod, reach) is not None
+        _assert_routes_agree(None, q, ["X"], mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_streett_route_agrees_with_automaton_route(data):
+    """Builtin weak counter constraints are checked as Streett emptiness on
+    the policy product; on the open and closed projections of the
+    criterion-4 suite under random finite-memory policies, it agrees with
+    the automaton route."""
+    name, p, variables = data.draw(st.sampled_from(SUITE_PROJECTIONS))
+    _assert_routes_agree(name, p, variables, data.draw(finite_memory_policies(p)))
+
+
+@st.composite
+def annotated_problems(draw):
+    """`coarse_problems` whose actions increment or decrement X and Y at
+    random.  Observations say X = 0 at random, so a decrement of X may
+    happen where X is zero; Y is never observed zero, so only an
+    increment answers a decrement of Y."""
+    p = draw(coarse_problems())
+    effect = st.sampled_from([None, "inc", "dec"])
+    effects = {a: {v: e for v in "XY" if (e := draw(effect))} for a in sorted(p.actions)}
+    zero = {o: ["X"] if draw(st.booleans()) else [] for o in sorted(p.observations)}
+    annotations = {"variables": ["X", "Y"], "action_effects": effects, "obs_zero": zero}
+    return replace(p, annotations=annotations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_streett_route_agrees_on_random_annotations(data):
+    """The same agreement on random problems, where an increment and a zero
+    observation answer a decrement independently of each other."""
+    p = data.draw(annotated_problems())
+    _assert_routes_agree(None, p, ["X", "Y"], data.draw(finite_memory_policies(p)))

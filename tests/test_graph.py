@@ -44,7 +44,7 @@ def test_sccs_are_mutual_reachability_classes(g):
         frozenset([v] + [w for w in nodes if w in reach[v] and v in reach[w]])
         for v in nodes
     }
-    comps = graph.sccs(nodes, succ.__getitem__)
+    comps = list(graph.sccs(nodes, succ.__getitem__))
     assert sorted(v for comp in comps for v in comp) == nodes
     assert {frozenset(comp) for comp in comps} == expected
     for comp in comps:
