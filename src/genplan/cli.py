@@ -105,6 +105,20 @@ def _emit(doc):
     sys.stdout.write("\n")
 
 
+def _emit_verified(doc, mu, verdict, output):
+    """Report a produced policy with its verification.  A policy its own
+    check rejects is a negative answer: exit 1 with the verdict as the
+    reason, and no policy file is written."""
+    doc["verification"] = verdict.to_json_dict()
+    if not verdict.is_solution:
+        _emit({**doc, "reason": verdict.kind})
+        return 1
+    if output:
+        save_json(policy_to_json_dict(mu), output)
+    _emit({**doc, "output": output})
+    return 0
+
+
 def _cmd_project(args):
     cls = _load_class(args.input)
     result = project(cls)
@@ -156,19 +170,13 @@ def _cmd_synthesize(args):
         )
         return 1
     verdict = check_solution(p, result.policy, Under(constraint), budget=args.budget)
-    if args.output:
-        save_json(policy_to_json_dict(result.policy), args.output)
-    _emit(
-        {
-            "command": "synthesize",
-            "realizable": True,
-            "constraint": constraint.name,
-            "policy_memory": len(result.policy.memory_states),
-            "verification": verdict.to_json_dict(),
-            "output": args.output,
-        }
-    )
-    return 0
+    doc = {
+        "command": "synthesize",
+        "realizable": True,
+        "constraint": constraint.name,
+        "policy_memory": len(result.policy.memory_states),
+    }
+    return _emit_verified(doc, result.policy, verdict, args.output)
 
 
 def _cmd_qnp2fond(args):
@@ -202,17 +210,8 @@ def _cmd_plan(args):
         _emit({"command": "plan", "reason": "UNSOLVABLE"})
         return 1
     verdict = fond.verify_strong_cyclic(p, mu, budget=args.budget)
-    if args.output:
-        save_json(policy_to_json_dict(mu), args.output)
-    _emit(
-        {
-            "command": "plan",
-            "policy": mu.as_memoryless_mapping(),
-            "verification": verdict.to_json_dict(),
-            "output": args.output,
-        }
-    )
-    return 0
+    doc = {"command": "plan", "policy": mu.as_memoryless_mapping()}
+    return _emit_verified(doc, mu, verdict, args.output)
 
 
 def _cmd_verify(args):
@@ -371,8 +370,8 @@ def build_parser():
         default=None,
         help="cap on the states each construction builds: automaton states "
         "(synthesis and constraint checks count only the states they reach, "
-        "ltl2dpw the full automaton) and the policy product nodes of plan and "
-        "verify (default 10^6; GENPLAN_BUDGET overrides)",
+        "ltl2dpw the full automaton), the controller nodes of the synthesis game, "
+        "and policy product nodes (default 10^6; GENPLAN_BUDGET overrides)",
     )
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -322,22 +322,32 @@ def _trajectory_product(p, automata):
 def _product_lasso(inits, edges, cycle, state_of):
     """Turn a bilayer product cycle into a state-level Lasso with a
     shortest prefix from an initial node; ``state_of`` maps a base node to
-    its problem state."""
+    its problem state.
+
+    The lasso is then shortened without changing its word: while the
+    prefix ends with the cycle's last (state, action) step, that step
+    moves into the cycle, and a cycle made of k copies of a shorter one
+    keeps one copy."""
     if cycle[0][0] != "n":
         cycle = cycle[1:] + cycle[:1]
     prefix = graph.shortest_path(inits, edges.__getitem__, {cycle[0]})[:-1]
 
-    def split(seq):
-        states = tuple(state_of(x[1]) for x in seq if x[0] == "n")
-        return states, tuple(x[2] for x in seq if x[0] == "m")
+    def steps(seq):
+        states = [state_of(x[1]) for x in seq if x[0] == "n"]
+        return list(zip(states, (x[2] for x in seq if x[0] == "m")))
 
-    pre_states, pre_actions = split(prefix)
-    cyc_states, cyc_actions = split(cycle)
+    pre, cyc = steps(prefix), steps(cycle)
+    while pre and pre[-1] == cyc[-1]:
+        cyc.insert(0, cyc.pop())
+        pre.pop()
+    n = len(cyc)
+    period = next(d for d in range(1, n + 1) if n % d == 0 and cyc == cyc[d:] + cyc[:d])
+    cyc = cyc[:period]
     return Lasso(
-        prefix_states=pre_states,
-        prefix_actions=pre_actions,
-        cycle_states=cyc_states,
-        cycle_actions=cyc_actions,
+        prefix_states=tuple(s for s, _ in pre),
+        prefix_actions=tuple(a for _, a in pre),
+        cycle_states=tuple(s for s, _ in cyc),
+        cycle_actions=tuple(a for _, a in cyc),
     )
 
 

@@ -331,14 +331,25 @@ class Policy:
             m = self.next_memory(m, obs)
         return self.output.get((m, obs_sequence[-1]))
 
-    def minimized(self, observations):
-        """The Moore-minimal policy with the same `action` on sequences over
-        ``observations``.  Memory states are merged when they have the same
-        outputs and their updates lead to merged states (`graph.refine`,
+    def minimized(self, observations, care=None):
+        """A policy with merged memory states and the same actions as this
+        one on every observation sequence over ``observations`` along which
+        this policy's (memory, observation) pairs lie in ``care`` (by
+        default every pair; then the result is Moore-minimal).  Every memory state the policy
+        names must be declared.
+
+        First the Moore step: memory states are merged when they have the
+        same outputs and their updates lead to merged states (`graph.refine`,
         starting from the outputs, with an undefined output as a label of
-        its own).  Each class keeps the name of its first member in
-        ``memory_states``, and the result writes out ``update`` in full.
-        Every memory state the policy names must be declared."""
+        its own).  Then every pair outside ``care`` is a don't-care (Paull &
+        Unger's incompletely specified machines), and the classes are
+        merged greedily in ``memory_states`` order: two classes merge when
+        every observation both of them care about gets the same output, and
+        the updates there lead to classes that merge too (a union-find
+        closure; a conflict drops the tentative merge).  Caring about every
+        pair merges nothing more.  Each class keeps the name of its first
+        member, and the result writes ``output`` and ``update`` only at
+        cared pairs."""
         obs = sorted(observations, key=str)
         block = graph.refine(
             self.memory_states,
@@ -349,11 +360,49 @@ class Policy:
         for m in self.memory_states:
             rep.setdefault(block[m], m)
         kept = tuple(rep.values())
+        if care is None:
+            care = {(m, o) for m in kept for o in obs}
+        # per class root: observation -> (output, class its update leads to)
+        table = {m: {} for m in kept}
+        for m, o in care:
+            c = rep[block[m]]
+            table[c][o] = (self.output.get((c, o)), rep[block[self.next_memory(c, o)]])
+        order = {m: i for i, m in enumerate(kept)}
+        parent = {m: m for m in kept}
+
+        def find(parent, c):
+            while parent[c] != c:
+                c = parent[c]
+            return c
+
+        def closure(parent, table, a, b):
+            pending = [(a, b)]
+            while pending:
+                a, b = sorted((find(parent, c) for c in pending.pop()), key=order.get)
+                if a == b:
+                    continue
+                parent[b] = a
+                for o, (act, nxt) in table.pop(b).items():
+                    if o not in table[a]:
+                        table[a][o] = (act, nxt)
+                    elif table[a][o][0] != act:
+                        return False
+                    else:
+                        pending.append((table[a][o][1], nxt))
+            return True
+
+        for c in kept:
+            for d in table:
+                if d == c or find(parent, c) != c:
+                    break
+                trial = dict(parent), {r: dict(t) for r, t in table.items()}
+                if closure(*trial, d, c):
+                    parent, table = trial
         return Policy(
-            memory_states=kept,
-            initial=rep[block[self.initial]],
-            update={(m, o): rep[block[self.next_memory(m, o)]] for m in kept for o in obs},
-            output={(m, o): self.output[(m, o)] for m in kept for o in obs if (m, o) in self.output},
+            memory_states=tuple(table),
+            initial=find(parent, rep[block[self.initial]]),
+            update={(r, o): find(parent, n) for r, t in table.items() for o, (_, n) in t.items()},
+            output={(r, o): a for r, t in table.items() for o, (a, _) in t.items() if a is not None},
         )
 
     def as_memoryless_mapping(self):

@@ -503,7 +503,7 @@ WIN = ("sink", "win")
 LOSE = ("sink", "lose")
 
 
-def build_parity_game(p, d):
+def build_parity_game(p, d, budget=DEFAULT_BUDGET):
     """Product of a fully observable projection with a DPW over its
     observation-action alphabet.
 
@@ -512,7 +512,9 @@ def build_parity_game(p, d):
     state.  Goal observations collapse into an even sink: any play that
     visits the goal satisfies the reachability disjunct, and a policy may
     stop there, so continuations are irrelevant.  Non-goal nodes with no
-    available action are losing sinks.
+    available action are losing sinks.  Raises SizeBudgetExceededError
+    once more than ``budget`` controller nodes, sinks included, are built;
+    each environment node hangs off one of them, one per available action.
     """
     sigma = set(p.observations) | set(p.actions)
     if not sigma <= set(d.alphabet):
@@ -525,12 +527,21 @@ def build_parity_game(p, d):
     edges = {}
     payload = {}
 
+    built = 0
+
     def add(v, own, pri, pl):
+        nonlocal built
         if v not in owner:
             nodes.append(v)
             owner[v] = own
             priority[v] = pri
             payload[v] = pl
+            built += own == CONTROLLER
+            if built > budget:
+                raise SizeBudgetExceededError(
+                    f"parity game exceeded budget: {built} controller nodes built, "
+                    f"budget {budget}"
+                )
         return v
 
     def win():
@@ -602,7 +613,8 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     Builds ``constraint -> eventually goal`` over the projection's
     observation-action alphabet, determinizes it, and solves the resulting
     parity game, extracting a transducer policy whose memory is the
-    played automaton states plus a ``halt`` state, Moore-minimized
+    played automaton states plus a ``halt`` state, minimized over the
+    (memory, observation) pairs its product with the projection reaches
     (`model.Policy.minimized`).
 
     The automaton comes from the generic pipeline (tableau NBA, then
@@ -613,7 +625,7 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     fewer states, and is used instead; ``direct`` forces the choice.
     """
     from .constraints import _qnp_template_vars, constraint_formula
-    from .model import Policy
+    from .model import Policy, _policy_product
 
     sigma = frozenset(set(p.observations) | set(p.actions))
     psi_f = constraint_formula(psi, p) if not isinstance(psi, ltl.Formula) else psi
@@ -629,7 +641,7 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     else:
         nba = ltl.ltl_to_nba(phi, sigma, budget=budget)
         dpw = LazyDpw(nba, budget, stage="synthesis-game determinization")
-    game = build_parity_game(p, dpw)
+    game = build_parity_game(p, dpw, budget)
     sol = solve_parity(game)
 
     if all(sol.region[v] == CONTROLLER for v in game.initial):
@@ -660,7 +672,10 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
             initial=dpw.initial,
             update=update,
             output=output,
-        ).minimized(observations)
+        )
+        prod = _policy_product(p, policy, budget)
+        care = {(m, p.obs_fn[s]) for s, m in prod.nodes}
+        policy = policy.minimized(observations, care)
         return SynthesisResult(
             realizable=True, policy=policy, game=game, solution=sol, dpw=dpw, formula=phi
         )

@@ -6,14 +6,17 @@ Builds each workload of ``perfbench/workloads.py`` (all three by default)
 in a temporary directory and runs its requests in this process, each
 with its own output directory.  Prints one line per request: workload,
 request id, exit code, the sha1 of its stdout (directory names replaced
-by placeholders) and ``name=sha1`` for each file it wrote.  Diffing the
-output of two checkouts shows which artifacts a change touched.
+by placeholders) and ``name=sha1`` for each file it wrote, followed by
+``memory=N`` after a policy file with N memory states.  Diffing the
+output of two checkouts shows which artifacts a change touched and how
+the size of each written policy moved.
 Standard library only; no test collects this file.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -44,7 +47,10 @@ def digest(workload, seed, root):
         files = []
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:
-                files.append(f"{name}={sha1(fh.read())}")
+                data = fh.read()
+            files.append(f"{name}={sha1(data)}")
+            if name.endswith((".policy.json", ".plan.json")):
+                files.append(f"memory={len(json.loads(data)['memory_states'])}")
         print(workload, req.id, code, sha1(text.encode()), *files)
 
 

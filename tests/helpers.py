@@ -9,6 +9,7 @@ numbered ones.
 """
 
 import itertools
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -697,12 +698,27 @@ def coarse_problems(draw):
 
 
 @st.composite
-def finite_memory_policies(draw, p):
-    """Random policies for ``p`` with 1-3 memory states and a partial memory
-    update.  Each output is undefined one time in ten, any of p's actions
-    (maybe unavailable where it is used) one time in ten, and otherwise
-    an action available in every state with that observation."""
-    memory = tuple(f"m{i}" for i in range(draw(st.integers(1, 3))))
+def annotated_problems(draw):
+    """`coarse_problems` whose actions increment or decrement X and Y at
+    random.  Observations say X = 0 at random, so a decrement of X may
+    happen where X is zero; Y is never observed zero, so only an
+    increment answers a decrement of Y."""
+    p = draw(coarse_problems())
+    effect = st.sampled_from([None, "inc", "dec"])
+    effects = {a: {v: e for v in "XY" if (e := draw(effect))} for a in sorted(p.actions)}
+    zero = {o: ["X"] if draw(st.booleans()) else [] for o in sorted(p.observations)}
+    annotations = {"variables": ["X", "Y"], "action_effects": effects, "obs_zero": zero}
+    return replace(p, annotations=annotations)
+
+
+@st.composite
+def finite_memory_policies(draw, p, max_memory=3):
+    """Random policies for ``p`` with 1 to ``max_memory`` memory states and
+    a partial memory update.  Each output is undefined one time in ten,
+    any of p's actions (maybe unavailable where it is used) one time in
+    ten, and otherwise an action available in every state with that
+    observation."""
+    memory = tuple(f"m{i}" for i in range(draw(st.integers(1, max_memory))))
     output, update = {}, {}
     for o in sorted(p.observations):
         common = sorted(
@@ -745,3 +761,37 @@ def moore_equivalent_pairs(mu, observations):
         lambda m: [(o, mu.next_memory(m, o)) for o in observations],
     )
     return {(m, n) for m, n in rel if m != n}
+
+
+def fewest_memory_classes(mu, care):
+    """The fewest classes of a partition of ``mu``'s memory states that can
+    be merged over the (memory, observation) pairs of ``care``: in each
+    class, the members that care about an observation output the same
+    there and update into one class.  Brute force over every partition."""
+    memory = list(mu.memory_states)
+    assert len(memory) <= 8, "brute force over at most 8 memory states"
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in partitions(rest):
+            yield [[first]] + part
+            for i in range(len(part)):
+                yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+    def consistent(block_of):
+        seen = {}
+        for m, o in care:
+            here = (block_of[m], o)
+            there = (mu.output.get((m, o)), block_of[mu.next_memory(m, o)])
+            if seen.setdefault(here, there) != there:
+                return False
+        return True
+
+    return min(
+        len(part)
+        for part in partitions(memory)
+        if consistent({m: i for i, block in enumerate(part) for m in block})
+    )

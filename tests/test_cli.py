@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genplan import fond, ltl
-from genplan.cli import build_parser, main
+from genplan.cli import _parse_constraint, build_parser, main
 from genplan.constraints import conjoin, constraint_formula, qnp_constraints
 from genplan.errors import GenplanError
 from genplan.model import (
@@ -98,6 +98,68 @@ def test_plan_and_verify(tmp_path, capsys):
     code, doc = run_cli(capsys, "verify", "--mode", "fair", str(fondp), str(policy))
     assert code == 0
     assert doc["verdict"] == "FAIR_SOLUTION"
+
+
+# two states share one observation, and each needs the other action: the
+# planner's per-state choices fold into one action that fails one of them
+PARTIALLY_OBSERVABLE = {
+    "states": ["s1", "s2", "g"],
+    "init": ["s1", "s2"],
+    "observations": ["o", "og"],
+    "actions": ["a", "b"],
+    "goal_states": ["g"],
+    "obs": {"s1": "o", "s2": "o", "g": "og"},
+    "avail": {"s1": ["a", "b"], "s2": ["a", "b"], "g": []},
+    "succ": {"a|s1": ["g"], "b|s1": ["s1"], "a|s2": ["s2"], "b|s2": ["g"]},
+}
+
+
+def test_plan_rejected_by_its_own_check_is_negative(tmp_path, capsys):
+    """A plan that its verification rejects is a negative answer: exit 1
+    with reason NOT_A_SOLUTION, the verification in the report, and no
+    policy file."""
+    problem = tmp_path / "po.json"
+    policy = tmp_path / "pol.json"
+    save_json(PARTIALLY_OBSERVABLE, str(problem))
+    code, doc = run_cli(capsys, "plan", str(problem), "-o", str(policy))
+    assert code == 1
+    assert doc["reason"] == "NOT_A_SOLUTION"
+    assert doc["verification"]["verdict"] == "NOT_A_SOLUTION"
+    assert "counterexample" in doc["verification"]
+    assert not policy.exists()
+
+
+def test_synthesize_rejected_by_its_own_check_is_negative(tmp_path, capsys, monkeypatch):
+    """synthesize answers the same way when its verification rejects the
+    policy it synthesized (here a synthesizer that returns Inc forever)."""
+    from genplan import omega
+    from genplan.model import Policy
+
+    def synthesize(p, constraint, budget):
+        return omega.SynthesisResult(realizable=True, policy=Policy.memoryless({"X>0": "Inc"}))
+
+    monkeypatch.setattr(omega, "synthesize", synthesize)
+    policy = tmp_path / "policy.json"
+    code, doc = run_cli(
+        capsys, "synthesize", COUNTER_FONDP, "--constraint", "qnp(X)", "-o", str(policy)
+    )
+    assert code == 1
+    assert doc["reason"] == "NOT_A_SOLUTION"
+    assert doc["verification"]["verdict"] == "NOT_A_SOLUTION"
+    assert doc["policy_memory"] == 1
+    assert not policy.exists()
+
+
+def test_synthesize_parity_game_honours_budget(capsys):
+    """The parity game counts its controller nodes against --budget: on the
+    counter projection under qnp(X) it has four, sinks included."""
+    argv = ["synthesize", COUNTER_FONDP, "--constraint", "qnp(X)"]
+    code, doc = run_cli(capsys, "--budget", "3", *argv)
+    assert code == 2
+    assert doc["error"] == "SizeBudgetExceededError"
+    assert doc["message"] == "parity game exceeded budget: 4 controller nodes built, budget 3"
+    code, doc = run_cli(capsys, "--budget", "4", *argv)
+    assert code == 0
 
 
 def test_plan_unsolvable(tmp_path, capsys):
@@ -633,3 +695,54 @@ def test_cli_input_contract_under_mutated_json(data):
             assert code in (0, 1, 2), argv
             if code == 1:
                 assert _well_formed(problem), argv
+
+
+FORMULA_PIECES = [
+    "G", "F", "X", "U", "!", "&", "|", "->", "(", ")", "Dec", "Inc", '"X=0"',
+    '"X>0"', "true", "false", "Y", "qnp(X)", '"', "-", "@",
+]
+
+
+@st.composite
+def _mutated_formulas(draw):
+    """Formula text, as a list of tokens, with one to three tokens
+    inserted, deleted or replaced at random positions."""
+    tokens = draw(
+        st.sampled_from(['G F Dec -> F "X=0"', "G ( Dec -> F Inc )", "F G ! Inc & G F Dec", "qnp(X)"])
+    ).split()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        piece = draw(st.sampled_from(FORMULA_PIECES))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        tokens[at:at + (how != "insert")] = [] if how == "delete" else [piece]
+    return " ".join(tokens)
+
+
+def _constraint_parses(text, p):
+    try:
+        _parse_constraint(text, p)
+    except GenplanError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_formulas())
+def test_cli_input_contract_under_mutated_formula_text(text):
+    """ltl2dpw, synthesize --constraint and verify --mode constraint on
+    mutated formula text exit 0, 1 or 2, never raise, and answer 1 only for
+    a constraint that parses."""
+    p = load_pondp(COUNTER_FONDP)
+    with tempfile.TemporaryDirectory() as tmp:
+        policy_path = os.path.join(tmp, "policy.json")
+        save_json(DEC_POLICY, policy_path)
+        for argv in (
+            ["ltl2dpw", "--alphabet", "X=0,X>0,Dec,Inc", "--", text],
+            ["synthesize", COUNTER_FONDP, f"--constraint={text}"],
+            ["verify", "--mode", "constraint", "--", COUNTER_FONDP, policy_path, text],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--budget", "2000", *argv])
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert _constraint_parses(text, p), argv

@@ -45,7 +45,7 @@ from genplan.qnp import close_qnp, parse_qnp, syntactic_projection
 from .helpers import (
     POS,
     ZERO,
-    coarse_problems,
+    annotated_problems,
     concrete_counter,
     counter_projection,
     finite_memory_policies,
@@ -417,6 +417,27 @@ def test_streett_route_answers_a_decrement_by_increment_or_zero():
         _assert_routes_agree(None, q, ["X"], mu)
 
 
+def test_automaton_route_lasso_is_normalized():
+    """The automaton route's lasso for the Dec/Inc toggle on the counter
+    projection is the toggle cycle itself: the shortest bilayer prefix
+    repeats the cycle, so it folds into the cycle and comes out empty."""
+    p = counter_projection()
+    toggle = Policy(
+        memory_states=("m0", "m1"),
+        initial="m0",
+        update={("m0", POS): "m1", ("m1", POS): "m0"},
+        output={("m0", POS): "Dec", ("m1", POS): "Inc"},
+    )
+    prod = _policy_product(p, toggle)
+    reach = _goal_free_region(p, prod)
+    c = qnp_constraint("X")
+    dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET)]
+    lasso = accepted_policy_lasso(p, c.level, dpws, prod, reach)
+    assert lasso.prefix_states == () and lasso.prefix_actions == ()
+    assert lasso.cycle_states == (POS, POS) and lasso.cycle_actions == ("Dec", "Inc")
+    assert satisfies(c, lasso, p) and is_generated_by(p, toggle, lasso)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_streett_route_agrees_with_automaton_route(data):
@@ -426,20 +447,6 @@ def test_streett_route_agrees_with_automaton_route(data):
     the automaton route."""
     name, p, variables = data.draw(st.sampled_from(SUITE_PROJECTIONS))
     _assert_routes_agree(name, p, variables, data.draw(finite_memory_policies(p)))
-
-
-@st.composite
-def annotated_problems(draw):
-    """`coarse_problems` whose actions increment or decrement X and Y at
-    random.  Observations say X = 0 at random, so a decrement of X may
-    happen where X is zero; Y is never observed zero, so only an
-    increment answers a decrement of Y."""
-    p = draw(coarse_problems())
-    effect = st.sampled_from([None, "inc", "dec"])
-    effects = {a: {v: e for v in "XY" if (e := draw(effect))} for a in sorted(p.actions)}
-    zero = {o: ["X"] if draw(st.booleans()) else [] for o in sorted(p.observations)}
-    annotations = {"variables": ["X", "Y"], "action_effects": effects, "obs_zero": zero}
-    return replace(p, annotations=annotations)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,10 +4,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genplan.constraints import ALL_TRAJECTORIES, fairness_constraint, qnp_constraint
+from genplan.constraints import (
+    ALL_TRAJECTORIES,
+    conjoin,
+    fairness_constraint,
+    qnp_constraint,
+    qnp_constraints,
+    satisfies,
+)
 from genplan.errors import (
     InvalidPolicyError,
     NotATrajectoryError,
@@ -24,6 +31,7 @@ from genplan.model import (
     ScriptedResolver,
     SeededResolver,
     Under,
+    _policy_product,
     check_solution,
     infer_class,
     is_fair,
@@ -43,13 +51,16 @@ from genplan.model import (
 from .helpers import (
     ZERO,
     POS,
+    annotated_problems,
     coarse_problems,
     concrete_counter,
     counter_projection,
+    fewest_memory_classes,
     finite_memory_policies,
     moore_equivalent_pairs,
     reference_check,
 )
+from .test_constraints import SUITE_PROJECTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +474,142 @@ def test_minimized_policy_acts_alike_and_is_minimal(data):
     pairs = moore_equivalent_pairs(mu, observations)
     classes = {frozenset({m} | {n for k, n in pairs if k == m}) for m in mu.memory_states}
     assert len(small.memory_states) == len(classes)
+
+
+def _reached_pairs(p, mu):
+    """The (memory, observation) pairs of mu's policy product with p."""
+    return {(m, p.obs_fn[s]) for s, m in _policy_product(p, mu).nodes}
+
+
+def _assert_product_renamed(p, mu, small):
+    """The policy product of ``small`` is the image of that of ``mu`` under
+    a renaming of mu's memory states: the two products are walked in step
+    from their initial nodes, paired nodes have the same state, action,
+    stop and number of successors, and each memory state of mu is paired
+    with one memory state of ``small`` only."""
+    big, little = _policy_product(p, mu), _policy_product(p, small)
+    stops_big, stops_little = set(big.stops), set(little.stops)
+    ren = {}
+    pairs = list(zip(big.start, little.start))
+    seen = set()
+    while pairs:
+        i, j = pair = pairs.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        (s, m), (t, r) = big.nodes[i], little.nodes[j]
+        assert s == t and ren.setdefault(m, r) == r
+        assert big.act[i] == little.act[j] and (i in stops_big) == (j in stops_little)
+        assert len(big.succ[i]) == len(little.succ[j])
+        pairs.extend(zip(big.succ[i], little.succ[j]))
+    assert {j for _, j in seen} == set(range(len(little.nodes)))
+    assert (big.invalid is None) == (little.invalid is None)
+
+
+@st.composite
+def _annotated_problems_with_policies(draw):
+    p = draw(annotated_problems())
+    return p, draw(finite_memory_policies(p, max_memory=5))
+
+
+# m0 and m1 agree on o, but merging them means merging m1 with m2 (their
+# updates there), which outputs b instead of a: the merge must be refused
+_CHAIN = (
+    Pondp(
+        states={"s0", "s1", "s2", "g"},
+        init={"s0"},
+        observations={"o", "og"},
+        actions={"a", "b"},
+        goal_states={"g"},
+        avail={"s0": {"a"}, "s1": {"a"}, "s2": {"a", "b"}, "g": set()},
+        obs_fn={"s0": "o", "s1": "o", "s2": "o", "g": "og"},
+        succ={("a", "s0"): {"s1"}, ("a", "s1"): {"s2"}, ("a", "s2"): {"s2"}, ("b", "s2"): {"g"}},
+        annotations={"variables": ["X", "Y"], "action_effects": {}, "obs_zero": {"o": [], "og": []}},
+    ),
+    Policy(
+        memory_states=("m0", "m1", "m2"),
+        initial="m0",
+        update={("m0", "o"): "m1", ("m1", "o"): "m2"},
+        output={("m0", "o"): "a", ("m1", "o"): "a", ("m2", "o"): "b"},
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _annotated_problems_with_policies(),
+    st.sampled_from([["X"], ["Y"], ["X", "Y"]]),
+    st.booleans(),
+)
+@example(_CHAIN, ["X"], False)
+def test_minimized_over_reached_pairs_keeps_every_run(case, variables, strong):
+    """Minimizing over the pairs the policy product reaches only renames
+    memory in that product, so the STRONG, FAIR and Under(counter
+    constraint) verdicts stay the same, and each policy's witness is one of
+    the other policy too.  (The witnesses themselves may differ: a renaming
+    that merges product nodes shortens some lassos, as Moore minimization
+    alone already does.)"""
+    p, mu = case
+    observations = sorted(p.observations)
+    small = mu.minimized(observations, _reached_pairs(p, mu))
+    _assert_product_renamed(p, mu, small)
+    c = conjoin(qnp_constraints(variables, strong=strong))
+    for mode in (STRONG, FAIR, Under(c)):
+        verdicts = [check_solution(p, nu, mode) for nu in (mu, small)]
+        assert verdicts[0].kind == verdicts[1].kind, mode
+        for v in verdicts:
+            t = v.counterexample
+            if t is None:
+                continue
+            assert is_generated_by(p, mu, t) and is_generated_by(p, small, t), mode
+            if v.kind != "NOT_A_SOLUTION":
+                continue
+            assert not is_goal_reaching(p, t), mode
+            if mode == FAIR and isinstance(t, Lasso):
+                assert is_fair(p, t)
+            if mode not in (STRONG, FAIR) and isinstance(t, Lasso):
+                assert satisfies(c, t, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_minimized_over_reached_pairs_is_no_larger_than_moore(data):
+    """The merge over reached pairs never keeps more memory states than
+    Moore minimization (no ``care``)."""
+    p = data.draw(coarse_problems())
+    mu = data.draw(finite_memory_policies(p))
+    observations = sorted(p.observations)
+    small = mu.minimized(observations, _reached_pairs(p, mu))
+    assert len(small.memory_states) <= len(mu.minimized(observations).memory_states)
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_synthesized_policies_reach_the_fewest_memory_classes(strong, monkeypatch):
+    """On the open and closed projections of the criterion-4 suite, the
+    greedy merge of a synthesized policy keeps as few memory states as the
+    best partition of its Moore classes, found by brute force."""
+    from genplan.omega import synthesize
+
+    calls = []
+    minimized = Policy.minimized
+
+    def record(self, observations, care=None):
+        calls.append((self, observations, care))
+        return minimized(self, observations, care)
+
+    monkeypatch.setattr(Policy, "minimized", record)
+    for name, p, variables in SUITE_PROJECTIONS:
+        calls.clear()
+        res = synthesize(p, conjoin(qnp_constraints(variables, strong=strong)))
+        if not res.realizable:
+            continue
+        mu, observations, care = calls[0]
+        moore = minimized(mu, observations)
+        # each memory state's Moore class, named by its first member
+        pairs = moore_equivalent_pairs(mu, observations)
+        rep = {m: next(k for k in moore.memory_states if k == m or (k, m) in pairs) for m in mu.memory_states}
+        moore_care = {(rep[m], o) for m, o in care}
+        assert len(res.policy.memory_states) == fewest_memory_classes(moore, moore_care), name
 
 
 # ---------------------------------------------------------------------------
