@@ -242,12 +242,12 @@ def _conjunct_formulas(f):
 def _conjunct_nbas(c, p, budget):
     """One NBA per top-level conjunct of the bound formula; a word satisfies
     the constraint iff every conjunct automaton accepts it.  Keeps
-    determinization tractable for conjunctions of per-variable constraints."""
+    determinization tractable for conjunctions of per-variable constraints.
+    Conjuncts that fold to true are left out, unless all of them do."""
     sigma = constraint_alphabet(c, p)
-    return [
-        L.ltl_to_nba(f, sigma, budget=budget)
-        for f in _conjunct_formulas(constraint_formula(c, p))
-    ]
+    conjuncts = _conjunct_formulas(constraint_formula(c, p))
+    conjuncts = [f for f in conjuncts if L.constant(f) is not True] or conjuncts[:1]
+    return [L.ltl_to_nba(f, sigma, budget=budget) for f in conjuncts]
 
 
 def _bilayer_product(inits, automata, moves, budget=None):
@@ -302,9 +302,9 @@ def _bilayer_product(inits, automata, moves, budget=None):
     return start, nodes, edges, prio_of
 
 
-def _trajectory_product(p, automata):
+def _trajectory_product(p, automata, budget):
     """Bilayer product of p's transition structure with (dpw, level)
-    automata; the base nodes are p's states."""
+    automata; the base nodes are p's states; ``budget`` caps its "n" nodes."""
 
     def moves(s):
         return [
@@ -316,6 +316,7 @@ def _trajectory_product(p, automata):
         sorted(p.init, key=str),
         [(d, _letter(level, p)) for d, level in automata],
         moves,
+        budget,
     )
 
 
@@ -395,14 +396,14 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     d_neg = omega.nba_to_dpw(nba_neg, budget=budget)
 
     if c.kind == "fairness":
-        lasso = _fair_accepting_lasso(p, d_neg, c_prime.level)
+        lasso = _fair_accepting_lasso(p, d_neg, c_prime.level, budget)
         if lasso is not None:
             return ImplicationResult(holds=False, witness=lasso)
         return ImplicationResult(holds=True)
 
     d_pos = [omega.nba_to_dpw(a, budget=budget) for a in _conjunct_nbas(c, p, budget)]
     automata = [(d, c.level) for d in d_pos] + [(d_neg, c_prime.level)]
-    inits, nodes, edges, prio_of = _trajectory_product(p, automata)
+    inits, nodes, edges, prio_of = _trajectory_product(p, automata, budget)
     targets = _even_targets([set(d.priority.values()) for d, _ in automata])
     cycle = graph.dominant_cycle(nodes, edges.__getitem__, prio_of, targets)
     if cycle is None:
@@ -412,7 +413,7 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     )
 
 
-def _fair_accepting_lasso(p, dpw, level):
+def _fair_accepting_lasso(p, dpw, level, budget):
     """A fair lasso of ``p`` accepted by ``dpw``.
 
     Per even priority p_e, restrict the bilayer product to priorities
@@ -421,7 +422,7 @@ def _fair_accepting_lasso(p, dpw, level):
     structure containing a p_e node yields the witness by covering all its
     edges in one closed walk, which makes the projected lasso fair.
     """
-    inits, nodes, edges, prio_of = _trajectory_product(p, [(dpw, level)])
+    inits, nodes, edges, prio_of = _trajectory_product(p, [(dpw, level)], budget)
     evens = sorted({q for q in dpw.priority.values() if q % 2 == 0}, reverse=True)
     for pe in evens:
         sub = {v for v in nodes if prio_of[v][0] <= pe}

@@ -64,8 +64,11 @@ def strong_cyclic_plan(p):
     mapping = {}
     while queue:
         s = queue.pop()
-        a = choice[s]
-        mapping[p.obs_fn[s]] = a
+        a, o = choice[s], p.obs_fn[s]
+        # an observation gets the least action (by str) of its states
+        b = mapping.get(o)
+        if b is None or (b != a and str(a) < str(b)):
+            mapping[o] = a
         for t in p.succ[(a, s)]:
             if t not in reachable and t not in p.goal_states:
                 reachable.add(t)

@@ -178,23 +178,25 @@ def refine(nodes, label, succ):
     pairs.  ``succ(v)`` lists the labelled edges ``(edge label, w)`` of v.
 
     Naive signature refinement: each round splits every class by the
-    signatures of its members, until a round splits nothing.  Returns a
-    dict from each node to its class number; classes are numbered by their
+    signatures of its members, until a round splits nothing.  Nodes, edge
+    labels and ``label`` values are numbered first, so a signature is a
+    class and a set of ints ``edge label + k * class``.  Returns a dict
+    from each node to its class number; classes are numbered by their
     first member in the order of ``nodes``."""
     nodes = list(nodes)
-    edges = {v: list(succ(v)) for v in nodes}
-    block = {v: label(v) for v in nodes}
-    count = len(set(block.values()))
-    while True:
-        sig = {v: (block[v], frozenset((a, block[w]) for a, w in edges[v])) for v in nodes}
+    index, letters, values = {v: i for i, v in enumerate(nodes)}, {}, {}
+    edges = [[(letters.setdefault(a, len(letters)), index[w]) for a, w in succ(v)] for v in nodes]
+    block = [values.setdefault(label(v), len(values)) for v in nodes]
+    k, count = len(letters), len(values)
+    # a round only splits classes: all singletons or an unchanged count is final
+    while count < len(nodes):
         classes = {}
-        for v in nodes:
-            classes.setdefault(sig[v], len(classes))
-        block = {v: classes[sig[v]] for v in nodes}
-        # a round only splits classes, so an unchanged count is a fixpoint
+        sigs = ((b, frozenset(a + k * block[j] for a, j in out)) for b, out in zip(block, edges))
+        block = [classes.setdefault(sig, len(classes)) for sig in sigs]
         if len(classes) == count:
-            return block
+            break
         count = len(classes)
+    return dict(zip(nodes, block))
 
 
 def covering_walk(nodes, succ):

@@ -148,6 +148,22 @@ def release(f, g):
     return lnot(Until(lnot(f), lnot(g)))
 
 
+def constant(f):
+    """True or False when ``f`` holds on every word or on none by folding
+    its constants (``l U true`` is true, ``l U false`` false), else None."""
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, Not):
+        value = constant(f.operand)
+        return None if value is None else not value
+    if isinstance(f, And):
+        values = {constant(f.left), constant(f.right)}
+        return False if False in values else (True if values == {True} else None)
+    if isinstance(f, (Next, Until)):
+        return constant(children(f)[-1])
+    return None
+
+
 def letters_of(f):
     out = set()
     stack = [f]
@@ -506,6 +522,8 @@ def ltl_to_nba(f, alphabet=None, budget=DEFAULT_BUDGET):
 def _nba_for(f, alphabet, budget):
     branches = list(_disjuncts(f))
     if len(branches) > 1:
+        # a false branch adds only states that the trim after a union prunes
+        branches = [g for g in branches if constant(g) is not False]
         return _union_nba([_nba_for(g, alphabet, budget) for g in branches], alphabet)
     if isinstance(f, And):
         left = trim_nba(_nba_for(f.left, alphabet, budget))
@@ -744,14 +762,15 @@ def _tableau_nba(f, alphabet, budget):
 def trim_nba(nba):
     """Language-preserving reduction: prune states that are unreachable or
     cannot reach an accepting cycle, then alternate forward and backward
-    bisimulation quotients to a fixpoint."""
+    bisimulation quotients, forward first, until one after the first merges
+    nothing: quotients leave nothing to prune and are idempotent."""
+    nba = _bisim_quotient(_prune_nba(nba), backward=False)
+    backward = True
     while True:
-        before = len(nba.states)
-        nba = _prune_nba(nba)
-        nba = _bisim_quotient(nba, backward=False)
-        nba = _bisim_quotient(nba, backward=True)
-        if len(nba.states) >= before:
+        reduced = _bisim_quotient(nba, backward)
+        if reduced is nba:
             return nba
+        nba, backward = reduced, not backward
 
 
 def _prune_nba(nba):

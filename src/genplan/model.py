@@ -800,6 +800,7 @@ def pondp_from_json_dict(doc):
         # state, observation or action is named; Pondp hashes the other
         # fields when it freezes them, obs values only here.
         frozenset(obs_fn.values())
+        _check_annotations(doc.get("annotations", {}))
         return Pondp(
             states=doc["states"],
             init=doc["init"],
@@ -811,6 +812,20 @@ def pondp_from_json_dict(doc):
             succ=succ,
             annotations=doc.get("annotations", {}),
         )
+
+
+def _check_annotations(doc):
+    """Raise TypeError unless the annotations that constraints read are an
+    object of effect objects, of zero-variable lists and a variable list."""
+    if not isinstance(doc, dict):
+        raise TypeError("annotations must be an object")
+    effects, zero = doc.get("action_effects", {}), doc.get("obs_zero", {})
+    lists = [doc.get("variables", []), *zero.values()] if isinstance(zero, dict) else [None]
+    if not (
+        isinstance(effects, dict) and all(isinstance(e, dict) for e in effects.values())
+        and all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists)
+    ):
+        raise TypeError("annotations must hold objects of effects and lists of names")
 
 
 def policy_to_json_dict(mu):

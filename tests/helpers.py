@@ -159,6 +159,40 @@ def rand_word(rng, letters, maxp=6, maxc=6):
 
 
 # ---------------------------------------------------------------------------
+# Reference NBA construction
+# ---------------------------------------------------------------------------
+
+
+def reference_trim(nba):
+    """The round-based NBA trim: prune, forward quotient and backward
+    quotient, repeated until a round removes no state."""
+    while True:
+        before = len(nba.states)
+        nba = L._prune_nba(nba)
+        nba = L._bisim_quotient(nba, backward=False)
+        nba = L._bisim_quotient(nba, backward=True)
+        if len(nba.states) >= before:
+            return nba
+
+
+def reference_nba(f, alphabet, budget=L.DEFAULT_BUDGET):
+    """``ltl.ltl_to_nba`` without constant folding, trimmed by
+    ``reference_trim``: every disjunct gets its own tableau."""
+    alphabet = frozenset(alphabet)
+
+    def build(g):
+        branches = list(L._disjuncts(g))
+        if len(branches) > 1:
+            return L._union_nba([build(h) for h in branches], alphabet)
+        if isinstance(g, L.And):
+            left, right = reference_trim(build(g.left)), reference_trim(build(g.right))
+            return L._product_nba(left, right, alphabet, budget)
+        return L._tableau_nba(g, alphabet, budget)
+
+    return reference_trim(build(f))
+
+
+# ---------------------------------------------------------------------------
 # Brute-force parity-game oracle
 # ---------------------------------------------------------------------------
 
@@ -652,16 +686,20 @@ def reference_plan(p):
     reachable = set()
     queue = [s for s in p.init if s not in p.goal_states]
     reachable.update(queue)
-    mapping = {}
+    order = []
     while queue:
         s = queue.pop()
-        a = choice[s]
-        mapping[p.obs_fn[s]] = a
-        for t in p.succ[(a, s)]:
+        order.append(s)
+        for t in p.succ[(choice[s], s)]:
             if t not in reachable and t not in p.goal_states:
                 reachable.add(t)
                 queue.append(t)
-    return Policy.memoryless(mapping)
+    # observations in the order the walk meets them, each with the least
+    # action (by str) its states choose
+    observations = dict.fromkeys(p.obs_fn[s] for s in order)
+    return Policy.memoryless({
+        o: min((choice[s] for s in order if p.obs_fn[s] == o), key=str) for o in observations
+    })
 
 
 @st.composite

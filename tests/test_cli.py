@@ -507,6 +507,24 @@ def test_unhashable_problem_value_is_malformed_input(tmp_path, capsys):
         assert doc["message"].startswith("malformed problem JSON: ")
 
 
+def test_misshapen_annotations_are_malformed_input(tmp_path, capsys):
+    """Annotations that counter constraints cannot read (not an object, an
+    effect that is no object, zero variables or variables that are no list
+    of names) are malformed input, not a traceback."""
+    edits = {
+        "list": lambda d: d.update(annotations=[d["annotations"]]),
+        "effect": lambda d: d["annotations"]["action_effects"].update(Dec="dec"),
+        "zero": lambda d: d["annotations"]["obs_zero"].update({"X=0": 7}),
+        "variables": lambda d: d["annotations"].update(variables=[["X"]]),
+    }
+    for name, edit in edits.items():
+        path = _edited_problem(tmp_path, name, edit)
+        code, doc = run_cli(capsys, "synthesize", path, "--constraint", "qnp(X)")
+        assert code == 2, name
+        assert doc["error"] == "MalformedInputError"
+        assert doc["message"].startswith("malformed problem JSON: annotations")
+
+
 def test_undeclared_memory_is_malformed_input(tmp_path, capsys):
     """A policy that names a memory state outside memory_states, as its
     initial state, an update target or the memory of an update or output
@@ -672,8 +690,9 @@ def _well_formed(doc):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_cli_input_contract_under_mutated_json(data):
-    """plan and verify on mutated problem and policy JSON exit 0, 1 or 2,
-    never raise, and answer 1 only for a problem that passes validate."""
+    """plan, verify, synthesize and simulate on mutated problem and policy
+    JSON exit 0, 1 or 2, never raise, and answer 1 only for a problem that
+    passes validate."""
     problem = _load_json(COUNTER_FONDP)
     policy = DEC_POLICY
     if data.draw(st.booleans()):
@@ -689,6 +708,8 @@ def test_cli_input_contract_under_mutated_json(data):
             ["plan", problem_path],
             ["verify", "--mode", "fair", problem_path, policy_path],
             ["verify", "--mode", "strong", problem_path, policy_path],
+            ["synthesize", problem_path, "--constraint", "qnp(X)"],
+            ["simulate", problem_path, "--policy", policy_path],
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)

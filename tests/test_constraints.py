@@ -255,6 +255,18 @@ def test_implies_monotone_verdicts():
     assert check_solution(p, mu, Under(cf)).is_solution
 
 
+def test_implies_honours_budget():
+    """Both trajectory products of implies count their "n" nodes against
+    the budget: on a 51-value counter the automata fit in 300 states but
+    the product does not, and 1,000 gives the unbounded answer."""
+    p = concrete_counter(40, bound=50, dec_steps=(1, 2))
+    for c in (ALL_TRAJECTORIES, fairness_constraint()):
+        with pytest.raises(SizeBudgetExceededError, match="constraint-check product .* budget 300"):
+            implies(c, qnp_constraint("X"), p, budget=300)
+        assert implies(c, qnp_constraint("X"), p, budget=1000).holds
+        assert implies(c, qnp_constraint("X"), p).holds
+
+
 def test_explicit_constraints_not_checkable():
     po = counter_projection()
     c = explicit_constraint(lambda lasso: True, name="anything")

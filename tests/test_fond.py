@@ -1,9 +1,14 @@
 """Tests for strong-cyclic planning and cross-engine policy lifting."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings
 
+from genplan import fond
 from genplan.fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
 from genplan.model import Policy, Pondp, Under, check_solution, is_fair, is_goal_reaching
 from genplan.constraints import qnp_constraint
@@ -194,3 +199,34 @@ def test_closed_policy_passes_constraint_check_natively():
     assert check_solution(pc, mu, Under(qnp_constraint("X"))).kind == (
         "SOLVES_UNDER_CONSTRAINT"
     )
+
+
+def test_plan_ignores_hash_seed():
+    """Two states share an observation and the planner picks a different
+    action at each; under any string hash seed the observation gets the
+    least of them."""
+    problem = {
+        "states": ["s1", "s2", "g"], "init": ["s1", "s2"], "observations": ["o", "og"],
+        "actions": ["a", "b"], "goal_states": ["g"],
+        "obs": {"s1": "o", "s2": "o", "g": "og"},
+        "avail": {"s1": ["a", "b"], "s2": ["a", "b"], "g": []},
+        "succ": {"a|s1": ["g"], "b|s1": ["s1"], "a|s2": ["s2"], "b|s2": ["g"]},
+    }
+    code = (
+        "import json, sys\n"
+        "from genplan.fond import strong_cyclic_plan\n"
+        "from genplan.model import pondp_from_json_dict\n"
+        "p = pondp_from_json_dict(json.loads(sys.argv[1]))\n"
+        "print(sorted(strong_cyclic_plan(p).as_memoryless_mapping().items()))"
+    )
+    src = os.path.dirname(os.path.dirname(fond.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code, json.dumps(problem)],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1] == "[('o', 'a')]\n"

@@ -33,7 +33,7 @@ from genplan.ltl import (
     pretty,
 )
 
-from .helpers import rand_formula, rand_word
+from .helpers import rand_formula, rand_word, reference_nba, reference_trim
 
 SIGMA = {"Inc", "Dec", "X=0", "X>0"}
 
@@ -319,6 +319,53 @@ def test_nba_numbering_ignores_hash_seed():
         for seed in ("0", "1")
     ]
     assert outs[0] == outs[1]
+
+
+# formulas over a and b in which true and false are frequent leaves
+formulas = st.recursive(
+    st.sampled_from([TRUE, L.FALSE, Letter("a"), Letter("b")]),
+    lambda sub: st.one_of(
+        st.builds(lnot, sub),
+        st.builds(Next, sub),
+        st.builds(And, sub, sub),
+        st.builds(lor, sub, sub),
+        st.builds(Until, sub, sub),
+        st.builds(eventually, sub),
+        st.builds(always, sub),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    formulas,
+    st.lists(st.sampled_from("ab"), max_size=4),
+    st.lists(st.sampled_from("ab"), min_size=1, max_size=4),
+)
+def test_constant_agrees_with_the_semantics(f, prefix, cycle):
+    """Every subformula that constant folding decides has that truth value
+    on the word, by the semantic oracle."""
+    w = Word(tuple(prefix), tuple(cycle))
+    for g in L.subformulas(f):
+        value = L.constant(g)
+        if value is not None:
+            assert eval_lasso(g, w, AB) == value, pretty(g)
+
+
+def _nba_parts(nba):
+    return nba.states, nba.transitions, nba.initial, nba.accepting
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas)
+def test_nba_equals_the_reference_construction(f):
+    """The one-prune trim gives the round-based trim's NBA on every
+    untrimmed construction, and ltl_to_nba, which skips disjuncts that
+    fold to false, gives the NBA of the construction that keeps them."""
+    raw = L._nba_for(f, frozenset(AB), L.DEFAULT_BUDGET)
+    assert _nba_parts(L.trim_nba(raw)) == _nba_parts(reference_trim(raw)), pretty(f)
+    assert _nba_parts(ltl_to_nba(f, AB)) == _nba_parts(reference_nba(f, AB)), pretty(f)
 
 
 @settings(max_examples=150, deadline=None)
