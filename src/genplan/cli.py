@@ -291,8 +291,20 @@ def _qnp_state_of(q, sid):
     return frozenset(fluents), tuple(values[v] for v in q.variables)
 
 
+def _parse_alphabet(text):
+    """Letters from a JSON list of strings (a value that starts with ``[``),
+    or else from comma-separated names."""
+    if not text.lstrip().startswith("["):
+        return frozenset(s.strip() for s in text.split(",") if s.strip())
+    with decoding("alphabet JSON"):
+        letters = json.loads(text)
+        if not isinstance(letters, list) or not all(isinstance(a, str) for a in letters):
+            raise ValueError("expected a list of strings")
+        return frozenset(letters)
+
+
 def _cmd_ltl2dpw(args):
-    alphabet = frozenset(s.strip() for s in args.alphabet.split(",") if s.strip())
+    alphabet = _parse_alphabet(args.alphabet)
     f = ltl.parse_ltl(args.formula, alphabet)
     nba = ltl.ltl_to_nba(f, alphabet, budget=args.budget)
     dpw = omega.nba_to_dpw(nba, budget=args.budget)
@@ -418,7 +430,10 @@ def build_parser():
 
     sp = sub.add_parser("ltl2dpw", help="formula to deterministic parity automaton")
     sp.add_argument("formula")
-    sp.add_argument("--alphabet", required=True, help="comma-separated letters")
+    sp.add_argument(
+        "--alphabet", required=True,
+        help='comma-separated letters, or a JSON list such as \'["X=0,Y=0", "a"]\'',
+    )
     sp.add_argument("--format", choices=["json", "dot"], default="json")
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=_cmd_ltl2dpw)

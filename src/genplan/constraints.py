@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import graph
+from . import graph, omega
 from . import ltl as L
 from .errors import (
     AlphabetMismatchError,
@@ -352,16 +352,6 @@ def _product_lasso(inits, edges, cycle, state_of):
     )
 
 
-def _even_targets(prio_dicts):
-    """Descending tuples of even priorities, one per automaton."""
-    import itertools
-
-    evens = [sorted({p for p in pd if p % 2 == 0}, reverse=True) for pd in prio_dicts]
-    if any(not e for e in evens):
-        return []
-    return list(itertools.product(*evens))
-
-
 # ---------------------------------------------------------------------------
 # Implication
 # ---------------------------------------------------------------------------
@@ -389,8 +379,6 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     if c_prime.kind == "fairness":
         c_prime = ltl_constraint(fairness_to_ltl(p), name="fairness", level="state")
 
-    from . import omega
-
     f_neg = L.lnot(constraint_formula(c_prime, p))
     nba_neg = L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget)
     d_neg = omega.nba_to_dpw(nba_neg, budget=budget)
@@ -404,8 +392,7 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     d_pos = [omega.nba_to_dpw(a, budget=budget) for a in _conjunct_nbas(c, p, budget)]
     automata = [(d, c.level) for d in d_pos] + [(d_neg, c_prime.level)]
     inits, nodes, edges, prio_of = _trajectory_product(p, automata, budget)
-    targets = _even_targets([set(d.priority.values()) for d, _ in automata])
-    cycle = graph.dominant_cycle(nodes, edges.__getitem__, prio_of, targets)
+    cycle = omega.cycle_with_max_parity(nodes, edges.__getitem__, prio_of, 0)
     if cycle is None:
         return ImplicationResult(holds=True)
     return ImplicationResult(
@@ -501,8 +488,6 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET):
     and on the fly, so only the automaton states the product reaches are
     built.
     """
-    from . import omega
-
     if c.kind == "explicit":
         raise NotLtlExpressibleError(
             f"constraint {c.name!r} is an explicit predicate; it cannot back a "
@@ -580,11 +565,7 @@ def accepted_policy_lasso(p, level, dpws, prod, reach, budget=L.DEFAULT_BUDGET):
         moves,
         budget,
     )
-    # a cycle can only use priorities that occur on explored nodes
-    targets = _even_targets(
-        [{pr[i] for pr in prio_of.values()} for i in range(len(dpws))]
-    )
-    cycle = graph.dominant_cycle(bnodes, bedges.__getitem__, prio_of, targets)
+    cycle = omega.cycle_with_max_parity(bnodes, bedges.__getitem__, prio_of, 0)
     if cycle is None:
         return None
     return _product_lasso(inits, bedges, cycle, lambda v: v[0])

@@ -80,40 +80,62 @@ class PondpClass:
     members: tuple  # of Pondp
 
 
+def _by_names(found):
+    """Diagnostics from (names, diagnostic) pairs, ordered by the ``str`` of
+    the names: the order of a walk over sorted states and actions, found
+    without sorting the problem itself."""
+    return [d for _, d in sorted(found, key=lambda nd: [str(x) for x in nd[0]])]
+
+
 def validate(p, cls=None):
     """Check the structural invariants; returns a list of diagnostics,
     empty iff the problem (and its class fit, when given) is valid.
-    Each diagnostic is a (code, message, witness) triple."""
+    Each diagnostic is a (code, message, witness) triple.  They come by
+    section (init, goals, states, successors, class fit), and within one in
+    ``str`` order of the states and actions they name, whatever the hash
+    seed."""
     out = []
     states, avail, succ, obs_fn = p.states, p.avail, p.succ, p.obs_fn
     if not p.init:
         out.append(("empty init", "no initial state", None))
-    for s in p.init - states:
-        out.append(("init not a state", f"initial state {s!r} not in states", s))
-    for s in p.goal_states - states:
-        out.append(("goal not a state", f"goal state {s!r} not in states", s))
+    out += _by_names(
+        ((s,), ("init not a state", f"initial state {s!r} not in states", s))
+        for s in p.init - states
+    )
+    out += _by_names(
+        ((s,), ("goal not a state", f"goal state {s!r} not in states", s))
+        for s in p.goal_states - states
+    )
+    found = []
     for s in states:
         if s not in obs_fn:
-            out.append(("missing observation", f"state {s!r} has no observation", s))
+            found.append(((s,), ("missing observation", f"state {s!r} has no observation", s)))
         elif obs_fn[s] not in p.observations:
-            out.append(
-                ("unknown observation", f"obs({s!r}) not in observations", s)
+            found.append(
+                ((s,), ("unknown observation", f"obs({s!r}) not in observations", s))
             )
         for a in avail.get(s, ()):
             if a not in p.actions:
-                out.append(("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
-            if not succ.get((a, s)):
-                out.append(
-                    ("empty successor set", f"succ({a!r}, {s!r}) empty or missing", (s, a))
+                found.append(
+                    ((s, a), ("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
                 )
+            if not succ.get((a, s)):
+                found.append(((s, a), (
+                    "empty successor set", f"succ({a!r}, {s!r}) empty or missing", (s, a)
+                )))
+    out += _by_names(found)
+    found = []
     for (a, s), targets in succ.items():
         if a not in avail.get(s, ()):
-            out.append(
-                ("successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a))
-            )
+            found.append(((a, s), (
+                "successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a)
+            )))
         if not targets <= states:
             for t in targets - states:
-                out.append(("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
+                found.append(
+                    ((a, s, t), ("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
+                )
+    out += _by_names(found)
     if cls is not None:
         if not p.actions <= cls.actions:
             out.append(("foreign actions", "member actions outside the class pool", None))
@@ -121,23 +143,25 @@ def validate(p, cls=None):
             out.append(
                 ("foreign observations", "member observations outside the class pool", None)
             )
+        found = []
         for s in p.states:
             obs = p.obs_fn.get(s)
             in_goal = s in p.goal_states
             if obs is not None and in_goal != (obs in cls.goal_observations):
-                out.append(
-                    ("goal not observable", f"state {s!r}: goal membership disagrees with T_Omega", s)
-                )
+                found.append(((s,), (
+                    "goal not observable",
+                    f"state {s!r}: goal membership disagrees with T_Omega",
+                    s,
+                )))
             if obs is not None and p.avail.get(s, frozenset()) != cls.avail_by_obs.get(
                 obs, frozenset()
             ):
-                out.append(
-                    (
-                        "precondition not observable",
-                        f"state {s!r}: avail differs from A_omega({obs!r})",
-                        s,
-                    )
-                )
+                found.append(((s,), (
+                    "precondition not observable",
+                    f"state {s!r}: avail differs from A_omega({obs!r})",
+                    s,
+                )))
+        out += _by_names(found)
     return out
 
 

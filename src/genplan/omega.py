@@ -11,11 +11,10 @@ constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graph, ltl
 from .errors import AlphabetMismatchError, SizeBudgetExceededError, decoding
-from .ltl import Word
 
 DEFAULT_BUDGET = ltl.DEFAULT_BUDGET
 
@@ -67,29 +66,6 @@ def dpw_from_json_dict(doc):
             initial=doc["initial"],
             priority={q: int(p) for q, p in doc["priority"].items()},
         )
-
-
-def dpw_accepts(d, w):
-    """Run the unique run over prefix then cycle until the state at the
-    cycle boundary repeats; accept iff the max priority on the run's
-    recurring part is even."""
-    extra = w.symbol_set() - set(d.alphabet)
-    if extra:
-        raise AlphabetMismatchError(f"word symbols outside alphabet: {sorted(extra)}")
-    q = d.initial
-    for a in w.prefix:
-        q = d.delta[(q, a)]
-    seen = {}
-    maxes = []
-    while q not in seen:
-        seen[q] = len(maxes)
-        best = 0
-        for a in w.cycle:
-            q = d.delta[(q, a)]
-            best = max(best, d.priority[q])
-        maxes.append(best)
-    start = seen[q]
-    return max(maxes[start:]) % 2 == 0
 
 
 def normalize_priorities(d):
@@ -246,10 +222,13 @@ class LazyDpw:
     target if that is new, and ``priority`` (max-even) is filled as states
     are numbered.  A consumer that explores from ``initial`` therefore
     builds only the states it reaches; ``states`` lists those built so far.
-    Numbering a state beyond ``budget`` raises, naming ``stage``.
+    Numbering a state beyond ``budget`` raises, naming ``stage``.  With
+    ``complement`` every priority is one higher, so the automaton accepts
+    exactly the words the NBA rejects.
     """
 
-    def __init__(self, nba, budget=DEFAULT_BUDGET, stage="full determinization"):
+    def __init__(self, nba, budget=DEFAULT_BUDGET, stage="full determinization",
+                 complement=False):
         n = len(nba.states)
         self.alphabet = nba.alphabet
         self.delta = _LazyDelta(self._successor)
@@ -260,7 +239,7 @@ class LazyDpw:
         self._pairs = []  # state -> (tree, min-parity priority)
         self._index = {}
         self._steps = {}  # (tree, letter) -> _tree_step result
-        self._top = 4 * n + 2  # converts min-parity to the max-even convention
+        self._top = 4 * n + 2 + complement  # min-parity to the max-even convention
         init_tree = (1, frozenset(nba.initial), ()) if nba.initial else None
         self.initial = self._number((init_tree, 4 * n + 1))
 
@@ -353,15 +332,19 @@ ENVIRONMENT = 1
 
 @dataclass(frozen=True, eq=False)
 class ParityGame:
-    """Two-player max-parity game.  ``owner`` maps node -> 0 (controller,
-    wins on even) or 1 (environment); every node has at least one edge."""
+    """Two-player generalized max-parity game.  ``owner`` maps node -> 0
+    (controller) or 1 (environment); every node has at least one edge.  A
+    priority is a tuple with one entry per parity condition, or an int for
+    a single one.  The controller wins a play iff the largest priority seen
+    infinitely often is even in some entry; the environment needs it odd in
+    every entry (Chatterjee, Henzinger & Piterman, "Generalized Parity
+    Games", FoSSaCS 2007)."""
 
     nodes: tuple
     owner: dict
     priority: dict
     edges: dict  # node -> tuple of successor nodes
     initial: tuple
-    payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for v in self.nodes:
@@ -375,13 +358,22 @@ class GameSolution:
     strategy: dict  # node -> chosen successor, for the node owner's winning region
 
 
-def _attractor(nodes, edges, owner, player, target):
-    """Player-``player`` attractor to ``target``; returns (set, strategy)."""
+def _entries(priority):
+    """A priority as a tuple of entries; an int is a single entry."""
+    return priority if isinstance(priority, tuple) else (priority,)
+
+
+def _attractor(g, nodes, player, target):
+    """Player-``player`` attractor to ``target`` in the subgame of ``g`` on
+    ``nodes``; returns (set, strategy)."""
+    owner = g.owner
     preds = {v: [] for v in nodes}
+    out_deg = {}
     for v in nodes:
-        for w in edges[v]:
+        inside = [w for w in g.edges[v] if w in nodes]
+        out_deg[v] = len(inside)
+        for w in inside:
             preds[w].append(v)
-    out_deg = {v: len(edges[v]) for v in nodes}
     attr = set(target)
     strategy = {}
     queue = list(target)
@@ -403,56 +395,60 @@ def _attractor(nodes, edges, owner, player, target):
 
 
 def solve_parity(g):
-    """Zielonka's recursive algorithm; returns winning regions and positional
-    strategies for both players."""
-    region = {}
-    strategy = {}
+    """Zielonka's recursive algorithm, generalized to tuple priorities;
+    returns both winning regions, a positional winning strategy for the
+    controller, and environment moves on the environment's region.
+
+    When some entry's top priority is even, the controller wins every play
+    that visits it infinitely often, and Zielonka's step takes the
+    controller's attractor of that top.  When every top is odd, the
+    environment must visit all of them: for each entry in turn, the subgame
+    without the environment's attractor of its top is solved, and whatever
+    the controller wins there is removed together with the controller's
+    attractor.  If no entry leaves the controller anything, the environment
+    wins the whole subgame.  The controller, the disjunctive player, wins
+    positionally.  With one entry this is Zielonka's algorithm, and the
+    environment's moves are a positional winning strategy too; with more,
+    the environment may need memory, and its moves are those of the first
+    entry's round."""
+    prio = {v: _entries(g.priority[v]) for v in g.nodes}
+    k = len(next(iter(prio.values()), ()))
 
     def rec(nodes):
         if not nodes:
-            return set(), set(), {}, {}
-        edges = {v: tuple(w for w in g.edges[v] if w in nodes) for v in nodes}
-        d = max(g.priority[v] for v in nodes)
-        player = d % 2
-        z = {v for v in nodes if g.priority[v] == d}
-        attr, attr_strat = _attractor(nodes, edges, g.owner, player, z)
-        w0, w1, s0, s1 = rec(nodes - attr)
-        win = (w0, w1)[player]
-        lose = (w0, w1)[1 - player]
-        strat_win = (s0, s1)[player]
-        strat_lose = (s0, s1)[1 - player]
-        if not lose:
-            # player takes everything: attractor strategy, plus any move
-            # that stays inside for the priority-d nodes the player owns
-            strat = dict(strat_win)
-            strat.update(attr_strat)
-            for v in z:
-                if g.owner[v] == player and v not in strat:
-                    strat[v] = edges[v][0]
-            if player == 0:
-                return set(nodes), set(), strat, {}
-            return set(), set(nodes), {}, strat
-        b, b_strat = _attractor(nodes, edges, g.owner, 1 - player, lose)
-        w0b, w1b, s0b, s1b = rec(nodes - b)
-        if 1 - player == 0:
-            win0 = w0b | b
-            strat0 = dict(s0b)
-            strat0.update(b_strat)
-            strat0.update(strat_lose)
-            return win0, w1b, strat0, s1b
-        win1 = w1b | b
-        strat1 = dict(s1b)
-        strat1.update(b_strat)
-        strat1.update(strat_lose)
-        return w0b, win1, s0b, strat1
+            return [set(), set()], [{}, {}]
+        tops = [max(prio[v][i] for v in nodes) for i in range(k)]
+        even = [i for i, d in enumerate(tops) if d % 2 == 0]
+        player = CONTROLLER if even else ENVIRONMENT
+        other = 1 - player
+        taken = None
+        for i in even[:1] or range(k):
+            z = {v for v in nodes if prio[v][i] == tops[i]}
+            attr, attr_strat = _attractor(g, nodes, player, z)
+            win, strat = rec(nodes - attr)
+            if win[other]:
+                # the opponent wins that region and its attractor in this subgame
+                b, b_strat = _attractor(g, nodes, other, win[other])
+                win_b, strat_b = rec(nodes - b)
+                win_b[other] |= b
+                strat_b[other].update(b_strat)
+                strat_b[other].update(strat[other])
+                return win_b, strat_b
+            if taken is None:
+                # attractor strategy, plus any move that stays inside for
+                # the top nodes the player owns
+                taken = dict(strat[player])
+                taken.update(attr_strat)
+                for v in z:
+                    if g.owner[v] == player and v not in taken:
+                        taken[v] = next(w for w in g.edges[v] if w in nodes)
+        win, strat = [set(), set()], [{}, {}]
+        win[player], strat[player] = set(nodes), taken
+        return win, strat
 
-    w0, w1, s0, s1 = rec(set(g.nodes))
-    for v in w0:
-        region[v] = 0
-    for v in w1:
-        region[v] = 1
-    strategy.update(s0)
-    strategy.update(s1)
+    win, strat = rec(set(g.nodes))
+    region = {v: player for player in (CONTROLLER, ENVIRONMENT) for v in win[player]}
+    strategy = {**strat[CONTROLLER], **strat[ENVIRONMENT]}
     # ensure every winning node of its owner has a move recorded
     for v in g.nodes:
         if g.owner[v] == region[v] and v not in strategy:
@@ -462,80 +458,69 @@ def solve_parity(g):
 
 
 def cycle_with_max_parity(nodes, succ, priority, parity):
-    """Find a cycle whose maximum priority has the given parity, restricted
-    to ``nodes``; returns the cycle as a node list or None."""
-    prios = sorted({priority[v] for v in nodes if priority[v] % 2 == parity}, reverse=True)
-    return graph.dominant_cycle(
-        nodes, succ, {v: (priority[v],) for v in nodes}, [(p,) for p in prios]
-    )
-
-
-def verify_strategy(g, solution, player):
-    """Cycle analysis: within the player's region, with the player's moves
-    fixed and the opponent free, every cycle's max priority must favor the
-    player.  Returns True when the strategy is winning."""
-    region = {v for v, p in solution.region.items() if p == player}
-
-    def succ(v):
-        if g.owner[v] == player:
-            w = solution.strategy.get(v)
-            return [w] if w is not None and w in region else []
-        return [w for w in g.edges[v] if w in region]
-
-    for v in region:
-        if g.owner[v] == player:
-            w = solution.strategy.get(v)
-            if w is None or solution.region.get(w) != player:
-                return False
-        else:
-            # the opponent must not be able to leave the region
-            if any(solution.region[w] != player for w in g.edges[v]):
-                return False
-    bad = cycle_with_max_parity(region, succ, g.priority, 1 - player)
-    return bad is None
+    """Find a cycle, restricted to ``nodes``, whose maximum priority has the
+    given parity in every entry (an int priority is a single entry);
+    returns the cycle as a node list or None."""
+    prio = {v: _entries(priority[v]) for v in nodes}
+    k = len(next(iter(prio.values()), ()))
+    tops = [
+        sorted({pr[i] for pr in prio.values() if pr[i] % 2 == parity}, reverse=True)
+        for i in range(k)
+    ]
+    return graph.dominant_cycle(nodes, succ, prio, list(itertools.product(*tops)))
 
 
 # ---------------------------------------------------------------------------
-# The synthesis game: projection x DPW
+# The synthesis game: projection x DPWs
 # ---------------------------------------------------------------------------
 
 WIN = ("sink", "win")
 LOSE = ("sink", "lose")
 
 
-def build_parity_game(p, d, budget=DEFAULT_BUDGET):
-    """Product of a fully observable projection with a DPW over its
-    observation-action alphabet.
+def _step(dpws, qs, letter):
+    """The successor of a tuple of automaton states on one letter."""
+    return tuple(d.delta[(q, letter)] for d, q in zip(dpws, qs))
 
-    Controller nodes (s, q) pick an available action after the DPW reads
-    the observation letter; environment nodes (s, q', a) pick a successor
-    state.  Goal observations collapse into an even sink: any play that
-    visits the goal satisfies the reachability disjunct, and a policy may
-    stop there, so continuations are irrelevant.  Non-goal nodes with no
-    available action are losing sinks.  Raises SizeBudgetExceededError
-    once more than ``budget`` controller nodes, sinks included, are built;
-    each environment node hangs off one of them, one per available action.
+
+def build_parity_game(p, dpws, budget=DEFAULT_BUDGET):
+    """Product of a fully observable projection with DPWs over its
+    observation-action alphabet, in which the controller wins the plays
+    that reach the goal or that some DPW accepts.
+
+    Controller nodes (s, qs) pick an available action after the DPWs read
+    the observation letter; environment nodes (s, qs', a) pick a successor
+    state.  A node's priority has one entry per DPW.  Goal observations
+    collapse into a sink that is even in every entry: any play that visits
+    the goal satisfies the reachability disjunct, and a policy may stop
+    there, so continuations are irrelevant.  Non-goal nodes with no
+    available action lead to a sink that is odd in every entry.  Raises
+    SizeBudgetExceededError once more than ``budget`` controller nodes,
+    sinks included, are built; each environment node hangs off one of them,
+    one per available action.
     """
     sigma = set(p.observations) | set(p.actions)
-    if not sigma <= set(d.alphabet):
+    if not all(sigma <= set(d.alphabet) for d in dpws):
         raise AlphabetMismatchError(
             "DPW alphabet does not cover the projection's observations and actions"
         )
+    k = len(dpws)
     nodes = []
     owner = {}
     priority = {}
     edges = {}
-    payload = {}
 
     built = 0
 
-    def add(v, own, pri, pl):
+    def prio(qs):
+        return tuple(d.priority[q] for d, q in zip(dpws, qs))
+
+    def add(v, own, pri):
         nonlocal built
         if v not in owner:
             nodes.append(v)
             owner[v] = own
             priority[v] = pri
-            payload[v] = pl
             built += own == CONTROLLER
             if built > budget:
                 raise SizeBudgetExceededError(
@@ -544,47 +529,42 @@ def build_parity_game(p, d, budget=DEFAULT_BUDGET):
                 )
         return v
 
-    def win():
-        add(WIN, CONTROLLER, 0, ("win",))
-        edges[WIN] = (WIN,)
-        return WIN
-
-    def lose():
-        add(LOSE, CONTROLLER, 1, ("lose",))
-        edges[LOSE] = (LOSE,)
-        return LOSE
+    def sink(v, parity):
+        add(v, CONTROLLER, (parity,) * k)
+        edges[v] = (v,)
+        return v
 
     initial = []
     queue = []
 
-    def ctrl_node(s, q):
+    def ctrl_node(s, qs):
         if s in p.goal_states:
-            return win()
-        v = ("c", s, q)
+            return sink(WIN, 0)
+        v = ("c", s, qs)
         if v not in owner:
-            add(v, CONTROLLER, d.priority[q], (s, q, None))
+            add(v, CONTROLLER, prio(qs))
             queue.append(v)
         return v
 
     for s in sorted(p.init, key=str):
-        initial.append(ctrl_node(s, d.initial))
+        initial.append(ctrl_node(s, tuple(d.initial for d in dpws)))
 
     while queue:
         v = queue.pop()
-        _, s, q = v
-        q1 = d.delta[(q, s)]
+        _, s, qs = v
+        q1s = _step(dpws, qs, s)
         outs = []
         for a in sorted(p.avail.get(s, ()), key=str):
-            e = ("e", s, q1, a)
+            e = ("e", s, q1s, a)
             if e not in owner:
-                add(e, ENVIRONMENT, d.priority[q1], (s, q1, a))
-                q2 = d.delta[(q1, a)]
+                add(e, ENVIRONMENT, prio(q1s))
+                q2s = _step(dpws, q1s, a)
                 succs = tuple(
-                    ctrl_node(s2, q2) for s2 in sorted(p.succ[(a, s)], key=str)
+                    ctrl_node(s2, q2s) for s2 in sorted(p.succ[(a, s)], key=str)
                 )
                 edges[e] = succs
             outs.append(e)
-        edges[v] = tuple(outs) if outs else (lose(),)
+        edges[v] = tuple(outs) if outs else (sink(LOSE, 1),)
 
     return ParityGame(
         nodes=tuple(nodes),
@@ -592,7 +572,6 @@ def build_parity_game(p, d, budget=DEFAULT_BUDGET):
         priority=priority,
         edges=edges,
         initial=tuple(initial),
-        payload=payload,
     )
 
 
@@ -600,98 +579,97 @@ def build_parity_game(p, d, budget=DEFAULT_BUDGET):
 class SynthesisResult:
     realizable: bool
     policy: object = None
-    counterstrategy: dict = None
+    counterstrategy: dict = None  # the environment's moves on its winning region
     game: ParityGame = None
     solution: GameSolution = None
-    dpw: object = None  # a Dpw, or the LazyDpw the game explored
-    formula: object = None
+    dpws: tuple = None  # the game's automata: Dpws, or the LazyDpws it explored
 
 
 def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
-    """Solve the projection under an observation-level LTL constraint.
+    """Solve the projection under an observation-level LTL constraint psi.
 
-    Builds ``constraint -> eventually goal`` over the projection's
-    observation-action alphabet, determinizes it, and solves the resulting
-    parity game, extracting a transducer policy whose memory is the
-    played automaton states plus a ``halt`` state, minimized over the
-    (memory, observation) pairs its product with the projection reaches
-    (`model.Policy.minimized`).
+    The generic route translates each top-level conjunct psi_i of psi to
+    an NBA (`constraints._conjunct_nbas`) and determinizes its complement
+    as a `LazyDpw`, so only the automaton states the game reaches are
+    built.  A goal-free play violates psi iff some complemented automaton
+    accepts it, so the controller plays a generalized parity game
+    (`build_parity_game`, `solve_parity`) that it wins by reaching the
+    goal or by a play that some of them accept.  When the constraint is a
+    conjunction of per-variable counter constraints, the hand-built record
+    automaton for ``psi -> eventually goal`` (`qnp_dpw_direct`), with
+    exponentially fewer states, is the game's one automaton instead;
+    ``direct`` forces the choice.
 
-    The automaton comes from the generic pipeline (tableau NBA, then
-    compact-tree determinization as a `LazyDpw`, so only the automaton
-    states the game reaches are built).  When the constraint is a conjunction
-    of per-variable counter constraints, the hand-built record automaton
-    (`qnp_dpw_direct`) recognizes the same language with exponentially
-    fewer states, and is used instead; ``direct`` forces the choice.
+    A winning strategy becomes a transducer policy whose memory is the
+    played tuples of automaton states (the states themselves when there is
+    one automaton) plus a ``halt`` state, minimized over the (memory,
+    observation) pairs its product with the projection reaches
+    (`model.Policy.minimized`).  An unrealizable result carries the
+    environment's moves on its winning region as ``counterstrategy``.
     """
-    from .constraints import _qnp_template_vars, constraint_formula
+    from .constraints import _conjunct_nbas, _qnp_template_vars, _require_known
     from .model import Policy, _policy_product
 
-    sigma = frozenset(set(p.observations) | set(p.actions))
-    psi_f = constraint_formula(psi, p) if not isinstance(psi, ltl.Formula) else psi
-    goal_f = ltl.lor(*[ltl.Letter(g) for g in sorted(p.goal_states, key=str)])
-    phi = ltl.implies(psi_f, ltl.eventually(goal_f))
+    variables = _qnp_template_vars(psi)
     if direct is None:
-        direct = _qnp_template_vars(psi) is not None
+        direct = variables is not None
     if direct:
-        variables = _qnp_template_vars(psi)
         if variables is None:
             raise ValueError("constraint is not a conjunction of counter constraints")
-        dpw = _qnp_direct_for_problem(p, variables)
+        _require_known(p, variables)
+        dpws = (_qnp_direct_for_problem(p, variables),)
     else:
-        nba = ltl.ltl_to_nba(phi, sigma, budget=budget)
-        dpw = LazyDpw(nba, budget, stage="synthesis-game determinization")
-    game = build_parity_game(p, dpw, budget)
+        dpws = tuple(
+            LazyDpw(nba, budget, stage="synthesis-game determinization", complement=True)
+            for nba in _conjunct_nbas(psi, p, budget)
+        )
+    game = build_parity_game(p, dpws, budget)
     sol = solve_parity(game)
 
-    if all(sol.region[v] == CONTROLLER for v in game.initial):
-        strategy = _improve_strategy(game, sol)
-        played = _played_region(game, strategy)
-        memory = sorted(
-            {v[2] for v in played if v[0] == "c"} | {dpw.initial}, key=str
-        )
-        observations = sorted(p.observations, key=str)
-        halt = "halt"
-        update = {(halt, obs): halt for obs in observations}
-        output = {}
-        for q in memory:
-            for obs in observations:
-                v = ("c", obs, q)
-                move = strategy.get(v) if v in played else None
-                if obs not in p.goal_states and move is not None and move != LOSE:
-                    _, _, q1, a = move
-                    output[(q, obs)] = a
-                    # a move whose outcomes are all goal states leads to no
-                    # played automaton state
-                    done = all(w == WIN for w in game.edges[move])
-                    update[(q, obs)] = halt if done else dpw.delta[(q1, a)]
-                else:
-                    update[(q, obs)] = halt
-        policy = Policy(
-            memory_states=tuple(memory) + (halt,),
-            initial=dpw.initial,
-            update=update,
-            output=output,
-        )
-        prod = _policy_product(p, policy, budget)
-        care = {(m, p.obs_fn[s]) for s, m in prod.nodes}
-        policy = policy.minimized(observations, care)
+    if not all(sol.region[v] == CONTROLLER for v in game.initial):
+        counter = {
+            v: sol.strategy[v]
+            for v in game.nodes
+            if game.owner[v] == ENVIRONMENT and sol.region[v] == ENVIRONMENT
+        }
         return SynthesisResult(
-            realizable=True, policy=policy, game=game, solution=sol, dpw=dpw, formula=phi
+            realizable=False, counterstrategy=counter, game=game, solution=sol, dpws=dpws
         )
-    counter = {
-        v: sol.strategy[v]
-        for v in game.nodes
-        if game.owner[v] == ENVIRONMENT and sol.region[v] == ENVIRONMENT and v in sol.strategy
-    }
-    return SynthesisResult(
-        realizable=False,
-        counterstrategy=counter,
-        game=game,
-        solution=sol,
-        dpw=dpw,
-        formula=phi,
+    strategy = _uniform_actions(game, _improve_strategy(game, sol))
+    played = _played_region(game, strategy)
+    name = (lambda qs: qs[0]) if len(dpws) == 1 else (lambda qs: qs)
+    initial = tuple(d.initial for d in dpws)
+    memory = sorted(
+        {v[2] for v in played if v[0] == "c"} | {initial}, key=lambda qs: str(name(qs))
     )
+    observations = sorted(p.observations, key=str)
+    halt = "halt"
+    update = {(halt, obs): halt for obs in observations}
+    output = {}
+    for qs in memory:
+        m = name(qs)
+        for obs in observations:
+            v = ("c", obs, qs)
+            move = strategy.get(v) if v in played else None
+            if obs not in p.goal_states and move is not None and move != LOSE:
+                _, _, q1s, a = move
+                output[(m, obs)] = a
+                # a move whose outcomes are all goal states leads to no
+                # played automaton state
+                done = all(w == WIN for w in game.edges[move])
+                update[(m, obs)] = halt if done else name(_step(dpws, q1s, a))
+            else:
+                update[(m, obs)] = halt
+    policy = Policy(
+        memory_states=tuple(map(name, memory)) + (halt,),
+        initial=name(initial),
+        update=update,
+        output=output,
+    )
+    prod = _policy_product(p, policy, budget)
+    care = {(m, p.obs_fn[s]) for s, m in prod.nodes}
+    policy = policy.minimized(observations, care)
+    return SynthesisResult(realizable=True, policy=policy, game=game, solution=sol, dpws=dpws)
 
 
 def _qnp_direct_for_problem(p, variables):
@@ -727,6 +705,7 @@ def _played_region(game, strategy):
 
 
 def _play_is_winning(game, strategy):
+    """Whether no played cycle has an odd maximum in every entry."""
     reach = _played_region(game, strategy)
 
     def succ(v):
@@ -770,91 +749,66 @@ def _improve_strategy(game, sol):
             return strategy
 
 
-def refute_policy(result, p, policy, max_steps=100000):
-    """Play a candidate policy against the environment counterstrategy of an
-    unrealizable instance; returns a violating trajectory (finite or lasso)
-    or None when the policy cannot be refuted from any initial state."""
-    from .model import FiniteTrajectory, Lasso
+def _uniform_actions(game, strategy):
+    """One action per observation where the play allows it.  For each
+    observation (in ``str`` order) whose played controller nodes take more
+    than one action, try each of those actions (in ``str`` order) at all of
+    them, and keep the first under which the play still wins.  Nodes that
+    agree on their action need no memory to tell them apart."""
+    for obs in sorted({v[1] for v in game.nodes if v[0] == "c"}, key=str):
+        nodes = [v for v in _played_region(game, strategy) if v[0] == "c" and v[1] == obs]
+        actions = sorted({strategy[v][3] for v in nodes}, key=str)
+        if len(actions) < 2:
+            continue
+        for a in actions:
+            trial = dict(strategy)
+            trial.update((v, next(e for e in game.edges[v] if e[3] == a)) for v in nodes)
+            if _play_is_winning(game, trial):
+                strategy = trial
+                break
+    return strategy
+
+
+def refute_policy(result, p, policy):
+    """A trajectory of ``policy`` on ``p`` that loses the game of a
+    synthesis ``result``: a finite goal-free trajectory on which the
+    policy stops, or else a lasso whose cycle has an odd maximum in every
+    entry; None when the policy wins the game.
+
+    The policy is fixed inside the game: its memory runs alongside the game
+    nodes, and every environment choice is searched, so any finite-memory
+    policy that does not win is refuted.  (With more than one automaton the
+    environment may need memory, so ``counterstrategy`` is not replayed.)"""
+    from .constraints import _product_lasso
+    from .model import FiniteTrajectory
 
     game = result.game
-    sol = result.solution
-    start = None
-    for v in game.initial:
-        if v != WIN and sol.region[v] == ENVIRONMENT:
-            start = v
-            break
-    if start is None:
-        return None
-    s = start[1]
-    q = result.dpw.initial
-    mem = policy.initial
-    states = [s]
-    actions = []
-    seen = {}
-    for _ in range(max_steps):
-        if s in p.goal_states:
-            return None
-        key = (s, q, mem)
-        if key in seen:
-            k = seen[key]
-            return Lasso(
-                prefix_states=tuple(states[:k]),
-                prefix_actions=tuple(actions[:k]),
-                cycle_states=tuple(states[k:-1]),
-                cycle_actions=tuple(actions[k:]),
-                level="state",
-            )
-        seen[key] = len(actions)
-        obs = p.obs_fn[s]
-        a = policy.output.get((mem, obs))
-        if a is None:
-            # maximal finite non-goal trajectory: already a counterexample
-            return FiniteTrajectory(states=tuple(states), actions=tuple(actions), level="state")
-        mem = policy.update.get((mem, obs), mem)
-        q1 = result.dpw.delta[(q, s)]
-        move = result.counterstrategy.get(("e", s, q1, a))
-        q = result.dpw.delta[(q1, a)]
-        if move is not None and move not in (WIN, LOSE):
-            s = move[1]
-        else:
-            s = sorted(p.succ[(a, s)], key=str)[0]
-        actions.append(a)
-        states.append(s)
-    return FiniteTrajectory(
-        states=tuple(states), actions=tuple(actions), level="state", truncated=True
-    )
 
+    def succ(x):
+        if x[0] == "m":
+            return [("n", w, x[3]) for w in game.edges[x[1]] if w != WIN]
+        _, v, m = x
+        obs = p.obs_fn[v[1]]
+        a = policy.output.get((m, obs))
+        return [
+            ("m", e, a, policy.next_memory(m, obs))
+            for e in game.edges[v] if e != LOSE and e[3] == a
+        ]
 
-def dpw_language_difference(d1, d2):
-    """Exact language comparison of two DPWs over the same alphabet.
-
-    Returns None when L(d1) = L(d2); otherwise an ultimately periodic
-    witness word accepted by exactly one of them.  Works on the synchronous
-    product: a difference exists iff some reachable cycle has an even
-    dominant priority on one side and an odd one on the other.
-    """
-    if set(d1.alphabet) != set(d2.alphabet):
-        raise AlphabetMismatchError("DPW alphabets differ")
-    letters = sorted(d1.alphabet)
-    init = (d1.initial, d2.initial)
-
-    def succ(v):
-        return [(d1.delta[(v[0], a)], d2.delta[(v[1], a)]) for a in letters]
-
-    nodes = graph.reachable([init], succ)
-    prio = {v: (d1.priority[v[0]], d2.priority[v[1]]) for v in nodes}
-    p1s = sorted({pr[0] for pr in prio.values()})
-    p2s = sorted({pr[1] for pr in prio.values()})
-    targets = [(pa, pb) for pa in p1s for pb in p2s if pa % 2 != pb % 2]
-    cycle = graph.dominant_cycle(nodes, succ, prio, targets)
+    inits = [("n", v, policy.initial) for v in game.initial if v != WIN]
+    edges = {x: succ(x) for x in graph.reachable(inits, succ)}
+    stops = {x for x, out in edges.items() if x[0] == "n" and not out}
+    if stops:
+        path = graph.shortest_path(inits, edges.__getitem__, stops)
+        return FiniteTrajectory(
+            states=tuple(x[1][1] for x in path if x[0] == "n"),
+            actions=tuple(x[2] for x in path if x[0] == "m"),
+        )
+    priority = {x: game.priority[x[1]] for x in edges}
+    cycle = cycle_with_max_parity(edges, edges.__getitem__, priority, 1)
     if cycle is None:
         return None
-    prefix = graph.shortest_path([init], succ, {cycle[0]})
-
-    def spell(path):
-        return tuple(letters[succ(u).index(w)] for u, w in zip(path, path[1:]))
-
-    return Word(spell(prefix), spell(cycle + cycle[:1]))
+    return _product_lasso(inits, edges, cycle, lambda v: v[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,16 @@ in a temporary directory and runs its requests in this process, each
 with its own output directory.  Prints one line per request: workload,
 request id, exit code, the sha1 of its stdout (directory names replaced
 by placeholders), ``name=sha1`` for each file it wrote, followed by
-``memory=N`` after a policy file with N memory states, and ``nba=sha1``
-for each automaton ``ltl.ltl_to_nba`` returned, in call order.  Diffing
-the output of two checkouts shows which artifacts and automata a change
-touched and how the size of each written policy moved.
+``memory=N`` after a policy file with N memory states, ``nba=sha1`` for
+each automaton ``ltl.ltl_to_nba`` returned, in call order, and a
+behaviour entry for each ``omega.synthesize`` call: ``synth=0`` when it
+found no policy, otherwise ``synth=1`` and the policy with its memory
+states renamed m0, m1, ... in first-visit order (observations in ``str``
+order), as ``{observation: action}`` when it is memoryless and as
+``memory|observation>action>memory`` entries when not.  Diffing the
+output of two checkouts shows which artifacts and automata a change
+touched, how the size of each written policy moved, and which policies
+behave differently rather than only name their memory differently.
 Standard library only; no test collects this file.
 """
 
@@ -26,10 +32,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import workloads  # noqa: E402
 
-from genplan import ltl  # noqa: E402
+from genplan import ltl, omega  # noqa: E402
 from genplan.cli import main  # noqa: E402
 
-NBAS = []
+RECORDS = []
 
 
 def sha1(data):
@@ -37,17 +43,50 @@ def sha1(data):
 
 
 def recorded_ltl_to_nba(*args, **kwargs):
-    """``ltl.ltl_to_nba``, appending the sha1 of each NBA it returns to NBAS."""
+    """``ltl.ltl_to_nba``, appending the sha1 of each NBA it returns to RECORDS."""
     nba = translate(*args, **kwargs)
     text = repr((
         nba.states, sorted(nba.transitions.items()), sorted(nba.initial),
         sorted(nba.accepting), sorted(nba.alphabet),
     ))
-    NBAS.append(f"nba={sha1(text.encode())}")
+    RECORDS.append(f"nba={sha1(text.encode())}")
     return nba
 
 
 translate, ltl.ltl_to_nba = ltl.ltl_to_nba, recorded_ltl_to_nba
+
+
+def behaviour(policy, observations):
+    """The policy with its memory states renamed in first-visit order."""
+    obs = sorted(observations, key=str)
+    names = {policy.initial: "m0"}
+    queue = [policy.initial]
+    for m in queue:
+        for o in obs:
+            n = policy.next_memory(m, o)
+            if n not in names:
+                names[n] = f"m{len(names)}"
+                queue.append(n)
+    if len(names) == 1:
+        out = {o: policy.output.get((policy.initial, o)) for o in obs}
+        return json.dumps({o: a for o, a in out.items() if a is not None}, separators=(",", ":"))
+    return ";".join(
+        f"{names[m]}|{o}>{policy.output.get((m, o))}>{names[policy.next_memory(m, o)]}"
+        for m in queue for o in obs
+    )
+
+
+def recorded_synthesize(p, *args, **kwargs):
+    """``omega.synthesize``, appending its verdict and behaviour to RECORDS."""
+    result = synthesize(p, *args, **kwargs)
+    if result.realizable:
+        RECORDS.append(f"synth=1 {behaviour(result.policy, p.observations)}")
+    else:
+        RECORDS.append("synth=0")
+    return result
+
+
+synthesize, omega.synthesize = omega.synthesize, recorded_synthesize
 
 
 def digest(workload, seed, root):
@@ -59,7 +98,7 @@ def digest(workload, seed, root):
         os.makedirs(out)
         argv = [a.replace("{work}", work).replace("{out}", out) for a in req.argv]
         buf = io.StringIO()
-        NBAS.clear()
+        RECORDS.clear()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
         text = buf.getvalue().replace(out, "{out}").replace(work, "{work}")
@@ -70,7 +109,7 @@ def digest(workload, seed, root):
             files.append(f"{name}={sha1(data)}")
             if name.endswith((".policy.json", ".plan.json")):
                 files.append(f"memory={len(json.loads(data)['memory_states'])}")
-        print(workload, req.id, code, sha1(text.encode()), *files, *NBAS)
+        print(workload, req.id, code, sha1(text.encode()), *files, *RECORDS)
 
 
 if __name__ == "__main__":

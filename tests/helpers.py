@@ -1,11 +1,12 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here are deliberately separate from the library's algorithms:
-brute-force strategy enumeration for parity games, an exact class-grouped
-agreement check between parity automata and the LTL semantics over a
-bounded lasso universe, and the earlier tuple-keyed policy product, its
-STRONG and FAIR checks and its planner, kept as references for the
-numbered ones.
+DPW acceptance of a lasso and exact language comparison, brute-force
+strategy enumeration and strategy verification for parity games, an exact
+class-grouped agreement check between parity automata and the LTL
+semantics over a bounded lasso universe, and the earlier tuple-keyed
+policy product, its STRONG and FAIR checks and its planner, kept as
+references for the numbered ones.
 """
 
 import itertools
@@ -27,7 +28,8 @@ from genplan.model import (
     Verdict,
     infer_class,
 )
-from genplan.omega import CONTROLLER, Dpw
+from genplan.errors import AlphabetMismatchError
+from genplan.omega import CONTROLLER, Dpw, cycle_with_max_parity
 from genplan.projection import as_fondp
 
 ZERO, POS = "X=0", "X>0"
@@ -193,23 +195,144 @@ def reference_nba(f, alphabet, budget=L.DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
+# Parity automata: acceptance and exact language comparison
+# ---------------------------------------------------------------------------
+
+
+def dpw_accepts(d, w):
+    """Run the unique run over prefix then cycle until the state at the
+    cycle boundary repeats; accept iff the max priority on the run's
+    recurring part is even."""
+    extra = w.symbol_set() - set(d.alphabet)
+    if extra:
+        raise AlphabetMismatchError(f"word symbols outside alphabet: {sorted(extra)}")
+    q = d.initial
+    for a in w.prefix:
+        q = d.delta[(q, a)]
+    seen = {}
+    maxes = []
+    while q not in seen:
+        seen[q] = len(maxes)
+        best = 0
+        for a in w.cycle:
+            q = d.delta[(q, a)]
+            best = max(best, d.priority[q])
+        maxes.append(best)
+    start = seen[q]
+    return max(maxes[start:]) % 2 == 0
+
+
+def _product_witness(init, succ, letters, cycle):
+    """The word spelled by a shortest path from ``init`` to the cycle,
+    then around it, in a letter-synchronous product."""
+    prefix = graph.shortest_path([init], succ, {cycle[0]})
+
+    def spell(path):
+        return tuple(letters[succ(u).index(w)] for u, w in zip(path, path[1:]))
+
+    return Word(spell(prefix), spell(cycle + cycle[:1]))
+
+
+def dpw_language_difference(d1, d2):
+    """Exact language comparison of two DPWs over the same alphabet.
+
+    Returns None when L(d1) = L(d2); otherwise an ultimately periodic
+    witness word accepted by exactly one of them.  Works on the synchronous
+    product: a difference exists iff some reachable cycle has an even
+    dominant priority on one side and an odd one on the other.
+    """
+    if set(d1.alphabet) != set(d2.alphabet):
+        raise AlphabetMismatchError("DPW alphabets differ")
+    letters = sorted(d1.alphabet)
+    init = (d1.initial, d2.initial)
+
+    def succ(v):
+        return [(d1.delta[(v[0], a)], d2.delta[(v[1], a)]) for a in letters]
+
+    nodes = graph.reachable([init], succ)
+    prio = {v: (d1.priority[v[0]], d2.priority[v[1]]) for v in nodes}
+    p1s = sorted({pr[0] for pr in prio.values()})
+    p2s = sorted({pr[1] for pr in prio.values()})
+    targets = [(pa, pb) for pa in p1s for pb in p2s if pa % 2 != pb % 2]
+    cycle = graph.dominant_cycle(nodes, succ, prio, targets)
+    if cycle is None:
+        return None
+    return _product_witness(init, succ, letters, cycle)
+
+
+def synthesis_language_difference(dpws, goal_letters, d):
+    """Exact comparison of what a synthesis game over ``dpws`` lets the
+    controller win -- a word with a goal letter, or one that some DPW of
+    ``dpws`` accepts -- with the language of the DPW ``d``.
+
+    Returns None when they are equal, otherwise a witness word in exactly
+    one of them.  The synchronous product carries a flag for "a goal
+    letter was read"; a cycle keeps its flag, so a difference is a
+    reachable cycle that (a) has read the goal and that ``d`` rejects,
+    (b) has not, is accepted by some DPW of ``dpws`` and rejected by ``d``,
+    or (c) has not, is rejected by all of them and accepted by ``d``.
+    Adding one to ``d``'s priority turns (b) and (c) into cycles of one
+    parity in every entry."""
+    if any(set(e.alphabet) != set(d.alphabet) for e in dpws):
+        raise AlphabetMismatchError("DPW alphabets differ")
+    letters = sorted(d.alphabet)
+    init = (False, tuple(e.initial for e in dpws), d.initial)
+
+    def succ(v):
+        seen, qs, q = v
+        return [
+            (seen or a in goal_letters, tuple(e.delta[(x, a)] for e, x in zip(dpws, qs)),
+             d.delta[(q, a)])
+            for a in letters
+        ]
+
+    nodes = graph.reachable([init], succ)
+
+    def own(v):
+        return [e.priority[x] for e, x in zip(dpws, v[1])]
+
+    def flipped(v):
+        return d.priority[v[2]] + 1
+
+    queries = [(True, lambda v: (d.priority[v[2]],), 1)]
+    queries += [(False, lambda v, i=i: (own(v)[i], flipped(v)), 0) for i in range(len(dpws))]
+    queries.append((False, lambda v: (*own(v), flipped(v)), 1))
+    for seen, prio, parity in queries:
+        sub = {v for v in nodes if v[0] == seen}
+        cycle = cycle_with_max_parity(sub, succ, {v: prio(v) for v in sub}, parity)
+        if cycle is not None:
+            return _product_witness(init, succ, letters, cycle)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Brute-force parity-game oracle
 # ---------------------------------------------------------------------------
 
 
+def _entries(priority):
+    return priority if isinstance(priority, tuple) else (priority,)
+
+
 def _dominant_cycle_nodes(nodes, succ, priority, parity):
-    """Nodes lying on some cycle whose max priority has the given parity."""
+    """Nodes lying on some cycle whose max priority has the given parity in
+    every entry (an int priority is a single entry)."""
+    prio = {v: _entries(priority[v]) for v in nodes}
+    k = len(next(iter(prio.values()), ()))
+    tops = [
+        sorted({pr[i] for pr in prio.values() if pr[i] % 2 == parity}, reverse=True)
+        for i in range(k)
+    ]
     out = set()
-    prios = sorted({priority[v] for v in nodes if priority[v] % 2 == parity}, reverse=True)
-    for p in prios:
-        sub = {v for v in nodes if priority[v] <= p}
+    for top in itertools.product(*tops):
+        sub = {v for v in nodes if all(p <= t for p, t in zip(prio[v], top))}
 
         def s(v):
             return [w for w in succ(v) if w in sub]
 
         for comp in graph.sccs(sorted(sub, key=repr), s):
             comp_set = set(comp)
-            if not any(priority[v] == p for v in comp_set):
+            if not all(any(prio[v][i] == t for v in comp_set) for i, t in enumerate(top)):
                 continue
             if len(comp) > 1 or comp[0] in s(comp[0]):
                 out |= comp_set
@@ -233,7 +356,13 @@ def _can_reach(nodes, succ, targets):
 def brute_force_winning(game, player):
     """Exact winning region of ``player`` by enumerating all of that
     player's positional strategies and evaluating the opponent's best
-    response with a cycle analysis."""
+    response with a cycle analysis.
+
+    The controller fears a cycle whose maximum is odd in every entry of
+    its priorities, so this is exact for the controller in generalized
+    games too: as the disjunctive player it wins positionally, and against
+    a fixed controller strategy such a cycle is all the environment needs.
+    For the environment it is exact only with one entry."""
     own = [v for v in game.nodes if game.owner[v] == player]
     choices = [game.edges[v] for v in own]
     win = set()
@@ -255,13 +384,46 @@ def brute_force_winning(game, player):
     return win
 
 
-def rand_game(rng, max_nodes=8, max_priority=3):
+def verify_strategy(g, solution, player):
+    """Cycle analysis: within the player's region, with the player's moves
+    fixed and the opponent free, no cycle may have a maximum of the
+    opponent's parity in every entry.  Returns True when the strategy is
+    winning.  Exact for the controller in generalized games, and for the
+    environment with one entry (with more it may need memory)."""
+    region = {v for v, p in solution.region.items() if p == player}
+
+    def succ(v):
+        if g.owner[v] == player:
+            w = solution.strategy.get(v)
+            return [w] if w is not None and w in region else []
+        return [w for w in g.edges[v] if w in region]
+
+    for v in region:
+        if g.owner[v] == player:
+            w = solution.strategy.get(v)
+            if w is None or solution.region.get(w) != player:
+                return False
+        else:
+            # the opponent must not be able to leave the region
+            if any(solution.region[w] != player for w in g.edges[v]):
+                return False
+    bad = cycle_with_max_parity(region, succ, g.priority, 1 - player)
+    return bad is None
+
+
+def rand_game(rng, max_nodes=8, max_priority=3, entries=None):
+    """A random game; priorities are ints, or tuples of ``entries`` ints."""
     from genplan.omega import ParityGame
 
     n = rng.randrange(2, max_nodes + 1)
     nodes = tuple(range(n))
     owner = {v: rng.randrange(2) for v in nodes}
-    priority = {v: rng.randrange(max_priority + 1) for v in nodes}
+    if entries is None:
+        priority = {v: rng.randrange(max_priority + 1) for v in nodes}
+    else:
+        priority = {
+            v: tuple(rng.randrange(max_priority + 1) for _ in range(entries)) for v in nodes
+        }
     edges = {}
     for v in nodes:
         k = rng.randrange(1, min(3, n) + 1)
@@ -446,8 +608,6 @@ class LassoUniverseCheck:
 
         # literal re-validation of the machinery on random samples
         if rng is not None:
-            from genplan.omega import dpw_accepts
-
             sigma = set(self.letters)
             for _ in range(literal_samples):
                 w = rand_word(rng, self.letters, self.max_prefix, self.max_cycle)

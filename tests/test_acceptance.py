@@ -35,12 +35,9 @@ from genplan.model import (
 from genplan.omega import (
     CONTROLLER,
     ENVIRONMENT,
-    dpw_accepts,
-    dpw_language_difference,
     nba_to_dpw,
     solve_parity,
     synthesize,
-    verify_strategy,
 )
 from genplan.projection import lift_trajectory, observation_projection
 from genplan.qnp import (
@@ -62,9 +59,12 @@ from .helpers import (
     counter_projection,
     reference_counter_dpw,
     counter_acceptance_formula,
+    dpw_accepts,
+    dpw_language_difference,
     rand_formula,
     rand_game,
     rand_word,
+    verify_strategy,
 )
 
 SIGMA = frozenset({"Inc", "Dec", ZERO, POS})
@@ -386,6 +386,23 @@ def test_criterion_5_parity_oracle():
         assert set(g.nodes) - z0 == w1, f"game {trial}: determinacy violated"
         assert verify_strategy(g, sol, CONTROLLER), trial
         assert verify_strategy(g, sol, ENVIRONMENT), trial
+
+
+@criterion(5, "generalized parity-solver oracle", 30)
+def test_criterion_5_generalized_parity_oracle():
+    """Two priority entries per node, as in the synthesis game over two
+    conjunct automata: the controller wins where some entry's maximum is
+    even.  Its region matches the enumeration of its positional
+    strategies, and its strategy wins there.  (The environment may need
+    memory, so its region is checked as the complement.)"""
+    rng = random.Random(4242)
+    for trial in range(200):
+        g = rand_game(rng, max_nodes=8, max_priority=3, entries=2)
+        sol = solve_parity(g)
+        z0 = {v for v in g.nodes if sol.region[v] == CONTROLLER}
+        assert z0 == brute_force_winning(g, CONTROLLER), f"game {trial}: regions differ"
+        assert set(sol.region) == set(g.nodes), trial
+        assert verify_strategy(g, sol, CONTROLLER), trial
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,19 @@ def test_ltl2dpw(tmp_path, capsys):
     assert saved["alphabet"] == ["Dec", "Inc", "X=0", "X>0"]
 
 
+def test_ltl2dpw_alphabet_as_json_list(capsys):
+    """A JSON list can name letters that contain commas, as the observations
+    of a multi-variable projection do; the comma form splits them."""
+    formula = 'G F "X=0,Y=0"'
+    code, doc = run_cli(capsys, "ltl2dpw", formula, "--alphabet", '["X=0,Y=0", "a"]')
+    assert code == 0
+    assert doc["dpw"]["alphabet"] == ["X=0,Y=0", "a"]
+    code, doc = run_cli(capsys, "ltl2dpw", formula, "--alphabet", '"X=0,Y=0",a')
+    assert code == 2
+    code, doc = run_cli(capsys, "ltl2dpw", formula, "--alphabet", '["X=0,Y=0", 1]')
+    assert code == 2 and "alphabet JSON" in doc["message"]
+
+
 def test_ltl2dpw_parse_error(capsys):
     code, doc = run_cli(capsys, "ltl2dpw", "F (", "--alphabet", "a")
     assert code == 2

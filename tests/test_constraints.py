@@ -37,7 +37,7 @@ from genplan.model import (
     is_generated_by,
     run_policy,
 )
-from genplan.omega import LazyDpw, dpw_accepts, nba_to_dpw
+from genplan.omega import LazyDpw, nba_to_dpw
 from genplan.ltl import eval_lasso, ltl_to_nba, parse_ltl
 from genplan.projection import lift_trajectory
 from genplan.qnp import close_qnp, parse_qnp, syntactic_projection
@@ -48,6 +48,7 @@ from .helpers import (
     annotated_problems,
     concrete_counter,
     counter_projection,
+    dpw_accepts,
     finite_memory_policies,
     rand_formula,
     rand_word,

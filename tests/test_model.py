@@ -1,7 +1,10 @@
 """Tests for the problem model, trajectories, policies, and solution checking."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,6 +74,31 @@ from .test_constraints import SUITE_PROJECTIONS
 def test_validate_counter_ok():
     assert validate(concrete_counter(5)) == []
     assert validate(counter_projection()) == []
+
+
+def test_validate_ignores_hash_seed():
+    """Several broken states, actions and successors give the same
+    diagnostics, in the same order, under any string hash seed."""
+    code = (
+        "from genplan.model import Pondp, validate\n"
+        "p = Pondp(states={'a', 'b', 'c'}, init={'a', 'x', 'y'}, observations={'o'},\n"
+        "          actions={'u'}, goal_states={'g', 'h'}, avail={'a': {'u', 'v', 'w'}},\n"
+        "          obs_fn={'a': 'o'}, succ={('u', 'a'): {'p', 'q'}, ('u', 'b'): {'a'},\n"
+        "                                   ('u', 'c'): {'a'}})\n"
+        "print(validate(p))"
+    )
+    src = os.path.dirname(os.path.dirname(validate.__code__.co_filename))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].index("state 'b' has no observation") < outs[0].index("state 'c'")
 
 
 def test_validate_empty_successor():

@@ -14,15 +14,12 @@ from genplan.omega import (
     ParityGame,
     build_parity_game,
     cycle_with_max_parity,
-    dpw_accepts,
     dpw_from_json_dict,
-    dpw_language_difference,
     nba_to_dpw,
     qnp_dpw_direct,
     refute_policy,
     solve_parity,
     synthesize,
-    verify_strategy,
 )
 from genplan.constraints import ALL_TRAJECTORIES, qnp_constraint
 
@@ -31,9 +28,13 @@ from .helpers import (
     counter_projection,
     reference_counter_dpw,
     counter_acceptance_formula,
+    dpw_accepts,
+    dpw_language_difference,
     rand_formula,
     rand_game,
     rand_word,
+    synthesis_language_difference,
+    verify_strategy,
 )
 
 SIGMA = frozenset({"Inc", "Dec", "X=0", "X>0"})
@@ -197,7 +198,7 @@ def test_game_shape_and_win():
     p = counter_projection()
     phi = counter_acceptance_formula()
     dpw = nba_to_dpw(ltl_to_nba(phi, SIGMA))
-    game = build_parity_game(p, dpw)
+    game = build_parity_game(p, [dpw])
     ctrl = [v for v in game.nodes if v[0] == "c"]
     assert len(ctrl) <= 2 * len(dpw.states)
     sol = solve_parity(game)
@@ -210,7 +211,7 @@ def test_game_reachability_goal_only():
     p = counter_projection()
     goal_only = eventually(Letter("X=0"))
     dpw = nba_to_dpw(ltl_to_nba(goal_only, SIGMA))
-    game = build_parity_game(p, dpw)
+    game = build_parity_game(p, [dpw])
     sol = solve_parity(game)
     assert all(sol.region[v] == ENVIRONMENT for v in game.initial)
 
@@ -232,7 +233,7 @@ def test_game_trivially_winning_when_deterministic():
         )
     )
     dpw = nba_to_dpw(ltl_to_nba(L.TRUE, {"s", "t", "go"}))
-    game = build_parity_game(p, dpw)
+    game = build_parity_game(p, [dpw])
     sol = solve_parity(game)
     assert all(sol.region[v] == CONTROLLER for v in game.nodes)
 
@@ -271,6 +272,21 @@ def test_unrealizable_refutation():
         assert t is not None
         if hasattr(t, "cycle_states"):
             assert not is_goal_reaching(p, t)
+
+
+def test_refute_policy_inside_the_game():
+    """Fixed inside a realizable game, the synthesized policy is not
+    refuted; a policy that increments forever is refuted by a lasso, and
+    one that stops short of the goal by a finite trajectory."""
+    from genplan.model import FiniteTrajectory
+
+    p = counter_projection()
+    res = synthesize(p, qnp_constraint("X"), direct=False)
+    assert refute_policy(res, p, res.policy) is None
+    t = refute_policy(res, p, Policy.memoryless({"X>0": "Inc"}))
+    assert t.cycle_states == ("X>0",) and t.cycle_actions == ("Inc",)
+    t = refute_policy(res, p, Policy.memoryless({}))
+    assert isinstance(t, FiniteTrajectory) and t.states == ("X>0",)
 
 
 def test_synthesize_goal_already_reached():
@@ -431,7 +447,7 @@ def test_synthesize_direct_and_generic_agree():
     for res in (generic, fast):
         actions = {o: a for (m, o), a in res.policy.output.items()}
         assert actions == {"X>0": "Dec"}
-    assert dpw_language_difference(generic.dpw, fast.dpw) is None
+    assert synthesis_language_difference(generic.dpws, p.goal_states, fast.dpws[0]) is None
 
 
 def test_synthesize_two_var_direct_and_generic_agree():
@@ -449,7 +465,7 @@ def test_synthesize_two_var_direct_and_generic_agree():
     generic = synthesize(proj, cv, direct=False)
     fast = synthesize(proj, cv, direct=True)
     assert generic.realizable and fast.realizable
-    assert dpw_language_difference(generic.dpw, fast.dpw) is None
+    assert synthesis_language_difference(generic.dpws, proj.goal_states, fast.dpws[0]) is None
     for res in (generic, fast):
         assert check_solution(proj, res.policy, Under(cv)).is_solution
 
@@ -518,7 +534,7 @@ def test_pipeline_budget_smoke():
     assert phi.size <= 25
     nba = ltl_to_nba(phi, frozenset(sigma))
     dpw = nba_to_dpw(nba)
-    game = build_parity_game(p, dpw)
+    game = build_parity_game(p, [dpw])
     sol = solve_parity(game)
     assert all(v in sol.region for v in game.nodes)
 
@@ -572,7 +588,9 @@ def test_lazy_synthesis_agrees_with_full_dpw_game():
         c = _ltl_text_constraint(q, p)
         res = synthesize(p, c)
         sigma = frozenset(set(p.observations) | set(p.actions))
-        full = build_parity_game(p, nba_to_dpw(ltl_to_nba(res.formula, sigma)))
+        goal = L.lor(*[Letter(g) for g in sorted(p.goal_states, key=str)])
+        phi = L.implies(c.formula, eventually(goal))
+        full = build_parity_game(p, [nba_to_dpw(ltl_to_nba(phi, sigma))])
         sol = solve_parity(full)
         full_realizable = all(sol.region[v] == CONTROLLER for v in full.initial)
         assert res.realizable == full_realizable, name
@@ -599,19 +617,21 @@ def test_lazy_synthesis_builds_only_reached_states():
     p = syntactic_projection(q).fondp
     res = synthesize(p, _ltl_text_constraint(q, p))
     assert res.realizable
-    assert len(res.dpw.states) <= 200
+    assert sum(len(d.states) for d in res.dpws) <= 200
 
 
 def test_budget_errors_name_their_stage():
     """A budget that the NBA constructions fit in but determinization does
-    not is reported with the determinization stage and its size."""
+    not is reported with the determinization stage and its size.  Synthesis
+    determinizes each conjunct on its own, so the constraint is a single
+    conjunct whose automaton outgrows the budget."""
     from genplan.constraints import ltl_constraint
     from genplan.errors import SizeBudgetExceededError
 
     f = parse_ltl('F G ! Inc & G F Dec -> G F "X=0"', SIGMA)
     with pytest.raises(SizeBudgetExceededError, match="full determinization .* 2 states"):
         nba_to_dpw(ltl_to_nba(f, SIGMA), budget=2)
-    c = ltl_constraint(parse_ltl("G F Dec & G F Inc", SIGMA))
+    c = ltl_constraint(parse_ltl("G F Dec -> G F Inc", SIGMA))
     with pytest.raises(
         SizeBudgetExceededError, match="synthesis-game determinization .* 10 states"
     ):
