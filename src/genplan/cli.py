@@ -44,6 +44,7 @@ from .model import (
     run_policy,
     save_json,
     trajectory_to_json_dict,
+    valid_pondp,
 )
 from .projection import as_fondp, project
 
@@ -340,7 +341,7 @@ def _cmd_show(args):
     if "delta" in doc and "priority" in doc:
         dot = omega.dpw_to_dot(omega.dpw_from_json_dict(doc))
     elif "succ" in doc:
-        dot = pondp_to_dot(pondp_from_json_dict(doc))
+        dot = pondp_to_dot(valid_pondp(doc))
     elif "output" in doc and "memory_states" in doc:
         dot = _policy_to_dot(policy_from_json_dict(doc))
     else:

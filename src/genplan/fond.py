@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from .ltl import DEFAULT_BUDGET
-from .model import FAIR, Policy, check_solution
+from .model import FAIR, Policy, check_solution, numbered
 
 UNSOLVABLE = "UNSOLVABLE"
 
@@ -24,56 +24,54 @@ def strong_cyclic_plan(p):
     In the policy-restricted graph, from every initial state: no non-goal
     dead ends, and every reachable non-goal state can reach a goal state.
     """
-    safe = set(p.states)
+    n = numbered(p)
+    avail, succ, goal = n.avail, n.succ, n.goal
+    safe = set(range(len(n.states)))
     while True:
         # one pass over the actions whose outcomes all stay inside safe:
         # predecessor lists labelled with the action
-        pred = {s: [] for s in safe}
+        pred = [[] for _ in n.states]
         for s in safe:
-            for a in p.avail.get(s, ()):
-                targets = p.succ[(a, s)]
-                if targets <= safe:
-                    edge = (s, a)
+            for k, targets in zip(avail[s], succ[s]):
+                if safe.issuperset(targets):
+                    edge = (s, k)
                     for t in targets:
                         pred[t].append(edge)
         # breadth first from the goal: each state's distance, and the
         # lowest-named action with an outcome one layer closer
-        dist = dict.fromkeys(safe & p.goal_states, 0)
+        dist = dict.fromkeys((s for s in safe if goal[s]), 0)
         choice = {}
         queue = deque(dist)
         while queue:
             t = queue.popleft()
             d = dist[t] + 1
-            for s, a in pred[t]:
+            for s, k in pred[t]:
                 ds = dist.get(s)
                 if ds is None:
                     dist[s] = d
-                    choice[s] = a
+                    choice[s] = k
                     queue.append(s)
-                elif ds == d and str(a) < str(choice[s]):
-                    choice[s] = a
+                elif ds == d and k < choice[s]:
+                    choice[s] = k
         if len(dist) == len(safe):
             break
         safe = set(dist)
-    if not (p.init <= safe):
+    if not safe.issuperset(n.init):
         return UNSOLVABLE
 
-    reachable = set()
-    queue = [s for s in p.init if s not in p.goal_states]
-    reachable.update(queue)
-    mapping = {}
+    queue = [s for s in n.init if not goal[s]]
+    reachable = set(queue)
+    best = {}
     while queue:
         s = queue.pop()
-        a, o = choice[s], p.obs_fn[s]
-        # an observation gets the least action (by str) of its states
-        b = mapping.get(o)
-        if b is None or (b != a and str(a) < str(b)):
-            mapping[o] = a
-        for t in p.succ[(a, s)]:
-            if t not in reachable and t not in p.goal_states:
+        k, o = choice[s], n.obs[s]
+        # an observation gets the least action of its states
+        best[o] = min(k, best.get(o, k))
+        for t in succ[s][avail[s].index(k)]:
+            if t not in reachable and not goal[t]:
                 reachable.add(t)
                 queue.append(t)
-    return Policy.memoryless(mapping)
+    return Policy.memoryless({n.observations[o]: n.actions[best[o]] for o in sorted(best)})
 
 
 def verify_strong_cyclic(p, mu, budget=DEFAULT_BUDGET):

@@ -10,8 +10,10 @@ policy.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import graph
@@ -19,7 +21,6 @@ from .errors import (
     InvalidPolicyError,
     MalformedInputError,
     NotATrajectoryError,
-    ResolverExhaustedError,
     SizeBudgetExceededError,
     UnavailableActionError,
     decoding,
@@ -31,6 +32,9 @@ from .ltl import DEFAULT_BUDGET
 # Problems
 # ---------------------------------------------------------------------------
 
+_MISSING = object()
+_PARTS = ("states", "init", "observations", "actions", "goal_states", "avail", "obs_fn")
+
 
 @dataclass(frozen=True, eq=False)
 class Pondp:
@@ -41,7 +45,9 @@ class Pondp:
     ``annotations`` carries optional free-form metadata (numeric-effect
     tags per action, zero atoms per observation, truncation markers) used
     by constraint binding and diagnostics.  Instances are immutable after
-    construction and safe to share.
+    construction and safe to share.  A problem built from these fields gets
+    its `Numbered` form on first use; a valid problem decoded from JSON
+    holds only that form and builds each field above on first access.
     """
 
     states: frozenset
@@ -55,17 +61,54 @@ class Pondp:
     annotations: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "init", frozenset(self.init))
-        object.__setattr__(self, "observations", frozenset(self.observations))
-        object.__setattr__(self, "actions", frozenset(self.actions))
-        object.__setattr__(self, "goal_states", frozenset(self.goal_states))
-        object.__setattr__(
-            self, "avail", {s: frozenset(a) for s, a in self.avail.items()}
-        )
-        object.__setattr__(
-            self, "succ", {k: frozenset(v) for k, v in self.succ.items()}
-        )
+        for name in _PARTS[:5]:
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        object.__setattr__(self, "avail", {s: frozenset(a) for s, a in self.avail.items()})
+        object.__setattr__(self, "succ", {k: frozenset(v) for k, v in self.succ.items()})
+
+    def __getattr__(self, name):
+        # reached only for a field that a decoded problem has not built yet
+        if name not in _NAMED or "_form" not in self.__dict__:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _NAMED[name](self._form[0])
+        return value
+
+    @functools.cached_property
+    def _form(self):
+        """(`Numbered` form or None, diagnostics), from the fields."""
+        return _number(**{f: getattr(self, f) for f in _PARTS}, succ=self.succ.items())
+
+
+Numbered = namedtuple("Numbered", "states actions observations obs avail succ goal init")
+Numbered.__doc__ = """A valid problem numbered in the ``str`` order of its names
+(``states[i]`` names state i): ``obs[i]`` is the observation id of state i,
+``avail[i]`` its available action ids and ``succ[i]`` one tuple of successor
+ids per available action, all increasing, and ``goal[i]`` whether it is a
+goal; ``init`` lists the initial ids in increasing order."""
+
+# the name-keyed fields of a Pondp, from its numbered form
+_NAMED = {
+    "states": lambda n: frozenset(n.states),
+    "init": lambda n: frozenset(n.states[i] for i in n.init),
+    "observations": lambda n: frozenset(n.observations),
+    "actions": lambda n: frozenset(n.actions),
+    "goal_states": lambda n: frozenset(s for s, g in zip(n.states, n.goal) if g),
+    "avail": lambda n: {s: frozenset(n.actions[k] for k in ks) for s, ks in zip(n.states, n.avail)},
+    "obs_fn": lambda n: {s: n.observations[o] for s, o in zip(n.states, n.obs)},
+    "succ": lambda n: {
+        (n.actions[k], s): frozenset(n.states[t] for t in ts)
+        for s, ks, outs in zip(n.states, n.avail, n.succ) for k, ts in zip(ks, outs)
+    },
+}
+
+
+def numbered(p):
+    """The `Numbered` form of ``p``; a problem that fails `validate` raises
+    MalformedInputError naming the first diagnostic."""
+    n, issues = p._form
+    if n is None:
+        raise MalformedInputError(f"problem fails validation: {issues[0][1]}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,87 +124,104 @@ class PondpClass:
 
 
 def _by_names(found):
-    """Diagnostics from (names, diagnostic) pairs, ordered by the ``str`` of
-    the names: the order of a walk over sorted states and actions, found
-    without sorting the problem itself."""
+    """Diagnostics from (names, diagnostic) pairs, in ``str`` order of the names."""
     return [d for _, d in sorted(found, key=lambda nd: [str(x) for x in nd[0]])]
+
+
+def _number(states, init, observations, actions, goal_states, avail, obs_fn, succ):
+    """Number a problem given by its name-keyed parts (``succ`` as (key,
+    targets) pairs, a key being an (action, state) pair or the text
+    "action|state", split at its first bar) and validate it on the way: the
+    `Numbered` form (None unless valid) and the diagnostics, (code, message,
+    witness) triples by section (init, goals, undeclared states, states,
+    successors), each in ``str`` order of the names they give.  A list or an
+    object where a name belongs raises TypeError."""
+    sid, aid, oid = ({x: i for i, x in enumerate(sorted(dict.fromkeys(xs), key=str))}
+                     for xs in (states, actions, observations))
+    names, acts = tuple(sid), tuple(aid)
+    init, goals = set(init), set(goal_states)
+    out = [] if init else [("empty init", "no initial state", None)]
+    out += [("init not a state", f"initial state {s!r} not in states", s)
+            for s in sorted(init - sid.keys(), key=str)]
+    out += [("goal not a state", f"goal state {s!r} not in states", s)
+            for s in sorted(goals - sid.keys(), key=str)]
+    # successor ids by action and state id, or by names when one is unknown
+    rows = [[None] * len(names) for _ in acts]
+    odd, late, stored, number = {}, [], 0, sid.__getitem__
+    for key, targets in succ:
+        a, s = key.partition("|")[::2] if isinstance(key, str) else key
+        try:
+            ids = tuple(sorted(set(map(number, targets))))
+        except KeyError:
+            ids = tuple(targets)  # as empty as the entry
+            late += [((a, s, t), ("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
+                     for t in set(targets) - sid.keys()]
+        k, i = aid.get(a), sid.get(s)
+        if k is None or i is None:
+            odd[(a, s)] = ids
+        else:
+            rows[k][i], stored = ids, stored + 1
+    for s in sorted({s for _, s in odd}.union(obs_fn, avail) - sid.keys(), key=str):
+        hash(obs_fn.get(s)), set(avail.get(s, ()))  # a list in them is malformed too
+        out.append(("undeclared state", f"entries for state {s!r}, which is not in states", s))
+    found, obs, avail_ids, succ_ids, shared = [], [], [], [], {}
+    for i, s in enumerate(names):
+        obs.append(oid.get(obs_fn.get(s, _MISSING)))
+        if obs[i] is None:
+            found.append(((s,), ("missing observation", f"state {s!r} has no observation", s)
+                          if s not in obs_fn else
+                          ("unknown observation", f"obs({s!r}) not in observations", s)))
+        # states with the same available actions share their action ids
+        av = tuple(avail.get(s, ()))
+        if av not in shared:
+            shared[av] = tuple(sorted({aid[a] for a in av if a in aid})), set(av) - aid.keys()
+        ks, unknown = shared[av]
+        avail_ids.append(ks)
+        succ_ids.append(tuple([rows[k][i] for k in ks]))
+        if unknown or not all(succ_ids[i]):
+            found += [((s, a), ("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
+                      for a in unknown]
+            pairs = [(a, odd.get((a, s))) for a in unknown] + [
+                (acts[k], ids) for k, ids in zip(ks, succ_ids[i])]
+            found += [((s, a), ("empty successor set", f"succ({a!r}, {s!r}) empty or missing",
+                                (s, a))) for a, ids in pairs if not ids]
+    unavailable = [(a, s) for a, s in odd if a not in set(avail.get(s, ()))]
+    if found or stored != sum(map(len, succ_ids)):
+        unavailable += [(acts[k], names[i]) for k, row in enumerate(rows)
+                        for i, ids in enumerate(row) if ids is not None and k not in avail_ids[i]]
+    late += [((a, s), ("successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a)))
+             for a, s in unavailable]
+    out += _by_names(found) + _by_names(late)
+    if out:
+        return None, out
+    init = tuple(sorted(map(number, init)))
+    goal = [s in goals for s in names]
+    return Numbered(names, acts, tuple(oid), obs, avail_ids, succ_ids, goal, init), out
 
 
 def validate(p, cls=None):
     """Check the structural invariants; returns a list of diagnostics,
-    empty iff the problem (and its class fit, when given) is valid.
-    Each diagnostic is a (code, message, witness) triple.  They come by
-    section (init, goals, states, successors, class fit), and within one in
-    ``str`` order of the states and actions they name, whatever the hash
-    seed."""
-    out = []
-    states, avail, succ, obs_fn = p.states, p.avail, p.succ, p.obs_fn
-    if not p.init:
-        out.append(("empty init", "no initial state", None))
-    out += _by_names(
-        ((s,), ("init not a state", f"initial state {s!r} not in states", s))
-        for s in p.init - states
-    )
-    out += _by_names(
-        ((s,), ("goal not a state", f"goal state {s!r} not in states", s))
-        for s in p.goal_states - states
-    )
-    found = []
-    for s in states:
-        if s not in obs_fn:
-            found.append(((s,), ("missing observation", f"state {s!r} has no observation", s)))
-        elif obs_fn[s] not in p.observations:
-            found.append(
-                ((s,), ("unknown observation", f"obs({s!r}) not in observations", s))
-            )
-        for a in avail.get(s, ()):
-            if a not in p.actions:
-                found.append(
-                    ((s, a), ("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
-                )
-            if not succ.get((a, s)):
-                found.append(((s, a), (
-                    "empty successor set", f"succ({a!r}, {s!r}) empty or missing", (s, a)
-                )))
-    out += _by_names(found)
-    found = []
-    for (a, s), targets in succ.items():
-        if a not in avail.get(s, ()):
-            found.append(((a, s), (
-                "successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a)
-            )))
-        if not targets <= states:
-            for t in targets - states:
-                found.append(
-                    ((a, s, t), ("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
-                )
-    out += _by_names(found)
-    if cls is not None:
-        if not p.actions <= cls.actions:
-            out.append(("foreign actions", "member actions outside the class pool", None))
-        if not p.observations <= cls.observations:
-            out.append(
-                ("foreign observations", "member observations outside the class pool", None)
-            )
-        found = []
-        for s in p.states:
-            obs = p.obs_fn.get(s)
-            in_goal = s in p.goal_states
-            if obs is not None and in_goal != (obs in cls.goal_observations):
-                found.append(((s,), (
-                    "goal not observable",
-                    f"state {s!r}: goal membership disagrees with T_Omega",
-                    s,
-                )))
-            if obs is not None and p.avail.get(s, frozenset()) != cls.avail_by_obs.get(
-                obs, frozenset()
-            ):
-                found.append(((s,), (
-                    "precondition not observable",
-                    f"state {s!r}: avail differs from A_omega({obs!r})",
-                    s,
-                )))
-        out += _by_names(found)
+    empty iff the problem (and its class fit, when given) is valid: its own
+    (`_number`, run when a decoded problem was numbered), then, for a valid
+    problem, its class fit in the ``str`` order of the states."""
+    n, out = p._form[0], list(p._form[1])
+    if cls is None or n is None:
+        return out
+    if not cls.actions.issuperset(n.actions):
+        out.append(("foreign actions", "member actions outside the class pool", None))
+    if not cls.observations.issuperset(n.observations):
+        out.append(("foreign observations", "member observations outside the class pool", None))
+    aid = {a: k for k, a in enumerate(n.actions)}  # -1 below: an action p lacks
+    want = [tuple(sorted(aid.get(a, -1) for a in cls.avail_by_obs.get(w, ())))
+            for w in n.observations]
+    for s, o, g, ks in zip(n.states, n.obs, n.goal, n.avail):
+        w = n.observations[o]
+        if g != (w in cls.goal_observations):
+            out.append(("goal not observable",
+                        f"state {s!r}: goal membership disagrees with T_Omega", s))
+        if ks != want[o]:
+            out.append(("precondition not observable",
+                        f"state {s!r}: avail differs from A_omega({w!r})", s))
     return out
 
 
@@ -174,24 +234,24 @@ def validate_class(cls):
 
 
 def infer_class(members):
-    """Assemble a PondpClass from members, inferring the shared goal
-    observations and per-observation action sets; validation then reports
-    any member that breaks observability of goals or preconditions."""
+    """Assemble a PondpClass from valid members (MalformedInputError
+    otherwise), inferring the shared goal observations and per-observation
+    action sets (each observation's first state by name); validation then
+    reports any member that breaks observability of goals or preconditions."""
     members = tuple(members)
-    actions = frozenset().union(*(p.actions for p in members)) if members else frozenset()
-    observations = (
-        frozenset().union(*(p.observations for p in members)) if members else frozenset()
-    )
+    forms = [numbered(p) for p in members]
     goal_obs = set()
     avail_by_obs = {}
-    for p in members:
-        for s in p.states:
-            if s in p.goal_states:
-                goal_obs.add(p.obs_fn[s])
-            avail_by_obs.setdefault(p.obs_fn[s], p.avail.get(s, frozenset()))
+    for n in forms:
+        for o, g, ks in zip(n.obs, n.goal, n.avail):
+            w = n.observations[o]
+            if g:
+                goal_obs.add(w)
+            if w not in avail_by_obs:
+                avail_by_obs[w] = frozenset(n.actions[k] for k in ks)
     return PondpClass(
-        actions=actions,
-        observations=observations,
+        actions=frozenset().union(*(n.actions for n in forms)),
+        observations=frozenset().union(*(n.observations for n in forms)),
         goal_observations=frozenset(goal_obs),
         avail_by_obs=avail_by_obs,
         members=members,
@@ -450,21 +510,6 @@ class SeededResolver:
         return options[self.rng.randrange(len(options))]
 
 
-class ScriptedResolver:
-    """Resolves choices from a fixed list of indices."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.pos = 0
-
-    def choose(self, options):
-        if self.pos >= len(self.script):
-            raise ResolverExhaustedError("scripted resolver ran out of choices")
-        idx = self.script[self.pos]
-        self.pos += 1
-        return options[idx % len(options)]
-
-
 class FirstResolver:
     """Always picks the first option in the canonical order."""
 
@@ -517,28 +562,6 @@ def run_policy(p, mu, resolver=None, max_steps=10000, stop_at_goal=False):
     )
 
 
-def is_generated_by(p, mu, t):
-    """True iff the trajectory's actions match the policy's outputs along
-    its own observation history (replay check for counterexamples)."""
-    if isinstance(t, FiniteTrajectory):
-        states, actions = list(t.states), list(t.actions)
-    else:
-        states = list(t.prefix_states + t.cycle_states)
-        actions = list(t.prefix_actions + t.cycle_actions)
-    m = mu.initial
-    for i, a in enumerate(actions):
-        obs = p.obs_fn[states[i]]
-        if mu.output.get((m, obs)) != a:
-            return False
-        m = mu.next_memory(m, obs)
-    if isinstance(t, FiniteTrajectory) and not t.truncated:
-        obs = p.obs_fn[states[-1]]
-        if mu.output.get((m, obs)) is not None:
-            if mu.output[(m, obs)] in p.avail.get(states[-1], frozenset()):
-                return False  # not maximal
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Verdicts and solution checking
 # ---------------------------------------------------------------------------
@@ -588,6 +611,7 @@ class PolicyProduct:
     (None where it stops or picks an unavailable action).  ``start`` holds
     the initial ids, ``stops`` the ids whose output is undefined, and
     ``invalid`` the first id found whose action is unavailable, or None.
+    ``state[i]`` is the problem's `Numbered` id of node i's state.
     """
 
     nodes: list
@@ -597,21 +621,25 @@ class PolicyProduct:
     start: list
     stops: list
     invalid: object
+    state: list
 
 
 def _policy_product(p, mu, budget=DEFAULT_BUDGET):
-    """Explore the product of ``p`` and ``mu`` from the initial states, last
-    found first, numbering nodes as they are found.  Raises
-    SizeBudgetExceededError once more than ``budget`` nodes are numbered
-    (checked before each node is expanded)."""
-    nodes = [(s, mu.initial) for s in sorted(p.init, key=str)]
-    index = {n: i for i, n in enumerate(nodes)}
+    """Explore the product of ``p`` (its `Numbered` form) and ``mu`` from
+    the initial states, last found first, numbering nodes as they are
+    found.  Raises SizeBudgetExceededError once more than ``budget`` nodes
+    are numbered (checked before each node is expanded)."""
+    n = numbered(p)
+    names, obs_of, avail, p_succ = n.states, n.obs, n.avail, n.succ
+    aid = {a: k for k, a in enumerate(n.actions)}
+    nodes = [(names[s], mu.initial) for s in n.init]
+    state = list(n.init)
+    index = {node: i for i, node in enumerate(nodes)}
     succ = [()] * len(nodes)
     act = [None] * len(nodes)
     start = list(range(len(nodes)))
     stops = []
     invalid = None
-    obs_fn, output, update, avail, p_succ = p.obs_fn, mu.output, mu.update, p.avail, p.succ
     queue = list(start)
     while queue:
         if len(nodes) > budget:
@@ -619,30 +647,32 @@ def _policy_product(p, mu, budget=DEFAULT_BUDGET):
                 f"policy product exceeded budget: {len(nodes)} nodes built, budget {budget}"
             )
         i = queue.pop()
-        s, m = nodes[i]
-        obs = obs_fn[s]
-        a = output.get((m, obs))
+        s, m = state[i], nodes[i][1]
+        obs = n.observations[obs_of[s]]
+        a = mu.output.get((m, obs))
         if a is None:
             stops.append(i)
             continue
-        if a not in avail.get(s, ()):
+        k = aid.get(a, -1)
+        if k not in avail[s]:
             if invalid is None:
                 invalid = i
             continue
         act[i] = a
-        m2 = update.get((m, obs), m)
+        m2 = mu.update.get((m, obs), m)
         out = succ[i] = []
-        for s2 in sorted(p_succ[(a, s)], key=str):
-            node = (s2, m2)
+        for s2 in p_succ[s][avail[s].index(k)]:
+            node = (names[s2], m2)
             j = index.get(node)
             if j is None:
                 j = index[node] = len(nodes)
                 nodes.append(node)
+                state.append(s2)
                 succ.append(())
                 act.append(None)
                 queue.append(j)
             out.append(j)
-    return PolicyProduct(nodes, index, succ, act, start, stops, invalid)
+    return PolicyProduct(nodes, index, succ, act, start, stops, invalid, state)
 
 
 def _by_str(prod):
@@ -676,7 +706,8 @@ def _lasso_from_product(prod, cycle, reach):
 
 def _goal_free_region(p, prod):
     """The ids reachable from the initial nodes without passing a goal."""
-    free = [n[0] not in p.goal_states for n in prod.nodes]
+    goal = numbered(p).goal
+    free = [not goal[s] for s in prod.state]
     succ = prod.succ
     return graph.reachable(
         [i for i in prod.start if free[i]], lambda i: [j for j in succ[i] if free[j]]
@@ -813,29 +844,22 @@ def pondp_to_json_dict(p, cls=None):
 
 
 def pondp_from_json_dict(doc):
-    """Decode a problem document; `Pondp` freezes the decoded lists."""
+    """Decode a problem document, numbering and validating it on the way
+    (`_number`).  A valid problem keeps only its numbered form, and the
+    document can go; an invalid one is built from the document's fields
+    and keeps its diagnostics for `validate`."""
     with decoding("problem JSON"):
-        succ = {}
-        for key, targets in doc["succ"].items():
-            a, _, s = key.partition("|")
-            succ[(a, s)] = targets
-        obs_fn = dict(doc["obs"])
-        # Hashing every value rejects a list or object (TypeError) where a
-        # state, observation or action is named; Pondp hashes the other
-        # fields when it freezes them, obs values only here.
-        frozenset(obs_fn.values())
-        _check_annotations(doc.get("annotations", {}))
-        return Pondp(
-            states=doc["states"],
-            init=doc["init"],
-            observations=doc["observations"],
-            actions=doc["actions"],
-            goal_states=doc["goal_states"],
-            avail=doc["avail"],
-            obs_fn=obs_fn,
-            succ=succ,
-            annotations=doc.get("annotations", {}),
-        )
+        annotations = doc.get("annotations", {})
+        _check_annotations(annotations)
+        parts = {**{f: doc[f] for f in _PARTS[:6]}, "obs_fn": dict(doc["obs"])}
+        form = _number(**parts, succ=doc["succ"].items())
+        if form[0] is None:
+            succ = {k.partition("|")[::2]: v for k, v in doc["succ"].items()}
+            p = Pondp(**parts, succ=succ, annotations=annotations)
+        else:
+            p = object.__new__(Pondp)
+        p.__dict__.update(_form=form, annotations=annotations)
+        return p
 
 
 def _check_annotations(doc):
@@ -888,15 +912,18 @@ def policy_from_json_dict(doc):
         return mu
 
 
-def load_pondp(path):
-    """Read a problem file; a problem that fails `validate` raises
+def valid_pondp(doc):
+    """Decode a problem document; one that fails `validate` raises
     MalformedInputError naming the first diagnostic."""
-    with open(path) as fh:
-        p = pondp_from_json_dict(json.load(fh))
-    issues = validate(p)
-    if issues:
-        raise MalformedInputError(f"problem fails validation: {issues[0][1]}")
+    p = pondp_from_json_dict(doc)
+    numbered(p)
     return p
+
+
+def load_pondp(path):
+    """Read a problem file with `valid_pondp`."""
+    with open(path) as fh:
+        return valid_pondp(json.load(fh))
 
 
 def save_json(doc, path):

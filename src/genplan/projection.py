@@ -17,6 +17,7 @@ from .model import (
     Lasso,
     Pondp,
     check_trajectory,
+    numbered,
     validate_class,
 )
 
@@ -78,15 +79,15 @@ def project(cls, annotations=None):
     succ = {}
     provenance = {}
     for idx, p in enumerate(cls.members):
-        for s in p.init:
-            init.add(p.obs_fn[s])
-        for (a, s), targets in p.succ.items():
-            w = p.obs_fn[s]
-            for t in targets:
-                w2 = p.obs_fn[t]
-                key = (a, w)
-                succ.setdefault(key, set()).add(w2)
-                provenance.setdefault((w, a, w2), (idx, s, a, t))
+        n = numbered(p)
+        names, acts, obs = n.states, n.actions, [n.observations[o] for o in n.obs]
+        init.update(obs[i] for i in n.init)
+        for i, (ks, outs) in enumerate(zip(n.avail, n.succ)):
+            for k, targets in zip(ks, outs):
+                for t in targets:
+                    if (obs[i], acts[k], obs[t]) not in provenance:
+                        succ.setdefault((acts[k], obs[i]), set()).add(obs[t])
+                        provenance[obs[i], acts[k], obs[t]] = (idx, names[i], acts[k], names[t])
 
     avail = {}
     diagnostics = []

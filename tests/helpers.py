@@ -4,9 +4,9 @@ The oracles here are deliberately separate from the library's algorithms:
 DPW acceptance of a lasso and exact language comparison, brute-force
 strategy enumeration and strategy verification for parity games, an exact
 class-grouped agreement check between parity automata and the LTL
-semantics over a bounded lasso universe, and the earlier tuple-keyed
-policy product, its STRONG and FAIR checks and its planner, kept as
-references for the numbered ones.
+semantics over a bounded lasso universe, the earlier tuple-keyed
+policy product, its STRONG and FAIR checks and its planner, and the
+dict-walking problem validation, kept as references for the numbered ones.
 """
 
 import itertools
@@ -28,7 +28,7 @@ from genplan.model import (
     Verdict,
     infer_class,
 )
-from genplan.errors import AlphabetMismatchError
+from genplan.errors import AlphabetMismatchError, ResolverExhaustedError, decoding
 from genplan.omega import CONTROLLER, Dpw, cycle_with_max_parity
 from genplan.projection import as_fondp
 
@@ -696,6 +696,156 @@ def lift_policy_to_closed(policy, closed_proj):
 
 
 # ---------------------------------------------------------------------------
+# Replay of trajectories against policies
+# ---------------------------------------------------------------------------
+
+
+class ScriptedResolver:
+    """Resolves choices from a fixed list of indices."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.pos = 0
+
+    def choose(self, options):
+        if self.pos >= len(self.script):
+            raise ResolverExhaustedError("scripted resolver ran out of choices")
+        idx = self.script[self.pos]
+        self.pos += 1
+        return options[idx % len(options)]
+
+
+def is_generated_by(p, mu, t):
+    """True iff the trajectory's actions match the policy's outputs along
+    its own observation history (replay check for counterexamples)."""
+    if isinstance(t, FiniteTrajectory):
+        states, actions = list(t.states), list(t.actions)
+    else:
+        states = list(t.prefix_states + t.cycle_states)
+        actions = list(t.prefix_actions + t.cycle_actions)
+    m = mu.initial
+    for i, a in enumerate(actions):
+        obs = p.obs_fn[states[i]]
+        if mu.output.get((m, obs)) != a:
+            return False
+        m = mu.next_memory(m, obs)
+    if isinstance(t, FiniteTrajectory) and not t.truncated:
+        obs = p.obs_fn[states[-1]]
+        if mu.output.get((m, obs)) is not None:
+            if mu.output[(m, obs)] in p.avail.get(states[-1], frozenset()):
+                return False  # not maximal
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Reference problem decoding and validation (name-keyed)
+# ---------------------------------------------------------------------------
+
+
+def reference_pondp(doc):
+    """A problem document decoded into name-keyed fields, as a `Pondp` built
+    from them; it gets no numbered form until something asks for one."""
+    with decoding("problem JSON"):
+        succ = {}
+        for key, targets in doc["succ"].items():
+            a, _, s = key.partition("|")
+            succ[(a, s)] = targets
+        obs_fn = dict(doc["obs"])
+        frozenset(obs_fn.values())
+        return Pondp(
+            states=doc["states"],
+            init=doc["init"],
+            observations=doc["observations"],
+            actions=doc["actions"],
+            goal_states=doc["goal_states"],
+            avail=doc["avail"],
+            obs_fn=obs_fn,
+            succ=succ,
+        )
+
+
+def _by_names(found):
+    return [d for _, d in sorted(found, key=lambda nd: [str(x) for x in nd[0]])]
+
+
+def reference_validate(p, cls=None):
+    """`model.validate` by walking the name-keyed fields: by section (init,
+    goals, undeclared states, states, successors, class fit), and within one
+    in ``str`` order of the names.  The class fit is checked only on a
+    problem with no diagnostics of its own."""
+    out = []
+    states, avail, succ, obs_fn = p.states, p.avail, p.succ, p.obs_fn
+    if not p.init:
+        out.append(("empty init", "no initial state", None))
+    out += _by_names(
+        ((s,), ("init not a state", f"initial state {s!r} not in states", s))
+        for s in p.init - states
+    )
+    out += _by_names(
+        ((s,), ("goal not a state", f"goal state {s!r} not in states", s))
+        for s in p.goal_states - states
+    )
+    ghosts = (set(obs_fn) | set(avail) | {s for _, s in succ}) - states
+    out += _by_names(
+        ((s,), ("undeclared state", f"entries for state {s!r}, which is not in states", s))
+        for s in ghosts
+    )
+    found = []
+    for s in states:
+        if s not in obs_fn:
+            found.append(((s,), ("missing observation", f"state {s!r} has no observation", s)))
+        elif obs_fn[s] not in p.observations:
+            found.append(
+                ((s,), ("unknown observation", f"obs({s!r}) not in observations", s))
+            )
+        for a in avail.get(s, ()):
+            if a not in p.actions:
+                found.append(
+                    ((s, a), ("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
+                )
+            if not succ.get((a, s)):
+                found.append(((s, a), (
+                    "empty successor set", f"succ({a!r}, {s!r}) empty or missing", (s, a)
+                )))
+    out += _by_names(found)
+    found = []
+    for (a, s), targets in succ.items():
+        if a not in avail.get(s, ()):
+            found.append(((a, s), (
+                "successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a)
+            )))
+        for t in targets - states:
+            found.append(
+                ((a, s, t), ("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
+            )
+    out += _by_names(found)
+    if cls is not None and not out:
+        if not p.actions <= cls.actions:
+            out.append(("foreign actions", "member actions outside the class pool", None))
+        if not p.observations <= cls.observations:
+            out.append(
+                ("foreign observations", "member observations outside the class pool", None)
+            )
+        found = []
+        for s in p.states:
+            obs = p.obs_fn[s]
+            if (s in p.goal_states) != (obs in cls.goal_observations):
+                found.append(((s,), (
+                    "goal not observable",
+                    f"state {s!r}: goal membership disagrees with T_Omega",
+                    s,
+                )))
+            if p.avail.get(s, frozenset()) != cls.avail_by_obs.get(obs, frozenset()):
+                found.append(((s,), (
+                    "precondition not observable",
+                    f"state {s!r}: avail differs from A_omega({obs!r})",
+                    s,
+                )))
+        out += _by_names(found)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Reference policy product, solution checks and planner (tuple-keyed)
 # ---------------------------------------------------------------------------
 
@@ -854,9 +1004,9 @@ def reference_plan(p):
             if t not in reachable and t not in p.goal_states:
                 reachable.add(t)
                 queue.append(t)
-    # observations in the order the walk meets them, each with the least
+    # the observations the walk meets, in str order, each with the least
     # action (by str) its states choose
-    observations = dict.fromkeys(p.obs_fn[s] for s in order)
+    observations = sorted({p.obs_fn[s] for s in order}, key=str)
     return Policy.memoryless({
         o: min((choice[s] for s in order if p.obs_fn[s] == o), key=str) for o in observations
     })

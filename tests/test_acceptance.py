@@ -28,7 +28,6 @@ from genplan.model import (
     _policy_product,
     check_solution,
     infer_class,
-    is_generated_by,
     is_goal_reaching,
     run_policy,
 )
@@ -61,6 +60,7 @@ from .helpers import (
     counter_acceptance_formula,
     dpw_accepts,
     dpw_language_difference,
+    is_generated_by,
     rand_formula,
     rand_game,
     rand_word,

@@ -266,6 +266,39 @@ def test_show_problem_and_dpw(tmp_path, capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+def test_show_invalid_problem_exits_2(tmp_path, capsys):
+    """show validates a problem before drawing it: a state with no
+    observation is malformed input, not a traceback."""
+    doc = _load_json(COUNTER_FONDP)
+    del doc["obs"]["X=0"]
+    path = tmp_path / "problem.json"
+    save_json(doc, str(path))
+    code, out = run_cli(capsys, "show", str(path))
+    assert code == 2 and out["error"] == "MalformedInputError"
+    assert "state 'X=0' has no observation" in out["message"]
+
+
+@pytest.mark.parametrize("entries", [
+    {"avail": {"ghost": ["Dec"]}, "succ": {"Dec|ghost": ["X=0"]}},
+    {"obs": {"ghost": "X>0"}},
+    {"avail": {"ghost": ["ghost"]}},
+])
+def test_entries_for_undeclared_states_exit_2(tmp_path, capsys, entries):
+    """An avail, obs or succ entry that names a state outside ``states`` is
+    a diagnostic: a ghost state whose action leads to the goal makes the
+    problem malformed rather than planned over."""
+    doc = _load_json(COUNTER_FONDP)
+    for field, entry in entries.items():
+        doc[field].update(entry)
+    assert validate(pondp_from_json_dict(doc)) == [(
+        "undeclared state", "entries for state 'ghost', which is not in states", "ghost"
+    )]
+    path = tmp_path / "ghost.json"
+    save_json(doc, str(path))
+    code, out = run_cli(capsys, "plan", str(path))
+    assert code == 2 and "'ghost'" in out["message"]
+
+
 def test_synthesize_two_constraints(tmp_path, capsys):
     """Repeated --constraint flags conjoin; the two-variable projection is
     realizable under both per-variable constraints."""

@@ -34,7 +34,6 @@ from genplan.model import (
     _goal_free_region,
     _policy_product,
     check_solution,
-    is_generated_by,
     run_policy,
 )
 from genplan.omega import LazyDpw, nba_to_dpw
@@ -50,6 +49,7 @@ from .helpers import (
     counter_projection,
     dpw_accepts,
     finite_memory_policies,
+    is_generated_by,
     rand_formula,
     rand_word,
 )

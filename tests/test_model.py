@@ -20,10 +20,12 @@ from genplan.constraints import (
 )
 from genplan.errors import (
     InvalidPolicyError,
+    MalformedInputError,
     NotATrajectoryError,
     ResolverExhaustedError,
     UnavailableActionError,
 )
+from genplan.fond import strong_cyclic_plan
 from genplan.model import (
     FAIR,
     STRONG,
@@ -31,21 +33,21 @@ from genplan.model import (
     Lasso,
     Policy,
     Pondp,
-    ScriptedResolver,
     SeededResolver,
     Under,
     _policy_product,
     check_solution,
     infer_class,
     is_fair,
-    is_generated_by,
     is_goal_reaching,
+    load_pondp,
     policy_from_json_dict,
     policy_to_json_dict,
     pondp_from_json_dict,
     pondp_to_dot,
     pondp_to_json_dict,
     run_policy,
+    save_json,
     step,
     validate,
     validate_class,
@@ -54,14 +56,19 @@ from genplan.model import (
 from .helpers import (
     ZERO,
     POS,
+    ScriptedResolver,
     annotated_problems,
     coarse_problems,
     concrete_counter,
     counter_projection,
     fewest_memory_classes,
     finite_memory_policies,
+    is_generated_by,
     moore_equivalent_pairs,
     reference_check,
+    reference_plan,
+    reference_pondp,
+    reference_validate,
 )
 from .test_constraints import SUITE_PROJECTIONS
 
@@ -99,6 +106,95 @@ def test_validate_ignores_hash_seed():
     ]
     assert outs[0] == outs[1]
     assert outs[0].index("state 'b' has no observation") < outs[0].index("state 'c'")
+
+
+NAMES = ["ghost", "X=0", "X=1", "Inc"]
+
+
+@st.composite
+def _mutated_problem_documents(draw):
+    """A concrete counter's document with one to four names dropped,
+    renamed (to a fresh name or one used elsewhere) or put in a list:
+    names of states, initial and goal states, observations and actions,
+    and the states, observations, actions and targets of the obs, avail
+    and succ entries."""
+    doc = pondp_to_json_dict(concrete_counter(2, bound=3, dec_steps=(1, 2)))
+    del doc["annotations"]  # shared with the helper, and holds no names
+    for _ in range(draw(st.integers(1, 4))):
+        field = draw(st.sampled_from(sorted(doc)))
+        how = draw(st.sampled_from(["drop", "rename", "list"]))
+        name = draw(st.sampled_from(NAMES))
+        entries = doc[field]
+        if isinstance(entries, dict) and entries and draw(st.booleans()):
+            # the name that keys an entry; a succ key names an action and a state
+            key = draw(st.sampled_from(sorted(entries)))
+            value = entries.pop(key)
+            if how != "drop":
+                if field == "succ":
+                    a, _, s = key.partition("|")
+                    key = draw(st.sampled_from([f"{name}|{s}", f"{a}|{name}"]))
+                entries[key] = value
+            continue
+        if isinstance(entries, dict):
+            if not entries:
+                continue
+            key = draw(st.sampled_from(sorted(entries)))
+            if not isinstance(entries[key], list):  # an observation
+                if how == "drop":
+                    del entries[key]
+                else:
+                    entries[key] = name if how == "rename" else [entries[key]]
+                continue
+            entries = entries[key]
+        if entries:
+            i = draw(st.integers(0, len(entries) - 1))
+            if how == "drop":
+                del entries[i]
+            else:
+                entries[i] = name if how == "rename" else [entries[i]]
+    return doc
+
+
+def _diagnostics(check, decode, doc, *args):
+    try:
+        return check(decode(doc), *args)
+    except MalformedInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_problem_documents())
+def test_validate_matches_reference_on_mutated_documents(doc):
+    """Numbered validation gives the name-keyed reference's diagnostics, in
+    order, or the same malformed-input error, both on a decoded document
+    and on a problem built from its fields; against the counter's class it
+    also gives the same class-fit diagnostics."""
+    cls = infer_class([concrete_counter(2, bound=3, dec_steps=(1, 2))])
+    for args in ((), (cls,)):
+        expected = _diagnostics(reference_validate, reference_pondp, doc, *args)
+        assert _diagnostics(validate, pondp_from_json_dict, doc, *args) == expected
+        assert _diagnostics(validate, reference_pondp, doc, *args) == expected
+
+
+def test_decoded_problem_plans_and_checks_on_its_numbered_form(tmp_path):
+    """Loading a concrete counter, planning it and checking the plan in FAIR
+    and STRONG mode leave its name-keyed successor dict unbuilt.  The
+    planner and both checks agree with the name-keyed references on the
+    loaded problem and on the same problem built from dicts."""
+    built = concrete_counter(6, bound=40, dec_steps=(0, 1, 2))
+    path = tmp_path / "counter.json"
+    save_json(pondp_to_json_dict(built), str(path))
+    p = load_pondp(str(path))
+    mu = strong_cyclic_plan(p)
+    verdicts = {mode: check_solution(p, mu, mode).to_json_dict() for mode in (FAIR, STRONG)}
+    assert "succ" not in vars(p) and "avail" not in vars(p) and "obs_fn" not in vars(p)
+    assert verdicts[FAIR]["verdict"] == "FAIR_SOLUTION"
+    assert verdicts[STRONG]["verdict"] == "NOT_A_SOLUTION"
+    for q in (p, built):
+        assert strong_cyclic_plan(q).output == reference_plan(q).output == mu.output
+        for mode, verdict in verdicts.items():
+            assert check_solution(q, mu, mode).to_json_dict() == verdict
+            assert reference_check(q, mu, mode).to_json_dict() == verdict
 
 
 def test_validate_empty_successor():

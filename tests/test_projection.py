@@ -155,7 +155,9 @@ def test_policy_validity_and_run_correspondence():
         lifted = lift_trajectory(member, t)
         # the lifted trajectory is a trajectory of the projection generated
         # by the policy
-        from genplan.model import check_trajectory, is_generated_by
+        from genplan.model import check_trajectory
+
+        from .helpers import is_generated_by
 
         check_trajectory(po, lifted)
         if isinstance(lifted, FiniteTrajectory) and not lifted.truncated:
