@@ -46,8 +46,9 @@ class Pondp:
     tags per action, zero atoms per observation, truncation markers) used
     by constraint binding and diagnostics.  Instances are immutable after
     construction and safe to share.  A problem built from these fields gets
-    its `Numbered` form on first use; a valid problem decoded from JSON
-    holds only that form and builds each field above on first access.
+    its `Numbered` form on first use; a problem decoded from JSON holds only
+    that form and builds each field above on first access (an invalid one
+    raises MalformedInputError there, see `numbered`).
     """
 
     states: frozenset
@@ -70,7 +71,7 @@ class Pondp:
         # reached only for a field that a decoded problem has not built yet
         if name not in _NAMED or "_form" not in self.__dict__:
             raise AttributeError(name)
-        value = self.__dict__[name] = _NAMED[name](self._form[0])
+        value = self.__dict__[name] = _NAMED[name](numbered(self))
         return value
 
     @functools.cached_property
@@ -145,9 +146,8 @@ def _number(states, init, observations, actions, goal_states, avail, obs_fn, suc
             for s in sorted(init - sid.keys(), key=str)]
     out += [("goal not a state", f"goal state {s!r} not in states", s)
             for s in sorted(goals - sid.keys(), key=str)]
-    # successor ids by action and state id, or by names when one is unknown
-    rows = [[None] * len(names) for _ in acts]
-    odd, late, stored, number = {}, [], 0, sid.__getitem__
+    # successor ids by (action id, state id), or by names when one is unknown
+    rows, odd, late, number = {}, {}, [], sid.__getitem__
     for key, targets in succ:
         a, s = key.partition("|")[::2] if isinstance(key, str) else key
         try:
@@ -160,7 +160,7 @@ def _number(states, init, observations, actions, goal_states, avail, obs_fn, suc
         if k is None or i is None:
             odd[(a, s)] = ids
         else:
-            rows[k][i], stored = ids, stored + 1
+            rows[k, i] = ids
     for s in sorted({s for _, s in odd}.union(obs_fn, avail) - sid.keys(), key=str):
         hash(obs_fn.get(s)), set(avail.get(s, ()))  # a list in them is malformed too
         out.append(("undeclared state", f"entries for state {s!r}, which is not in states", s))
@@ -177,7 +177,7 @@ def _number(states, init, observations, actions, goal_states, avail, obs_fn, suc
             shared[av] = tuple(sorted({aid[a] for a in av if a in aid})), set(av) - aid.keys()
         ks, unknown = shared[av]
         avail_ids.append(ks)
-        succ_ids.append(tuple([rows[k][i] for k in ks]))
+        succ_ids.append(tuple([rows.pop((k, i), None) for k in ks]))
         if unknown or not all(succ_ids[i]):
             found += [((s, a), ("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
                       for a in unknown]
@@ -185,10 +185,9 @@ def _number(states, init, observations, actions, goal_states, avail, obs_fn, suc
                 (acts[k], ids) for k, ids in zip(ks, succ_ids[i])]
             found += [((s, a), ("empty successor set", f"succ({a!r}, {s!r}) empty or missing",
                                 (s, a))) for a, ids in pairs if not ids]
+    # the entries left in rows are for actions that their states lack
     unavailable = [(a, s) for a, s in odd if a not in set(avail.get(s, ()))]
-    if found or stored != sum(map(len, succ_ids)):
-        unavailable += [(acts[k], names[i]) for k, row in enumerate(rows)
-                        for i, ids in enumerate(row) if ids is not None and k not in avail_ids[i]]
+    unavailable += [(acts[k], names[i]) for k, i in rows]
     late += [((a, s), ("successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a)))
              for a, s in unavailable]
     out += _by_names(found) + _by_names(late)
@@ -845,20 +844,15 @@ def pondp_to_json_dict(p, cls=None):
 
 def pondp_from_json_dict(doc):
     """Decode a problem document, numbering and validating it on the way
-    (`_number`).  A valid problem keeps only its numbered form, and the
-    document can go; an invalid one is built from the document's fields
-    and keeps its diagnostics for `validate`."""
+    (`_number`); the problem keeps only its numbered form and diagnostics,
+    so the document can go."""
     with decoding("problem JSON"):
         annotations = doc.get("annotations", {})
         _check_annotations(annotations)
-        parts = {**{f: doc[f] for f in _PARTS[:6]}, "obs_fn": dict(doc["obs"])}
-        form = _number(**parts, succ=doc["succ"].items())
-        if form[0] is None:
-            succ = {k.partition("|")[::2]: v for k, v in doc["succ"].items()}
-            p = Pondp(**parts, succ=succ, annotations=annotations)
-        else:
-            p = object.__new__(Pondp)
-        p.__dict__.update(_form=form, annotations=annotations)
+        parts = {f: doc[f] for f in _PARTS[:6]}
+        p = object.__new__(Pondp)
+        p.__dict__.update(annotations=annotations,
+                          _form=_number(**parts, obs_fn=dict(doc["obs"]), succ=doc["succ"].items()))
         return p
 
 

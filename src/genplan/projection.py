@@ -34,20 +34,17 @@ class Fondp(Pondp):
 
 
 def as_fondp(p):
-    """View an identity-observed Pondp as a Fondp."""
+    """View an identity-observed Pondp as a Fondp sharing its fields and
+    numbered form; MalformedInputError unless it is valid and fully observable."""
     if isinstance(p, Fondp):
         return p
-    return Fondp(
-        states=p.states,
-        init=p.init,
-        observations=p.observations,
-        actions=p.actions,
-        goal_states=p.goal_states,
-        avail=p.avail,
-        obs_fn=p.obs_fn,
-        succ=p.succ,
-        annotations=p.annotations,
-    )
+    n = numbered(p)
+    for s, o in zip(n.states, n.obs):
+        if n.observations[o] != s:
+            raise MalformedInputError(f"obs({s!r}) != {s!r}: not fully observable")
+    f = object.__new__(Fondp)
+    f.__dict__.update(vars(p))
+    return f
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,7 @@ from genplan.model import (
     is_fair,
     is_goal_reaching,
     load_pondp,
+    numbered,
     policy_from_json_dict,
     policy_to_json_dict,
     pondp_from_json_dict,
@@ -52,6 +53,7 @@ from genplan.model import (
     validate,
     validate_class,
 )
+from genplan.projection import as_fondp
 
 from .helpers import (
     ZERO,
@@ -195,6 +197,33 @@ def test_decoded_problem_plans_and_checks_on_its_numbered_form(tmp_path):
         for mode, verdict in verdicts.items():
             assert check_solution(q, mu, mode).to_json_dict() == verdict
             assert reference_check(q, mu, mode).to_json_dict() == verdict
+
+
+def test_decoded_invalid_problem_raises_on_its_fields():
+    """A decoded problem that fails validation holds only its diagnostics:
+    reading a name-keyed field raises MalformedInputError naming the first."""
+    doc = pondp_to_json_dict(concrete_counter(3))
+    del doc["obs"]["X=1"]
+    doc["init"].append("nowhere")
+    p = pondp_from_json_dict(doc)
+    assert [code for code, _, _ in validate(p)] == ["init not a state", "missing observation"]
+    for name in ("states", "init", "avail", "obs_fn", "succ"):
+        with pytest.raises(MalformedInputError, match="initial state 'nowhere' not in states"):
+            getattr(p, name)
+
+
+def test_as_fondp_shares_the_numbered_form(tmp_path):
+    """as_fondp views a decoded problem through its numbered form, building
+    no name-keyed field; a problem that is not fully observable is malformed."""
+    path = tmp_path / "projection.json"
+    save_json(pondp_to_json_dict(counter_projection()), str(path))
+    p = load_pondp(str(path))
+    f = as_fondp(p)
+    assert numbered(f) is numbered(p)
+    assert not {"states", "avail", "obs_fn", "succ"} & vars(f).keys()
+    assert f.succ == counter_projection().succ
+    with pytest.raises(MalformedInputError, match=r"obs\('X=1'\) != 'X=1'"):
+        as_fondp(concrete_counter(3))
 
 
 def test_validate_empty_successor():
