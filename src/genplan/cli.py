@@ -170,7 +170,7 @@ def _cmd_synthesize(args):
             }
         )
         return 1
-    verdict = check_solution(p, result.policy, Under(constraint), budget=args.budget)
+    verdict = check_solution(p, result.policy, Under(constraint), args.budget, result.nbas)
     doc = {
         "command": "synthesize",
         "realizable": True,

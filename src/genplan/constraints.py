@@ -10,6 +10,7 @@ a decrement effect on that variable occurs".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import graph, omega
@@ -241,9 +242,10 @@ def _conjunct_formulas(f):
 
 def _conjunct_nbas(c, p, budget):
     """One NBA per top-level conjunct of the bound formula; a word satisfies
-    the constraint iff every conjunct automaton accepts it.  Keeps
-    determinization tractable for conjunctions of per-variable constraints.
-    Conjuncts that fold to true are left out, unless all of them do."""
+    the constraint iff every conjunct automaton accepts it.  Keeps the
+    tableaux, and synthesis's determinizations, small for conjunctions of
+    per-variable constraints.  Conjuncts that fold to true are left out,
+    unless all of them do."""
     sigma = constraint_alphabet(c, p)
     conjuncts = _conjunct_formulas(constraint_formula(c, p))
     conjuncts = [f for f in conjuncts if L.constant(f) is not True] or conjuncts[:1]
@@ -251,21 +253,27 @@ def _conjunct_nbas(c, p, budget):
 
 
 def _bilayer_product(inits, automata, moves, budget=None):
-    """Product of a move structure with deterministic automata, in two
-    layers.
+    """Product of a move structure with NBAs, in two layers.
 
-    ``automata`` is a list of (dpw, letter) pairs, where ``letter(v)`` is
+    ``automata`` is a list of (nba, letter) pairs, where ``letter(v)`` is
     the symbol the automaton reads at base node ``v``; ``moves(v)`` lists
     the (action, successor base nodes) pairs of ``v``.  Nodes are
     ("n", v, qs) before the automata read v's letter and ("m", v, a, qs)
-    after it, pending the action letter ``a``.  Only nodes reachable from
-    ``inits`` are built, in depth-first order, so an automaton built on
-    the fly numbers its states the same way on every run.  Raises
+    after it, pending the action letter ``a``; ``qs`` holds one state per
+    automaton, and each choice of successor states gives its own node.
+    Only nodes reachable from ``inits`` are built, depth first.  Raises
     SizeBudgetExceededError once more than ``budget`` "n" nodes are built
     (checked before each node is expanded; None sets no cap).  Returns
-    (initial nodes, nodes, edges, priority tuple of each node).
+    (initial nodes, nodes, edges).
     """
-    start = [("n", v, tuple(d.initial for d, _ in automata)) for v in inits]
+    nbas = [a for a, _ in automata]
+
+    def read(qs, letters):
+        """Every tuple of successors of ``qs``, each automaton reading its letter."""
+        return itertools.product(*(a.successors(q, x) for a, q, x in zip(nbas, qs, letters)))
+
+    initial = list(itertools.product(*(sorted(a.initial) for a in nbas)))
+    start = [("n", v, qs) for v in inits for qs in initial]
     nodes = set(start)
     edges = {}
     outcomes = {}
@@ -280,30 +288,25 @@ def _bilayer_product(inits, automata, moves, budget=None):
         x = stack.pop()
         if x[0] == "n":
             _, v, qs = x
-            qs1 = tuple(d.delta[(q, letter(v))] for (d, letter), q in zip(automata, qs))
-            outs = []
-            for a, succs in moves(v):
-                m = ("m", v, a, qs1)
-                outcomes[m] = succs
-                outs.append(m)
+            qs1s = list(read(qs, [letter(v) for _, letter in automata]))
+            acts = moves(v)
+            outcomes.update(((v, a), succs) for a, succs in acts)
+            outs = [("m", v, a, qs1) for a, _ in acts for qs1 in qs1s]
         else:
             _, v, a, qs1 = x
-            qs2 = tuple(d.delta[(q, a)] for (d, _), q in zip(automata, qs1))
-            outs = [("n", w, qs2) for w in outcomes[x]]
+            qs2s = list(read(qs1, [a] * len(nbas)))
+            outs = [("n", w, qs2) for w in outcomes[v, a] for qs2 in qs2s]
         edges[x] = outs
         for y in outs:
             if y not in nodes:
                 nodes.add(y)
                 stack.append(y)
                 built += y[0] == "n"
-    prio_of = {
-        x: tuple(d.priority[q] for (d, _), q in zip(automata, x[-1])) for x in nodes
-    }
-    return start, nodes, edges, prio_of
+    return start, nodes, edges
 
 
 def _trajectory_product(p, automata, budget):
-    """Bilayer product of p's transition structure with (dpw, level)
+    """Bilayer product of p's transition structure with (nba, level)
     automata; the base nodes are p's states; ``budget`` caps its "n" nodes."""
 
     def moves(s):
@@ -314,7 +317,7 @@ def _trajectory_product(p, automata, budget):
 
     return _bilayer_product(
         sorted(p.init, key=str),
-        [(d, _letter(level, p)) for d, level in automata],
+        [(a, _letter(level, p)) for a, level in automata],
         moves,
         budget,
     )
@@ -352,6 +355,19 @@ def _product_lasso(inits, edges, cycle, state_of):
     )
 
 
+def _accepting_lasso(inits, nodes, edges, nbas, state_of):
+    """The lasso of a cycle of a bilayer product with ``nbas`` (arguments
+    as `_bilayer_product` returns them, and as for `_product_lasso`) that
+    passes an accepting state of each of them, or None: generalized Büchi
+    emptiness (Couvreur, FM 1999), in one pass over the strongly connected
+    components, as a cycle whose maximum is even in every entry when an
+    accepting state has priority 2 and any other state 1."""
+    accepting = [a.accepting for a in nbas]
+    prio = {x: tuple(2 if q in f else 1 for f, q in zip(accepting, x[-1])) for x in nodes}
+    cycle = omega.cycle_with_max_parity(nodes, edges.__getitem__, prio, 0)
+    return None if cycle is None else _product_lasso(inits, edges, cycle, state_of)
+
+
 # ---------------------------------------------------------------------------
 # Implication
 # ---------------------------------------------------------------------------
@@ -368,9 +384,11 @@ class ImplicationResult:
 
 def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     """Whether every infinite trajectory of ``p`` satisfying ``c`` satisfies
-    ``c_prime``; decided on the product of the problem's transition
-    structure with the constraint automata.  A False result carries a
-    witnessing lasso."""
+    ``c_prime``; decided as emptiness of the product of the problem's
+    transition structure with the conjunct NBAs of ``c`` and the NBA of
+    the negation of ``c_prime``, without determinizing any of them.  A
+    fairness antecedent asks for a move-closed component of the product
+    with the one NBA.  A False result carries a witnessing lasso."""
     if c == c_prime:
         return ImplicationResult(holds=True)
     if c_prime.kind == "explicit" or c.kind == "explicit":
@@ -380,58 +398,41 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
         c_prime = ltl_constraint(fairness_to_ltl(p), name="fairness", level="state")
 
     f_neg = L.lnot(constraint_formula(c_prime, p))
-    nba_neg = L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget)
-    d_neg = omega.nba_to_dpw(nba_neg, budget=budget)
-
+    neg = (L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget), c_prime.level)
     if c.kind == "fairness":
-        lasso = _fair_accepting_lasso(p, d_neg, c_prime.level, budget)
-        if lasso is not None:
-            return ImplicationResult(holds=False, witness=lasso)
-        return ImplicationResult(holds=True)
-
-    d_pos = [omega.nba_to_dpw(a, budget=budget) for a in _conjunct_nbas(c, p, budget)]
-    automata = [(d, c.level) for d in d_pos] + [(d_neg, c_prime.level)]
-    inits, nodes, edges, prio_of = _trajectory_product(p, automata, budget)
-    cycle = omega.cycle_with_max_parity(nodes, edges.__getitem__, prio_of, 0)
-    if cycle is None:
-        return ImplicationResult(holds=True)
-    return ImplicationResult(
-        holds=False, witness=_product_lasso(inits, edges, cycle, lambda s: s)
-    )
+        lasso = _fair_accepting_lasso(p, neg, budget)
+    else:
+        automata = [(a, c.level) for a in _conjunct_nbas(c, p, budget)] + [neg]
+        product = _trajectory_product(p, automata, budget)
+        lasso = _accepting_lasso(*product, [a for a, _ in automata], lambda s: s)
+    return ImplicationResult(holds=lasso is None, witness=lasso)
 
 
-def _fair_accepting_lasso(p, dpw, level, budget):
-    """A fair lasso of ``p`` accepted by ``dpw``.
+def _fair_accepting_lasso(p, automaton, budget):
+    """A fair lasso of ``p`` accepted by the (nba, level) ``automaton``.
 
-    Per even priority p_e, restrict the bilayer product to priorities
-    <= p_e and refine to maximal move-closed strongly connected
-    substructures (every move kept has all its outcomes inside); any such
-    structure containing a p_e node yields the witness by covering all its
-    edges in one closed walk, which makes the projected lasso fair.
+    Refine the bilayer product to its maximal move-closed strongly
+    connected substructures (every move kept keeps a successor for each of
+    its outcome states); any such structure holding an accepting state
+    yields the witness by covering all its edges in one closed walk, which
+    makes the projected lasso fair.
     """
-    inits, nodes, edges, prio_of = _trajectory_product(p, [(dpw, level)], budget)
-    evens = sorted({q for q in dpw.priority.values() if q % 2 == 0}, reverse=True)
-    for pe in evens:
-        sub = {v for v in nodes if prio_of[v][0] <= pe}
-        for comp, succ in _closed_components(sub, edges):
-            if not any(prio_of[v][0] == pe for v in comp):
-                continue
-            walk = graph.covering_walk(comp, succ)
-            if walk is not None:
-                return _product_lasso(inits, edges, walk, lambda s: s)
+    inits, nodes, edges = _trajectory_product(p, [automaton], budget)
+    accepting = automaton[0].accepting
+    for comp, succ in _closed_components(nodes, edges):
+        if any(v[-1][0] in accepting for v in comp):
+            return _product_lasso(inits, edges, graph.covering_walk(comp, succ), lambda s: s)
     return None
 
 
 def _closed_components(nodes, edges):
     """Maximal move-closed strongly connected substructures of a bilayer
-    product, with the successor function that keeps them closed."""
+    product, with the successor function inside each."""
     stack = [nodes]
     while stack:
         cur = _closed_core(stack.pop(), edges)
 
         def succ(v, cur=cur):
-            if v[0] == "n":
-                return [m for m in edges[v] if m in cur and all(w in cur for w in edges[m])]
             return [w for w in edges[v] if w in cur]
 
         comps = list(graph.sccs(sorted(cur, key=str), succ))
@@ -443,32 +444,33 @@ def _closed_components(nodes, edges):
 
 
 def _closed_core(nodes, edges):
-    """The largest subset of ``nodes`` in which every "n" node keeps one of
-    its moves and every kept move keeps all its outcomes."""
+    """The largest subset of ``nodes`` in which every node keeps a successor
+    in each of its groups: an "n" node's successors (its moves) form one
+    group, and an "m" node's successors form one group per outcome state."""
+
+    def group(v, w):
+        return w[1] if v[0] == "m" else None
+
     pred = {}
-    moves_left = {}
+    left = {}
     dead = []
     for v in nodes:
-        inside = [w for w in edges[v] if w in nodes]
-        for w in inside:
-            pred.setdefault(w, []).append(v)
-        if v[0] == "n":
-            closed = moves_left[v] = len(inside)
-        else:
-            closed = len(inside) == len(edges[v])
-        if not closed:
+        count = left[v] = {group(v, w): 0 for w in edges[v]}
+        for w in edges[v]:
+            if w in nodes:
+                pred.setdefault(w, []).append(v)
+                count[group(v, w)] += 1
+        if not count or not all(count.values()):
             dead.append(v)
     core = set(nodes).difference(dead)
     while dead:
-        for v in pred.get(dead.pop(), ()):
-            if v not in core:
-                continue
-            if v[0] == "n":
-                moves_left[v] -= 1
-                if moves_left[v]:
-                    continue
-            core.discard(v)
-            dead.append(v)
+        w = dead.pop()
+        for v in pred.get(w, ()):
+            if v in core:
+                left[v][group(v, w)] -= 1
+                if not left[v][group(v, w)]:
+                    core.discard(v)
+                    dead.append(v)
     return core
 
 
@@ -477,16 +479,18 @@ def _closed_core(nodes, edges):
 # ---------------------------------------------------------------------------
 
 
-def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET):
+def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None):
     """Find a goal-avoiding lasso of the policy product ``prod`` (a
     `model.PolicyProduct`) that satisfies the constraint, or None.
     ``reach`` is the set of ids of its goal-free reachable region.
 
     A conjunction of builtin weak counter constraints is a Streett
     condition on the product itself (`_streett_lasso`).  Any other
-    constraint is decomposed into conjuncts, each determinized on its own
-    and on the fly, so only the automaton states the product reaches are
-    built.
+    constraint is decomposed into conjuncts, one NBA each, and the search
+    is Büchi emptiness of the product with them (`accepted_policy_lasso`);
+    no automaton is determinized.  ``nbas`` are those NBAs when the caller
+    has them already (`_conjunct_nbas` of ``c`` and ``p``, as synthesis
+    builds them); otherwise they are translated here.
     """
     if c.kind == "explicit":
         raise NotLtlExpressibleError(
@@ -498,12 +502,9 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET):
     variables = _qnp_template_vars(c)
     if variables is not None:
         return _streett_lasso(p, variables, prod, reach)
-
-    dpws = [
-        omega.LazyDpw(a, budget, stage="constraint-check determinization")
-        for a in _conjunct_nbas(c, p, budget)
-    ]
-    return accepted_policy_lasso(p, c.level, dpws, prod, reach, budget)
+    if nbas is None:
+        nbas = _conjunct_nbas(c, p, budget)
+    return accepted_policy_lasso(p, c.level, nbas, prod, reach, budget)
 
 
 def _streett_lasso(p, variables, prod, reach):
@@ -542,14 +543,13 @@ def _streett_lasso(p, variables, prod, reach):
     return search(reach)
 
 
-def accepted_policy_lasso(p, level, dpws, prod, reach, budget=L.DEFAULT_BUDGET):
+def accepted_policy_lasso(p, level, nbas, prod, reach, budget=L.DEFAULT_BUDGET):
     """A lasso of the policy product (arguments as for
-    `counterexample_search`) accepted by every automaton in ``dpws``, or
-    None: a cycle whose dominant priority is even in each of them at once.
-    The automata are read only from their initial states on.  The base
-    nodes of the bilayer product are the (state, memory) pairs, because
-    the cycle search breaks ties by their ``str``.  ``budget`` caps the
-    nodes of that product."""
+    `counterexample_search`) accepted by every automaton in ``nbas``, or
+    None: a cycle of their bilayer product with the policy product that
+    passes an accepting state of each (`_accepting_lasso`).  The base
+    nodes of that product are the (state, memory) pairs, because the cycle
+    search breaks ties by their ``str``.  ``budget`` caps its nodes."""
     nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
 
     def moves(v):
@@ -559,13 +559,10 @@ def accepted_policy_lasso(p, level, dpws, prod, reach, budget=L.DEFAULT_BUDGET):
         return [(act[i], [nodes[j] for j in succ[i] if j in reach])]
 
     letter = _letter(level, p)
-    inits, bnodes, bedges, prio_of = _bilayer_product(
+    inits, bnodes, bedges = _bilayer_product(
         [nodes[i] for i in prod.start if i in reach],
-        [(d, lambda v: letter(v[0])) for d in dpws],
+        [(a, lambda v: letter(v[0])) for a in nbas],
         moves,
         budget,
     )
-    cycle = omega.cycle_with_max_parity(bnodes, bedges.__getitem__, prio_of, 0)
-    if cycle is None:
-        return None
-    return _product_lasso(inits, bedges, cycle, lambda v: v[0])
+    return _accepting_lasso(inits, bnodes, bedges, nbas, lambda v: v[0])

@@ -843,28 +843,3 @@ def _bisim_quotient(nba, backward):
         initial=frozenset(block[q] for q in nba.initial),
         accepting=frozenset(block[q] for q in nba.accepting),
     )
-
-
-def nba_accepts_lasso(nba, w):
-    """Membership of an ultimately periodic word, decided by searching an
-    accepting cycle in the product of the word's one-loop structure with
-    the automaton.  Independent of eval_lasso."""
-    extra = w.symbol_set() - set(nba.alphabet)
-    if extra:
-        raise AlphabetMismatchError(f"word symbols outside alphabet: {sorted(extra)}")
-    np, nc = len(w.prefix), len(w.cycle)
-    total = np + nc
-
-    def pos_next(i):
-        return i + 1 if i + 1 < total else np
-
-    def succ(nd):
-        i, q = nd
-        return [(pos_next(i), r) for r in nba.successors(q, w.at(i))]
-
-    reach = graph.reachable([(0, q) for q in nba.initial], succ)
-    loop_nodes = [nd for nd in reach if nd[0] >= np]
-    for comp in graph.sccs(sorted(loop_nodes), succ):
-        if graph.has_cycle(comp, succ) and any(q in nba.accepting for _, q in comp):
-            return True
-    return False

@@ -713,17 +713,21 @@ def _goal_free_region(p, prod):
     )
 
 
-def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
+def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
     """Decide whether ``mu`` solves ``p`` in the requested mode.
 
     STRONG: no reachable goal-free cycle and no goal-free stop.
     FAIR: the strong-cyclic condition (goal reachable from every reachable
     goal-free node, no goal-free stops).
-    Under(c): every goal-avoiding infinite behavior of the product violates
-    the constraint, decided through the automaton product (module omega);
-    goal-free stops are counterexamples since finite trajectories satisfy
-    every constraint.  ``budget`` caps the policy product nodes and the
-    automaton states that check builds.
+    Under(c): no goal-avoiding infinite behavior of the product satisfies
+    the constraint (`constraints.counterexample_search`): builtin weak
+    counter constraints are a Streett condition on the policy product, any
+    other LTL constraint is Büchi emptiness of the policy product with
+    the NBAs of its conjuncts, and nothing is determinized.  ``nbas`` are
+    those NBAs when the caller has them already (a synthesis result's).
+    Goal-free stops are counterexamples since finite trajectories satisfy
+    every constraint.  ``budget`` caps the policy product nodes, the
+    tableaux and the nodes of the product with the NBAs.
     """
     prod = _policy_product(p, mu, budget)
     if prod.invalid is not None:
@@ -757,7 +761,7 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET):
     if isinstance(mode, Under):
         from .constraints import counterexample_search
 
-        lasso = counterexample_search(p, mode.constraint, prod, reach, budget=budget)
+        lasso = counterexample_search(p, mode.constraint, prod, reach, budget, nbas)
         if lasso is not None:
             return Verdict(
                 kind="NOT_A_SOLUTION",

@@ -583,6 +583,7 @@ class SynthesisResult:
     game: ParityGame = None
     solution: GameSolution = None
     dpws: tuple = None  # the game's automata: Dpws, or the LazyDpws it explored
+    nbas: tuple = None  # the generic route's conjunct NBAs, which the LazyDpws complement
 
 
 def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
@@ -598,7 +599,9 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     conjunction of per-variable counter constraints, the hand-built record
     automaton for ``psi -> eventually goal`` (`qnp_dpw_direct`), with
     exponentially fewer states, is the game's one automaton instead;
-    ``direct`` forces the choice.
+    ``direct`` forces the choice.  The result keeps the generic route's
+    conjunct NBAs as ``nbas``, so that the constraint check of its policy
+    (`model.check_solution`) need not translate them again.
 
     A winning strategy becomes a transducer policy whose memory is the
     played tuples of automaton states (the states themselves when there is
@@ -611,6 +614,7 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     from .model import Policy, _policy_product
 
     variables = _qnp_template_vars(psi)
+    nbas = None
     if direct is None:
         direct = variables is not None
     if direct:
@@ -619,9 +623,10 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
         _require_known(p, variables)
         dpws = (_qnp_direct_for_problem(p, variables),)
     else:
+        nbas = tuple(_conjunct_nbas(psi, p, budget))
         dpws = tuple(
             LazyDpw(nba, budget, stage="synthesis-game determinization", complement=True)
-            for nba in _conjunct_nbas(psi, p, budget)
+            for nba in nbas
         )
     game = build_parity_game(p, dpws, budget)
     sol = solve_parity(game)
@@ -633,7 +638,8 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
             if game.owner[v] == ENVIRONMENT and sol.region[v] == ENVIRONMENT
         }
         return SynthesisResult(
-            realizable=False, counterstrategy=counter, game=game, solution=sol, dpws=dpws
+            realizable=False, counterstrategy=counter, game=game, solution=sol, dpws=dpws,
+            nbas=nbas,
         )
     strategy = _uniform_actions(game, _improve_strategy(game, sol))
     played = _played_region(game, strategy)
@@ -669,7 +675,9 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     prod = _policy_product(p, policy, budget)
     care = {(m, p.obs_fn[s]) for s, m in prod.nodes}
     policy = policy.minimized(observations, care)
-    return SynthesisResult(realizable=True, policy=policy, game=game, solution=sol, dpws=dpws)
+    return SynthesisResult(
+        realizable=True, policy=policy, game=game, solution=sol, dpws=dpws, nbas=nbas
+    )
 
 
 def _qnp_direct_for_problem(p, variables):

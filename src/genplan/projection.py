@@ -66,7 +66,8 @@ def project(cls, annotations=None):
     shared per-observation action sets, and an abstract transition exists
     iff some member witnesses it.  Available actions with no witnessed
     source occurrence are excluded at that observation and reported as
-    diagnostics rather than given invented transitions.
+    diagnostics, in ``str`` order of (observation, action), rather than
+    given invented transitions.
     """
     problems = validate_class(cls)
     if problems:
@@ -88,9 +89,9 @@ def project(cls, annotations=None):
 
     avail = {}
     diagnostics = []
-    for w in cls.observations:
+    for w in sorted(cls.observations, key=str):
         present = set()
-        for a in cls.avail_by_obs.get(w, frozenset()):
+        for a in sorted(cls.avail_by_obs.get(w, ()), key=str):
             if (a, w) in succ:
                 present.add(a)
             else:

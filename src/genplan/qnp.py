@@ -339,44 +339,6 @@ def parse_qnp(text):
     return q
 
 
-def qnp_to_text(q):
-    lines = []
-    if q.fluents:
-        lines.append("fluents " + " ".join(sorted(q.fluents)))
-    if q.variables:
-        lines.append("vars " + " ".join(q.variables))
-    if q.init_fluents:
-        lines.append("init " + " ".join(sorted(q.init_fluents)))
-    for v in q.variables:
-        d = q.init_values[v]
-        if d.kind == "set":
-            lines.append(f"init_values {v} in {{{','.join(str(x) for x in d.values)}}}")
-        else:
-            lines.append(f"init_values {v} in [{d.values[0]},{d.values[1]}]")
-    for v in q.variables:
-        s = q.semantics_for(v)
-        if s.mode == "bounded":
-            lines.append(f"semantics {v} bounded {s.lo} {s.hi} grid {s.grid}")
-        elif s.mode != "unit":
-            lines.append(f"semantics {v} {s.mode}")
-    for a in q.actions:
-        lines.append(f"action {a.name}")
-        if a.pre:
-            lines.append("  pre " + " ".join(_literal_text(l) for l in a.pre))
-        if a.add:
-            lines.append("  add " + " ".join(sorted(a.add)))
-        if a.delete:
-            lines.append("  del " + " ".join(sorted(a.delete)))
-        incs = sorted(v for v, e in a.numeric.items() if e == "inc")
-        decs = sorted(v for v, e in a.numeric.items() if e == "dec")
-        if incs:
-            lines.append("  inc " + " ".join(incs))
-        if decs:
-            lines.append("  dec " + " ".join(decs))
-    lines.append("goal " + " ".join(_literal_text(l) for l in q.goal))
-    return "\n".join(lines) + "\n"
-
-
 def _literal_text(lit):
     if lit[0] == "fluent":
         return lit[1] if lit[2] else f"!{lit[1]}"
@@ -730,29 +692,6 @@ def similar(q1, q2):
         if d1.positive_possible != d2.positive_possible:
             return False
     return True
-
-
-def two_valued_variant(q):
-    """The similar QNP whose variables range over {0, 1} with DEC = {0, x}
-    and INC = {1}; its instances mirror the syntactic projection."""
-    init_values = {}
-    for v in q.variables:
-        d = q.init_values[v]
-        vals = []
-        if d.zero_possible:
-            vals.append(Fraction(0))
-        if d.positive_possible:
-            vals.append(Fraction(1))
-        init_values[v] = InitDescriptor(kind="set", values=tuple(vals))
-    return Qnp(
-        fluents=q.fluents,
-        init_fluents=q.init_fluents,
-        actions=q.actions,
-        goal=q.goal,
-        variables=q.variables,
-        init_values=init_values,
-        semantics={v: ConcreteSemantics(mode="two_valued") for v in q.variables},
-    )
 
 
 def close_qnp(q):

@@ -1,16 +1,20 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here are deliberately separate from the library's algorithms:
-DPW acceptance of a lasso and exact language comparison, brute-force
-strategy enumeration and strategy verification for parity games, an exact
-class-grouped agreement check between parity automata and the LTL
-semantics over a bounded lasso universe, the earlier tuple-keyed
-policy product, its STRONG and FAIR checks and its planner, and the
-dict-walking problem validation, kept as references for the numbered ones.
+NBA membership and DPW acceptance of a lasso, exact language comparison,
+brute-force strategy enumeration and strategy verification for parity
+games, an exact class-grouped agreement check between parity automata and
+the LTL semantics over a bounded lasso universe, the constraint check
+through determinized conjuncts, kept as the reference for its Büchi
+reading, the earlier tuple-keyed policy product, its STRONG and FAIR
+checks and its planner, and the dict-walking problem validation, kept as
+references for the numbered ones.  The QNP printer and the two-valued
+variant of a QNP serve the QNP tests.
 """
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -29,8 +33,10 @@ from genplan.model import (
     infer_class,
 )
 from genplan.errors import AlphabetMismatchError, ResolverExhaustedError, decoding
-from genplan.omega import CONTROLLER, Dpw, cycle_with_max_parity
+from genplan.constraints import _conjunct_nbas, _product_lasso
+from genplan.omega import CONTROLLER, Dpw, LazyDpw, cycle_with_max_parity
 from genplan.projection import as_fondp
+from genplan.qnp import ConcreteSemantics, InitDescriptor, Qnp, _literal_text
 
 ZERO, POS = "X=0", "X>0"
 
@@ -192,6 +198,144 @@ def reference_nba(f, alphabet, budget=L.DEFAULT_BUDGET):
         return L._tableau_nba(g, alphabet, budget)
 
     return reference_trim(build(f))
+
+
+# ---------------------------------------------------------------------------
+# NBA membership and QNP text
+# ---------------------------------------------------------------------------
+
+
+def nba_accepts_lasso(nba, w):
+    """Membership of an ultimately periodic word, decided by searching an
+    accepting cycle in the product of the word's one-loop structure with
+    the automaton.  Independent of eval_lasso."""
+    extra = w.symbol_set() - set(nba.alphabet)
+    if extra:
+        raise AlphabetMismatchError(f"word symbols outside alphabet: {sorted(extra)}")
+    np, nc = len(w.prefix), len(w.cycle)
+    total = np + nc
+
+    def pos_next(i):
+        return i + 1 if i + 1 < total else np
+
+    def succ(nd):
+        i, q = nd
+        return [(pos_next(i), r) for r in nba.successors(q, w.at(i))]
+
+    reach = graph.reachable([(0, q) for q in nba.initial], succ)
+    loop_nodes = [nd for nd in reach if nd[0] >= np]
+    for comp in graph.sccs(sorted(loop_nodes), succ):
+        if graph.has_cycle(comp, succ) and any(q in nba.accepting for _, q in comp):
+            return True
+    return False
+
+
+def qnp_to_text(q):
+    """The QNP in the text format `qnp.parse_qnp` reads."""
+    lines = []
+    if q.fluents:
+        lines.append("fluents " + " ".join(sorted(q.fluents)))
+    if q.variables:
+        lines.append("vars " + " ".join(q.variables))
+    if q.init_fluents:
+        lines.append("init " + " ".join(sorted(q.init_fluents)))
+    for v in q.variables:
+        d = q.init_values[v]
+        if d.kind == "set":
+            lines.append(f"init_values {v} in {{{','.join(str(x) for x in d.values)}}}")
+        else:
+            lines.append(f"init_values {v} in [{d.values[0]},{d.values[1]}]")
+    for v in q.variables:
+        s = q.semantics_for(v)
+        if s.mode == "bounded":
+            lines.append(f"semantics {v} bounded {s.lo} {s.hi} grid {s.grid}")
+        elif s.mode != "unit":
+            lines.append(f"semantics {v} {s.mode}")
+    for a in q.actions:
+        lines.append(f"action {a.name}")
+        if a.pre:
+            lines.append("  pre " + " ".join(_literal_text(l) for l in a.pre))
+        if a.add:
+            lines.append("  add " + " ".join(sorted(a.add)))
+        if a.delete:
+            lines.append("  del " + " ".join(sorted(a.delete)))
+        incs = sorted(v for v, e in a.numeric.items() if e == "inc")
+        decs = sorted(v for v, e in a.numeric.items() if e == "dec")
+        if incs:
+            lines.append("  inc " + " ".join(incs))
+        if decs:
+            lines.append("  dec " + " ".join(decs))
+    lines.append("goal " + " ".join(_literal_text(l) for l in q.goal))
+    return "\n".join(lines) + "\n"
+
+
+def two_valued_variant(q):
+    """The similar QNP whose variables range over {0, 1} with DEC = {0, x}
+    and INC = {1}; its instances mirror the syntactic projection."""
+    init_values = {}
+    for v in q.variables:
+        d = q.init_values[v]
+        vals = []
+        if d.zero_possible:
+            vals.append(Fraction(0))
+        if d.positive_possible:
+            vals.append(Fraction(1))
+        init_values[v] = InitDescriptor(kind="set", values=tuple(vals))
+    return Qnp(
+        fluents=q.fluents,
+        init_fluents=q.init_fluents,
+        actions=q.actions,
+        goal=q.goal,
+        variables=q.variables,
+        init_values=init_values,
+        semantics={v: ConcreteSemantics(mode="two_valued") for v in q.variables},
+    )
+
+
+# ---------------------------------------------------------------------------
+# The constraint check on deterministic automata
+# ---------------------------------------------------------------------------
+
+
+def dpw_policy_lasso(p, level, dpws, prod, reach):
+    """A lasso of the policy product ``prod`` inside ``reach`` accepted by
+    every DPW of ``dpws``, or None: the constraint check's reading through
+    determinized conjuncts, kept as the reference for its Büchi reading.
+    The automata run deterministically along the bilayer product (nodes
+    ("n", (state, memory), qs) before the letter of the state is read and
+    ("m", (state, memory), action, qs) after it), which is searched for a
+    cycle whose maximum priority is even in every automaton."""
+    nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
+    letter = (lambda v: v[0]) if level == "state" else (lambda v: p.obs_fn[v[0]])
+    start = [("n", nodes[i], tuple(d.initial for d in dpws)) for i in prod.start if i in reach]
+    seen = set(start)
+    edges = {}
+    stack = list(start)
+    while stack:
+        x = stack.pop()
+        if x[0] == "n":
+            _, v, qs = x
+            i = index[v]
+            qs1 = tuple(d.delta[(q, letter(v))] for d, q in zip(dpws, qs))
+            edges[x] = [("m", v, act[i], qs1)] if succ[i] else []
+        else:
+            _, v, a, qs1 = x
+            qs2 = tuple(d.delta[(q, a)] for d, q in zip(dpws, qs1))
+            edges[x] = [("n", nodes[j], qs2) for j in succ[index[v]] if j in reach]
+        for y in edges[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    priority = {x: tuple(d.priority[q] for d, q in zip(dpws, x[-1])) for x in edges}
+    cycle = cycle_with_max_parity(edges, edges.__getitem__, priority, 0)
+    return None if cycle is None else _product_lasso(start, edges, cycle, lambda v: v[0])
+
+
+def dpw_counterexample_search(p, c, prod, reach):
+    """`constraints.counterexample_search` for an LTL constraint, through
+    one on-the-fly determinized automaton per conjunct."""
+    dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET)]
+    return dpw_policy_lasso(p, c.level, dpws, prod, reach)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from genplan.constraints import (
     qnp_constraints,
 )
 from genplan.fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
-from genplan.ltl import eval_lasso, ltl_to_nba, nba_accepts_lasso
+from genplan.ltl import eval_lasso, ltl_to_nba
 from genplan.model import (
     FAIR,
     Policy,
@@ -61,6 +61,7 @@ from .helpers import (
     dpw_accepts,
     dpw_language_difference,
     is_generated_by,
+    nba_accepts_lasso,
     rand_formula,
     rand_game,
     rand_word,

@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -67,6 +69,38 @@ def test_project(tmp_path, capsys):
     assert dot.read_text().startswith("digraph")
     p = load_pondp(str(out))
     assert p.succ[("Dec", "X>0")] == frozenset({"X>0", "X=0"})
+
+
+def test_project_diagnostics_ignore_hash_seed(tmp_path):
+    """Declared actions that no member witnesses are reported in ``str``
+    order of (observation, action), the same under every string hash
+    seed: the counter class with two more observations that declare four
+    actions each, none witnessed, gives eight such diagnostics."""
+    with open(COUNTER_CLASS) as fh:
+        doc = json.load(fh)
+    doc["observations"] += ["Y=0", "Z=0"]
+    doc["actions"] += ["Jump", "Skip"]
+    for obs in ("Y=0", "Z=0"):
+        doc["avail_by_obs"][obs] = ["Skip", "Inc", "Jump", "Dec"]
+    path = tmp_path / "wide_class.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(main.__code__.co_filename))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "genplan.cli", "project", str(path)],
+            env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1", "2", "3")
+    ]
+    assert len(set(outs)) == 1
+    found = [
+        (d["message"].split("'")[3], d["message"].split("'")[1])
+        for d in json.loads(outs[0])["diagnostics"]
+        if d["code"] == "no witnessed transition"
+    ]
+    assert found == [(o, a) for o in ("Y=0", "Z=0") for a in ("Dec", "Inc", "Jump", "Skip")]
 
 
 def test_synthesize_realizable(tmp_path, capsys):
@@ -423,6 +457,28 @@ def _qnp_as_ltl_text(fondp, variables):
     return ltl.pretty(constraint_formula(c, load_pondp(str(fondp))))
 
 
+def test_synthesize_translates_each_conjunct_once(tmp_path, capsys, monkeypatch):
+    """A synthesize request hands its conjunct NBAs to its own constraint
+    check: two LTL conjuncts and one that folds to true cost two
+    translations in all, and the policy is still checked."""
+    fondp = tmp_path / "twovar.json"
+    assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
+    capsys.readouterr()
+    calls = []
+    translate = ltl.ltl_to_nba
+    monkeypatch.setattr(ltl, "ltl_to_nba", lambda *a, **k: calls.append(a[0]) or translate(*a, **k))
+    code, doc = run_cli(
+        capsys,
+        "synthesize", str(fondp),
+        "--constraint", _qnp_as_ltl_text(fondp, ["X"]),
+        "--constraint", _qnp_as_ltl_text(fondp, ["Y"]),
+        "--constraint", "G true",
+    )
+    assert code == 0
+    assert doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
+    assert len(calls) == 2
+
+
 def test_verify_constraint_honours_budget(tmp_path, capsys, monkeypatch):
     """The constraint check counts the automaton states it builds against
     --budget and GENPLAN_BUDGET; overflowing is malformed input (exit 2)."""
@@ -623,9 +679,9 @@ def test_verify_policy_product_honours_budget(tmp_path, capsys):
         assert code in (0, 1) and "error" not in doc, argv
 
 
-def test_verify_constraint_budget_reaches_determinization(tmp_path, capsys):
-    """A budget the policy product and the tableau fit in still stops the
-    constraint check at determinization."""
+def test_verify_constraint_budget_reaches_the_nba_product(tmp_path, capsys):
+    """A budget the policy product and the tableaux fit in still stops the
+    constraint check at its product with the conjunct NBAs."""
     fondp = tmp_path / "twovar.json"
     assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
     capsys.readouterr()
@@ -634,7 +690,7 @@ def test_verify_constraint_budget_reaches_determinization(tmp_path, capsys):
     code, doc = run_cli(capsys, "--budget", "14", *args)
     assert code == 2
     assert doc["error"] == "SizeBudgetExceededError"
-    assert doc["message"].startswith("constraint-check determinization exceeded budget")
+    assert doc["message"].startswith("constraint-check product exceeded budget")
 
 
 def test_verify_builtin_constraint_budget_stops_at_policy_product(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for trajectory constraints, their satisfaction, and implication."""
 
+import os
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -36,7 +37,7 @@ from genplan.model import (
     check_solution,
     run_policy,
 )
-from genplan.omega import LazyDpw, nba_to_dpw
+from genplan.omega import nba_to_dpw
 from genplan.ltl import eval_lasso, ltl_to_nba, parse_ltl
 from genplan.projection import lift_trajectory
 from genplan.qnp import close_qnp, parse_qnp, syntactic_projection
@@ -48,6 +49,8 @@ from .helpers import (
     concrete_counter,
     counter_projection,
     dpw_accepts,
+    dpw_counterexample_search,
+    dpw_policy_lasso,
     finite_memory_policies,
     is_generated_by,
     rand_formula,
@@ -188,6 +191,15 @@ def test_fairness_implies_qnp_constraint():
     assert res.holds
 
 
+def test_fairness_implies_qnp_constraints_on_the_projection():
+    """On the counter projection the Dec loop at X>0 violates both counter
+    constraints, but it never takes Dec's outcome X=0, so it is unfair:
+    a fair lasso must keep an outcome of every move it takes."""
+    po = counter_projection()
+    assert implies(fairness_constraint(), qnp_constraint("X"), po).holds
+    assert implies(fairness_constraint(), qnp_constraint("X", strong=True), po).holds
+
+
 def test_all_does_not_imply_qnp_constraint():
     """Over the projection, the all-trajectories constraint does not imply
     the counter constraint; the witness is the unfair decrement loop."""
@@ -259,13 +271,42 @@ def test_implies_monotone_verdicts():
 def test_implies_honours_budget():
     """Both trajectory products of implies count their "n" nodes against
     the budget: on a 51-value counter the automata fit in 300 states but
-    the product does not, and 1,000 gives the unbounded answer."""
+    the product does not, and 2,000 gives the unbounded answer."""
     p = concrete_counter(40, bound=50, dec_steps=(1, 2))
     for c in (ALL_TRAJECTORIES, fairness_constraint()):
         with pytest.raises(SizeBudgetExceededError, match="constraint-check product .* budget 300"):
             implies(c, qnp_constraint("X"), p, budget=300)
-        assert implies(c, qnp_constraint("X"), p, budget=1000).holds
+        assert implies(c, qnp_constraint("X"), p, budget=2000).holds
         assert implies(c, qnp_constraint("X"), p).holds
+
+
+def _problem_projection(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "problems", name)
+    with open(path) as fh:
+        return syntactic_projection(parse_qnp(fh.read())).fondp
+
+
+@pytest.mark.parametrize(
+    "problem, c, c_prime, holds",
+    [
+        ("twovar.qnp", ALL_TRAJECTORIES, conjoin(qnp_constraints(["X", "Y"])), False),
+        ("twovar.qnp", qnp_constraint("X"), conjoin(qnp_constraints(["X", "Y"])), False),
+        ("twovar.qnp", qnp_constraint("Y"), conjoin(qnp_constraints(["X", "Y"])), False),
+        ("twovar.qnp", conjoin(qnp_constraints(["X", "Y"])), qnp_constraint("X"), True),
+        ("counter.qnp", ALL_TRAJECTORIES, qnp_constraint("X"), False),
+        ("counter.qnp", qnp_constraint("X"), qnp_constraint("X", strong=True), True),
+    ],
+)
+def test_implies_on_the_example_projections(problem, c, c_prime, holds):
+    """Implications between counter constraints on the syntactic
+    projections of the example QNPs; every witness satisfies ``c`` and
+    violates ``c_prime``."""
+    p = _problem_projection(problem)
+    res = implies(c, c_prime, p)
+    assert res.holds == holds
+    if not holds:
+        assert satisfies(c, res.witness, p)
+        assert not satisfies(c_prime, res.witness, p)
 
 
 def test_explicit_constraints_not_checkable():
@@ -338,7 +379,7 @@ def test_lazy_counterexample_search_agrees_with_full_dpw(seed):
     prod, reach = _memoryless_product(p, choice)
     lasso = counterexample_search(p, c, prod, reach)
     full = [nba_to_dpw(ltl_to_nba(f, sigma))]
-    reference = accepted_policy_lasso(p, c.level, full, prod, reach)
+    reference = dpw_policy_lasso(p, c.level, full, prod, reach)
     assert (lasso is None) == (reference is None)
     if lasso is not None:
         assert eval_lasso(f, lift_trajectory(p, lasso).word(), sigma)
@@ -352,29 +393,35 @@ def _as_ltl_text(c, p):
 
 
 def test_constraint_check_budget_names_its_stage():
+    """A budget error of the check names the stage that overflowed: the
+    policy product (4 nodes), the tableaux, then the product with the
+    conjunct NBAs, whose 5 x 7 initial states overflow budget 14 at once."""
     p = syntactic_projection(parse_qnp(TWOVAR)).fondp
     mu = Policy.memoryless({"X>0,Y=0": "a", "X>0,Y>0": "b", "X=0,Y>0": "b"})
     cv = _as_ltl_text(conjoin(qnp_constraints(["X", "Y"])), p)
     assert check_solution(p, mu, Under(cv)).is_solution
-    with pytest.raises(
-        SizeBudgetExceededError, match="constraint-check determinization .* 14 states"
+    for budget, stage in (
+        (3, "policy product exceeded budget: 4 nodes"),
+        (13, "tableau would need"),
+        (14, "constraint-check product exceeded budget: 35 nodes"),
     ):
-        check_solution(p, mu, Under(cv), budget=14)
+        with pytest.raises(SizeBudgetExceededError, match=stage):
+            check_solution(p, mu, Under(cv), budget=budget)
 
 
 def test_constraint_check_product_honours_budget():
-    """The product of the policy with the conjunct automata counts its
-    nodes against the budget: 18 fits the policy product, the tableaux and
-    the automaton states, but not that product."""
+    """The product of the policy with the conjunct NBAs counts its "n"
+    nodes against the budget: 130 fits the policy product and the
+    tableaux, but not that product."""
     p = syntactic_projection(parse_qnp(TWOVAR)).fondp
     mu = Policy.memoryless({"X>0,Y=0": "a", "X>0,Y>0": "b", "X=0,Y>0": "b"})
     cv = _as_ltl_text(conjoin(qnp_constraints(["X", "Y"])), p)
     with pytest.raises(
         SizeBudgetExceededError,
-        match="^constraint-check product exceeded budget: 19 nodes built, budget 18$",
+        match="^constraint-check product exceeded budget: 131 nodes built, budget 130$",
     ):
-        check_solution(p, mu, Under(cv), budget=18)
-    assert check_solution(p, mu, Under(cv), budget=19).is_solution
+        check_solution(p, mu, Under(cv), budget=130)
+    assert check_solution(p, mu, Under(cv), budget=131).is_solution
 
 
 def _suite_projections():
@@ -388,6 +435,36 @@ def _suite_projections():
 
 
 SUITE_PROJECTIONS = _suite_projections()
+BUCHI_SWEEP_PROBLEMS = [p for _, p, _ in SUITE_PROJECTIONS] + [
+    syntactic_projection(parse_qnp(TWOVAR)).fondp
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_buchi_route_agrees_with_dpw_reference(data):
+    """Seeded sweep: on the projections of the criterion-4 suite and of the
+    two-variable problem, under random formulas (one or two conjuncts) and
+    random finite-memory policies, the check over the conjunct NBAs finds
+    a lasso iff the check over their on-the-fly determinizations does, and
+    every lasso it returns avoids the goal, is generated by the policy and
+    satisfies the constraint (`satisfies` and `eval_lasso`)."""
+    p = data.draw(st.sampled_from(BUCHI_SWEEP_PROBLEMS))
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    sigma = frozenset(set(p.observations) | set(p.actions))
+    letters = sorted(sigma)
+    f = L.land(*[rand_formula(rng, 3, letters) for _ in range(rng.randint(1, 2))])
+    c = ltl_constraint(f)
+    mu = data.draw(finite_memory_policies(p, max_memory=2))
+    prod = _policy_product(p, mu)
+    reach = _goal_free_region(p, prod)
+    lasso = counterexample_search(p, c, prod, reach)
+    assert (lasso is None) == (dpw_counterexample_search(p, c, prod, reach) is None)
+    if lasso is not None:
+        assert not set(lasso.visited_states()) & p.goal_states
+        assert is_generated_by(p, mu, lasso)
+        assert satisfies(c, lasso, p)
+        assert eval_lasso(f, lift_trajectory(p, lasso).word(), sigma)
 
 
 def _assert_routes_agree(name, p, variables, mu):
@@ -401,10 +478,12 @@ def _assert_routes_agree(name, p, variables, mu):
             c = conjoin(qnp_constraints(subset))
             lasso = counterexample_search(p, c, prod, reach)
             # the route every non-builtin constraint takes
-            dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET)]
-            reference = accepted_policy_lasso(p, c.level, dpws, prod, reach)
+            nbas = _conjunct_nbas(c, p, L.DEFAULT_BUDGET)
+            buchi = accepted_policy_lasso(p, c.level, nbas, prod, reach)
+            reference = dpw_counterexample_search(p, c, prod, reach)
             assert (lasso is None) == (reference is None), (name, subset)
-            for t in (lasso, reference):
+            assert (buchi is None) == (reference is None), (name, subset)
+            for t in (lasso, buchi, reference):
                 if t is not None:
                     assert not set(t.visited_states()) & p.goal_states
                     assert satisfies(c, t, p), (name, subset)
@@ -444,8 +523,8 @@ def test_automaton_route_lasso_is_normalized():
     prod = _policy_product(p, toggle)
     reach = _goal_free_region(p, prod)
     c = qnp_constraint("X")
-    dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET)]
-    lasso = accepted_policy_lasso(p, c.level, dpws, prod, reach)
+    nbas = _conjunct_nbas(c, p, L.DEFAULT_BUDGET)
+    lasso = accepted_policy_lasso(p, c.level, nbas, prod, reach)
     assert lasso.prefix_states == () and lasso.prefix_actions == ()
     assert lasso.cycle_states == (POS, POS) and lasso.cycle_actions == ("Dec", "Inc")
     assert satisfies(c, lasso, p) and is_generated_by(p, toggle, lasso)

@@ -28,12 +28,11 @@ from genplan.ltl import (
     lnot,
     lor,
     ltl_to_nba,
-    nba_accepts_lasso,
     parse_ltl,
     pretty,
 )
 
-from .helpers import rand_formula, rand_word, reference_nba, reference_trim
+from .helpers import nba_accepts_lasso, rand_formula, rand_word, reference_nba, reference_trim
 
 SIGMA = {"Inc", "Dec", "X=0", "X>0"}
 

@@ -31,12 +31,12 @@ from genplan.qnp import (
     closure_diagnostics,
     instantiate,
     parse_qnp,
-    qnp_to_text,
     similar,
     simulate,
     syntactic_projection,
-    two_valued_variant,
 )
+
+from .helpers import qnp_to_text, two_valued_variant
 
 COUNTER = """
 vars X
