@@ -36,7 +36,7 @@ from .model import (
     step,
     validate,
 )
-from .omega import SynthesisResult, qnp_dpw_direct, solve_parity, synthesize
+from .omega import SynthesisResult, solve_parity, synthesize
 from .projection import Fondp, lift_trajectory, observation_projection, project
 from .qnp import (
     Qnp,
@@ -81,7 +81,6 @@ __all__ = [
     "project",
     "qnp_constraint",
     "qnp_constraints",
-    "qnp_dpw_direct",
     "run_policy",
     "satisfies",
     "similar",

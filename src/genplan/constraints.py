@@ -30,18 +30,16 @@ from .projection import lift_trajectory
 @dataclass(frozen=True)
 class TrajectoryConstraint:
     """A named constraint: an LTL formula template over the ambient
-    alphabet, the structural fairness constraint, or an explicit lasso
-    predicate (test oracle only)."""
+    alphabet, or the structural fairness constraint."""
 
-    kind: str  # "ltl" | "fairness" | "explicit"
+    kind: str  # "ltl" | "fairness"
     name: str
     level: str = "observation"  # "observation" | "state"
     formula: object = None  # concrete LTL formula, for kind == "ltl"
     template: tuple = None  # ("qnp", var, strong) for bound-at-use formulas
-    predicate: object = None  # lasso -> bool, for kind == "explicit"
 
     def __post_init__(self):
-        if self.kind not in ("ltl", "fairness", "explicit"):
+        if self.kind not in ("ltl", "fairness"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
 
@@ -52,10 +50,6 @@ def ltl_constraint(formula, name=None, level="observation"):
 
 
 ALL_TRAJECTORIES = ltl_constraint(L.TRUE, name="all")
-
-
-def explicit_constraint(predicate, name):
-    return TrajectoryConstraint(kind="explicit", name=name, predicate=predicate)
 
 
 def fairness_constraint(p=None):
@@ -124,8 +118,9 @@ def _require_known(p, variables):
 
 
 def _qnp_template_vars(psi):
-    """Variables of a (conjunction of) weak counter-constraint templates, or
-    None when the constraint has any other shape."""
+    """Variables of a (conjunction of) weak counter-constraint templates,
+    each once, in the order they first occur, or None when the constraint
+    has any other shape."""
     template = getattr(psi, "template", None)
     if template is None:
         return None
@@ -139,7 +134,7 @@ def _qnp_template_vars(psi):
             if sub is None:
                 return None
             out.extend(sub)
-        return tuple(out)
+        return tuple(dict.fromkeys(out))
     return None
 
 
@@ -208,8 +203,6 @@ def satisfies(c, t, p):
     state-level lassos through the problem's observation function."""
     if isinstance(t, FiniteTrajectory):
         return True
-    if c.kind == "explicit":
-        return bool(c.predicate(t))
     if c.kind == "fairness":
         return is_fair(p, t)
     if c.level == "observation" and t.level == "state":
@@ -391,8 +384,6 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     with the one NBA.  A False result carries a witnessing lasso."""
     if c == c_prime:
         return ImplicationResult(holds=True)
-    if c_prime.kind == "explicit" or c.kind == "explicit":
-        raise NotLtlExpressibleError("explicit constraints support satisfaction only")
 
     if c_prime.kind == "fairness":
         c_prime = ltl_constraint(fairness_to_ltl(p), name="fairness", level="state")
@@ -492,11 +483,6 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None)
     has them already (`_conjunct_nbas` of ``c`` and ``p``, as synthesis
     builds them); otherwise they are translated here.
     """
-    if c.kind == "explicit":
-        raise NotLtlExpressibleError(
-            f"constraint {c.name!r} is an explicit predicate; it cannot back a "
-            "solution check"
-        )
     if c.kind == "fairness":
         return _fair_counterexample(prod, reach)
     variables = _qnp_template_vars(c)

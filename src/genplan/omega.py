@@ -2,10 +2,10 @@
 
 Implements the back half of the synthesis pipeline: determinization of
 Buchi automata into parity word automata via compact Safra trees, the
-product of an observation projection with a DPW as a two-player parity
-game, Zielonka's recursive solver, strategy extraction into a policy
-transducer, and the direct small DPW for qualitative-numerical
-constraints.
+3-state letter-class DPW of a violated weak counter constraint, the
+product of an observation projection with one DPW per constraint
+conjunct as a generalized parity game, the generalized Zielonka solver,
+and strategy extraction into a minimal policy transducer.
 """
 
 from __future__ import annotations
@@ -582,26 +582,24 @@ class SynthesisResult:
     counterstrategy: dict = None  # the environment's moves on its winning region
     game: ParityGame = None
     solution: GameSolution = None
-    dpws: tuple = None  # the game's automata: Dpws, or the LazyDpws it explored
+    dpws: tuple = None  # the game's automata: counter class Dpws, or conjunct LazyDpws
     nbas: tuple = None  # the generic route's conjunct NBAs, which the LazyDpws complement
 
 
-def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
+def synthesize(p, psi, budget=DEFAULT_BUDGET):
     """Solve the projection under an observation-level LTL constraint psi.
 
-    The generic route translates each top-level conjunct psi_i of psi to
-    an NBA (`constraints._conjunct_nbas`) and determinizes its complement
-    as a `LazyDpw`, so only the automaton states the game reaches are
-    built.  A goal-free play violates psi iff some complemented automaton
-    accepts it, so the controller plays a generalized parity game
-    (`build_parity_game`, `solve_parity`) that it wins by reaching the
-    goal or by a play that some of them accept.  When the constraint is a
-    conjunction of per-variable counter constraints, the hand-built record
-    automaton for ``psi -> eventually goal`` (`qnp_dpw_direct`), with
-    exponentially fewer states, is the game's one automaton instead;
-    ``direct`` forces the choice.  The result keeps the generic route's
-    conjunct NBAs as ``nbas``, so that the constraint check of its policy
-    (`model.check_solution`) need not translate them again.
+    The controller plays a generalized parity game (`build_parity_game`,
+    `solve_parity`) with one DPW per conjunct of psi, each accepting the
+    words that violate its conjunct, and wins by reaching the goal or by a
+    play that some DPW accepts.  A conjunction of builtin weak counter
+    constraints gets one 3-state DPW per variable (`_counter_class_dpw`).
+    Any other constraint is translated to one NBA per top-level conjunct
+    (`constraints._conjunct_nbas`), and each NBA's complement is
+    determinized as a `LazyDpw`, so only the automaton states the game
+    reaches are built.  The result keeps those conjunct NBAs as ``nbas``,
+    so that the constraint check of its policy (`model.check_solution`)
+    need not translate them again.
 
     A winning strategy becomes a transducer policy whose memory is the
     played tuples of automaton states (the states themselves when there is
@@ -615,13 +613,9 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
 
     variables = _qnp_template_vars(psi)
     nbas = None
-    if direct is None:
-        direct = variables is not None
-    if direct:
-        if variables is None:
-            raise ValueError("constraint is not a conjunction of counter constraints")
+    if variables is not None:
         _require_known(p, variables)
-        dpws = (_qnp_direct_for_problem(p, variables),)
+        dpws = tuple(_counter_class_dpw(p, var) for var in variables)
     else:
         nbas = tuple(_conjunct_nbas(psi, p, budget))
         dpws = tuple(
@@ -680,23 +674,25 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET, direct=None):
     )
 
 
-def _qnp_direct_for_problem(p, variables):
-    sigma = frozenset(set(p.observations) | set(p.actions))
-    effects = p.annotations.get("action_effects", {})
-    obs_zero = {
-        o: set(p.annotations.get("obs_zero", {}).get(o, ()))
-        for o in p.observations
-    }
-    inc_letters = {
-        v: {a for a in p.actions if effects.get(a, {}).get(v) == "inc"}
-        for v in variables
-    }
-    dec_letters = {
-        v: {a for a in p.actions if effects.get(a, {}).get(v) == "dec"}
-        for v in variables
-    }
-    return qnp_dpw_direct(
-        variables, frozenset(p.goal_states), obs_zero, inc_letters, dec_letters, sigma
+def _counter_class_dpw(p, var):
+    """The 3-state DPW of the words that violate the weak counter constraint
+    of ``var``: infinitely many decrements of ``var``, and only finitely
+    many increments of it or observations with ``var`` = 0.  Its state is
+    the class of the last letter read, which is also the state's priority:
+    3 for an increment or a zero observation, 2 for a decrement, 1 for any
+    other letter."""
+    from .constraints import _effect_letters, _zero_letters
+
+    cls = dict.fromkeys(set(p.observations) | set(p.actions), 1)
+    cls.update(dict.fromkeys(_effect_letters(p, var, "dec"), 2))
+    cls.update(dict.fromkeys(_effect_letters(p, var, "inc") + _zero_letters(p, var), 3))
+    states = (1, 2, 3)
+    return Dpw(
+        states=states,
+        alphabet=frozenset(cls),
+        delta={(q, a): c for q in states for a, c in cls.items()},
+        initial=1,
+        priority={q: q for q in states},
     )
 
 
@@ -817,97 +813,6 @@ def refute_policy(result, p, policy):
     if cycle is None:
         return None
     return _product_lasso(inits, edges, cycle, lambda v: v[1])
-
-
-# ---------------------------------------------------------------------------
-# Direct DPW for qualitative numerical constraints
-# ---------------------------------------------------------------------------
-
-
-def qnp_dpw_direct(variables, goal_letters, obs_zero, inc_letters, dec_letters, alphabet):
-    """Hand-built DPW for ``(AND_X Psi_X) -> eventually goal``.
-
-    ``obs_zero`` maps each observation letter to the set of variables that
-    are zero under it; ``inc_letters``/``dec_letters`` map each variable
-    to the action letters carrying the corresponding effect.
-
-    Goal letters collapse into an accepting sink.  Otherwise the state is
-    an index appearance record: variables ordered by how recently an
-    increment or a zero observation reset them.  A reset at depth k
-    emits 2k+1, a decrement at depth k emits 2k; a variable that is
-    eventually never reset and keeps decrementing dominates with an even
-    priority.  For one variable this is the classic 5-state, 3-priority
-    automaton; in general it uses 2|V|+1 priorities (a 3-priority DPW
-    does not exist for two or more independently controlled variables).
-    """
-    variables = tuple(variables)
-    n = len(variables)
-    goal_letters = frozenset(goal_letters)
-    alphabet = frozenset(alphabet)
-
-    resets = {a: set() for a in alphabet}
-    goods = {a: set() for a in alphabet}
-    for x in variables:
-        for a in inc_letters.get(x, ()):
-            resets[a].add(x)
-        for a in dec_letters.get(x, ()):
-            goods[a].add(x)
-    for a, zeros in obs_zero.items():
-        for x in zeros:
-            if x in variables:
-                resets[a].add(x)
-
-    sink = ("goal",)
-    initial = ("rec", tuple(variables), 0)
-    states = [initial]
-    index = {initial: 0}
-    delta = {}
-    priority = {initial: 1, sink: 2}
-    queue = [initial]
-
-    def intern(st):
-        if st not in index:
-            index[st] = len(states)
-            states.append(st)
-            queue.append(st)
-        return st
-
-    while queue:
-        st = queue.pop()
-        if st == sink:
-            for a in sorted(alphabet):
-                delta[(st, a)] = sink
-            continue
-        _, record, _ = st
-        for a in sorted(alphabet):
-            if a in goal_letters:
-                delta[(st, a)] = intern(sink)
-                continue
-            rs = resets[a]
-            gs = goods[a]
-            # depth = 1-based position from the front (most recently reset);
-            # deeper positions are more senior and dominate.
-            e = max((i + 1 for i, x in enumerate(record) if x in rs), default=0)
-            g = max((i + 1 for i, x in enumerate(record) if x in gs), default=0)
-            if e or g:
-                pri = max(2 * e + 1 if e else 0, 2 * g if g else 0)
-            else:
-                pri = 1
-            new_record = tuple(x for x in record if x in rs) + tuple(
-                x for x in record if x not in rs
-            )
-            nxt = intern(("rec", new_record, pri))
-            priority[nxt] = pri
-            delta[(st, a)] = nxt
-
-    d = Dpw(
-        states=tuple(states),
-        alphabet=alphabet,
-        delta=delta,
-        initial=initial,
-        priority=priority,
-    )
-    return normalize_priorities(d)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ behaviour entry for each ``omega.synthesize`` call: ``synth=0`` when it
 found no policy, otherwise ``synth=1`` and the policy with its memory
 states renamed m0, m1, ... in first-visit order (observations in ``str``
 order), as ``{observation: action}`` when it is memoryless and as
-``memory|observation>action>memory`` entries when not.  Diffing the
-output of two checkouts shows which artifacts and automata a change
-touched, how the size of each written policy moved, and which policies
+``memory|observation>action>memory`` entries when not, then ``game=N``
+for the N nodes of its parity game.  Diffing the output of two checkouts
+shows which artifacts and automata a change touched, how the size of
+each written policy and each synthesis game moved, and which policies
 behave differently rather than only name their memory differently.
 Standard library only; no test collects this file.
 """
@@ -77,12 +78,14 @@ def behaviour(policy, observations):
 
 
 def recorded_synthesize(p, *args, **kwargs):
-    """``omega.synthesize``, appending its verdict and behaviour to RECORDS."""
+    """``omega.synthesize``, appending its verdict, behaviour and game size
+    to RECORDS."""
     result = synthesize(p, *args, **kwargs)
     if result.realizable:
         RECORDS.append(f"synth=1 {behaviour(result.policy, p.observations)}")
     else:
         RECORDS.append("synth=0")
+    RECORDS.append(f"game={len(result.game.nodes)}")
     return result
 
 

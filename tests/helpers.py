@@ -8,8 +8,9 @@ the LTL semantics over a bounded lasso universe, the constraint check
 through determinized conjuncts, kept as the reference for its Büchi
 reading, the earlier tuple-keyed policy product, its STRONG and FAIR
 checks and its planner, and the dict-walking problem validation, kept as
-references for the numbered ones.  The QNP printer and the two-valued
-variant of a QNP serve the QNP tests.
+references for the numbered ones.  The index-appearance-record DPW for
+counter constraints is the reference for synthesis on letter classes.
+The QNP printer and the two-valued variant of a QNP serve the QNP tests.
 """
 
 import itertools
@@ -33,8 +34,10 @@ from genplan.model import (
     infer_class,
 )
 from genplan.errors import AlphabetMismatchError, ResolverExhaustedError, decoding
-from genplan.constraints import _conjunct_nbas, _product_lasso
-from genplan.omega import CONTROLLER, Dpw, LazyDpw, cycle_with_max_parity
+from genplan.constraints import (
+    _conjunct_nbas, _product_lasso, constraint_formula, ltl_constraint,
+)
+from genplan.omega import CONTROLLER, Dpw, LazyDpw, cycle_with_max_parity, normalize_priorities
 from genplan.projection import as_fondp
 from genplan.qnp import ConcreteSemantics, InitDescriptor, Qnp, _literal_text
 
@@ -128,6 +131,113 @@ def reference_counter_dpw():
 def counter_acceptance_formula():
     psi = L.parse_ltl('F G ! Inc & G F Dec -> G F "X=0"', {ZERO, POS, "Inc", "Dec"})
     return L.implies(psi, L.eventually(L.Letter(ZERO)))
+
+
+def qnp_dpw_direct(variables, goal_letters, obs_zero, inc_letters, dec_letters, alphabet):
+    """Hand-built DPW for ``(AND_X Psi_X) -> eventually goal``.
+
+    ``obs_zero`` maps each observation letter to the set of variables that
+    are zero under it; ``inc_letters``/``dec_letters`` map each variable
+    to the action letters carrying the corresponding effect.
+
+    Goal letters collapse into an accepting sink.  Otherwise the state is
+    an index appearance record: variables ordered by how recently an
+    increment or a zero observation reset them.  A reset at depth k
+    emits 2k+1, a decrement at depth k emits 2k; a variable that is
+    eventually never reset and keeps decrementing dominates with an even
+    priority.  For one variable this is the classic 5-state, 3-priority
+    automaton; in general it uses 2|V|+1 priorities (a 3-priority DPW
+    does not exist for two or more independently controlled variables).
+    """
+    variables = tuple(variables)
+    n = len(variables)
+    goal_letters = frozenset(goal_letters)
+    alphabet = frozenset(alphabet)
+
+    resets = {a: set() for a in alphabet}
+    goods = {a: set() for a in alphabet}
+    for x in variables:
+        for a in inc_letters.get(x, ()):
+            resets[a].add(x)
+        for a in dec_letters.get(x, ()):
+            goods[a].add(x)
+    for a, zeros in obs_zero.items():
+        for x in zeros:
+            if x in variables:
+                resets[a].add(x)
+
+    sink = ("goal",)
+    initial = ("rec", tuple(variables), 0)
+    states = [initial]
+    index = {initial: 0}
+    delta = {}
+    priority = {initial: 1, sink: 2}
+    queue = [initial]
+
+    def intern(st):
+        if st not in index:
+            index[st] = len(states)
+            states.append(st)
+            queue.append(st)
+        return st
+
+    while queue:
+        st = queue.pop()
+        if st == sink:
+            for a in sorted(alphabet):
+                delta[(st, a)] = sink
+            continue
+        _, record, _ = st
+        for a in sorted(alphabet):
+            if a in goal_letters:
+                delta[(st, a)] = intern(sink)
+                continue
+            rs = resets[a]
+            gs = goods[a]
+            # depth = 1-based position from the front (most recently reset);
+            # deeper positions are more senior and dominate.
+            e = max((i + 1 for i, x in enumerate(record) if x in rs), default=0)
+            g = max((i + 1 for i, x in enumerate(record) if x in gs), default=0)
+            if e or g:
+                pri = max(2 * e + 1 if e else 0, 2 * g if g else 0)
+            else:
+                pri = 1
+            new_record = tuple(x for x in record if x in rs) + tuple(
+                x for x in record if x not in rs
+            )
+            nxt = intern(("rec", new_record, pri))
+            priority[nxt] = pri
+            delta[(st, a)] = nxt
+
+    d = Dpw(
+        states=tuple(states),
+        alphabet=alphabet,
+        delta=delta,
+        initial=initial,
+        priority=priority,
+    )
+    return normalize_priorities(d)
+
+
+def ltl_text_constraint(c, p):
+    """The LTL constraint ``c`` bound to ``p`` and passed as its formula, so
+    that synthesis takes the generic tableau and determinization route."""
+    return ltl_constraint(constraint_formula(c, p), name=c.name)
+
+
+def qnp_dpw_for_problem(p, variables):
+    """`qnp_dpw_direct` for the weak counter constraints of ``variables``
+    over the observations and actions of the fully observable ``p``."""
+    effects = p.annotations.get("action_effects", {})
+    zero = p.annotations.get("obs_zero", {})
+    return qnp_dpw_direct(
+        variables,
+        p.goal_states,
+        {o: set(zero.get(o, ())) for o in p.observations},
+        {v: {a for a in p.actions if effects.get(a, {}).get(v) == "inc"} for v in variables},
+        {v: {a for a in p.actions if effects.get(a, {}).get(v) == "dec"} for v in variables},
+        set(p.observations) | set(p.actions),
+    )
 
 
 # ---------------------------------------------------------------------------

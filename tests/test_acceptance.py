@@ -61,6 +61,7 @@ from .helpers import (
     dpw_accepts,
     dpw_language_difference,
     is_generated_by,
+    ltl_text_constraint,
     nba_accepts_lasso,
     rand_formula,
     rand_game,
@@ -133,14 +134,14 @@ def test_criterion_1_reference_automaton():
 def test_criterion_2_counter_synthesis():
     po = counter_projection()
     cx = qnp_constraint("X")
-    for direct in (False, True):
-        res = synthesize(po, cx, direct=direct)
+    for c in (cx, ltl_text_constraint(cx, po)):
+        res = synthesize(po, c)
         assert res.realizable
         verdict = check_solution(po, res.policy, Under(cx))
         assert verdict.kind == "SOLVES_UNDER_CONSTRAINT"
         for x0 in (1, 5, 10, 100):
             t = run_policy(concrete_counter(x0), res.policy)
-            assert len(t.actions) == x0, (direct, x0, len(t.actions))
+            assert len(t.actions) == x0, (c.name, x0, len(t.actions))
             assert t.states[-1] == "X=0"
     assert not synthesize(po, ALL_TRAJECTORIES).realizable
 

@@ -17,7 +17,6 @@ from genplan.constraints import (
     conjoin,
     constraint_formula,
     counterexample_search,
-    explicit_constraint,
     fairness_constraint,
     fairness_to_ltl,
     implies,
@@ -109,7 +108,6 @@ def test_finite_satisfaction_axiom():
         qnp_constraint("X"),
         fairness_constraint(),
         ALL_TRAJECTORIES,
-        explicit_constraint(lambda lasso: False, name="never"),
     ]
     for c in constraints:
         assert satisfies(c, t, po)
@@ -307,16 +305,6 @@ def test_implies_on_the_example_projections(problem, c, c_prime, holds):
     if not holds:
         assert satisfies(c, res.witness, p)
         assert not satisfies(c_prime, res.witness, p)
-
-
-def test_explicit_constraints_not_checkable():
-    po = counter_projection()
-    c = explicit_constraint(lambda lasso: True, name="anything")
-    with pytest.raises(NotLtlExpressibleError):
-        implies(c, qnp_constraint("X"), po)
-    mu = Policy.memoryless({POS: "Dec"})
-    with pytest.raises(NotLtlExpressibleError):
-        check_solution(po, mu, Under(c))
 
 
 def test_fairness_to_ltl_small():

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genplan import ltl as L
 from genplan.ltl import Letter, Word, eval_lasso, eventually, ltl_to_nba, parse_ltl
@@ -16,20 +18,27 @@ from genplan.omega import (
     cycle_with_max_parity,
     dpw_from_json_dict,
     nba_to_dpw,
-    qnp_dpw_direct,
     refute_policy,
     solve_parity,
     synthesize,
 )
-from genplan.constraints import ALL_TRAJECTORIES, qnp_constraint
+from genplan.constraints import (
+    ALL_TRAJECTORIES, conjoin, constraint_formula, qnp_constraint, qnp_constraints,
+)
+from genplan.model import Pondp
+from genplan.projection import as_fondp
 
 from .helpers import (
+    annotated_problems,
     brute_force_winning,
     counter_projection,
     reference_counter_dpw,
     counter_acceptance_formula,
     dpw_accepts,
     dpw_language_difference,
+    ltl_text_constraint,
+    qnp_dpw_direct,
+    qnp_dpw_for_problem,
     rand_formula,
     rand_game,
     rand_word,
@@ -217,9 +226,6 @@ def test_game_reachability_goal_only():
 
 
 def test_game_trivially_winning_when_deterministic():
-    from genplan.projection import as_fondp
-    from genplan.model import Pondp
-
     p = as_fondp(
         Pondp(
             states={"s", "t"},
@@ -275,24 +281,24 @@ def test_unrealizable_refutation():
 
 
 def test_refute_policy_inside_the_game():
-    """Fixed inside a realizable game, the synthesized policy is not
-    refuted; a policy that increments forever is refuted by a lasso, and
-    one that stops short of the goal by a finite trajectory."""
+    """Fixed inside a realizable game, of the builtin constraint or of the
+    same constraint as LTL text, the synthesized policy is not refuted; a
+    policy that increments forever is refuted by a lasso, and one that
+    stops short of the goal by a finite trajectory."""
     from genplan.model import FiniteTrajectory
 
     p = counter_projection()
-    res = synthesize(p, qnp_constraint("X"), direct=False)
-    assert refute_policy(res, p, res.policy) is None
-    t = refute_policy(res, p, Policy.memoryless({"X>0": "Inc"}))
-    assert t.cycle_states == ("X>0",) and t.cycle_actions == ("Inc",)
-    t = refute_policy(res, p, Policy.memoryless({}))
-    assert isinstance(t, FiniteTrajectory) and t.states == ("X>0",)
+    cx = qnp_constraint("X")
+    for c in (cx, ltl_text_constraint(cx, p)):
+        res = synthesize(p, c)
+        assert refute_policy(res, p, res.policy) is None, c.name
+        t = refute_policy(res, p, Policy.memoryless({"X>0": "Inc"}))
+        assert t.cycle_states == ("X>0",) and t.cycle_actions == ("Inc",), c.name
+        t = refute_policy(res, p, Policy.memoryless({}))
+        assert isinstance(t, FiniteTrajectory) and t.states == ("X>0",), c.name
 
 
 def test_synthesize_goal_already_reached():
-    from genplan.projection import as_fondp
-    from genplan.model import Pondp
-
     p = as_fondp(
         Pondp(
             states={"g"},
@@ -322,7 +328,8 @@ def test_synthesized_policy_runs_on_members():
 
 
 # ---------------------------------------------------------------------------
-# Direct QNP constraint automaton
+# Counter constraint automata: the record automaton (reference) and the
+# letter-class automata synthesis plays on
 # ---------------------------------------------------------------------------
 
 
@@ -391,15 +398,7 @@ def test_qnp_dpw_two_vars_agrees_with_pipeline():
     d = qnp_dpw_direct(("X", "Y"), {"X=0,Y=0"}, obs_zero, inc, dec, alphabet)
     assert len(set(d.priority.values())) <= 5
 
-    from genplan.constraints import conjoin, constraint_formula, qnp_constraints
-    from genplan.qnp import parse_qnp, syntactic_projection
-
-    q = parse_qnp(
-        "vars X Y\ninit_values X in {2}\ninit_values Y in {2}\n"
-        "action a\n  pre X>0\n  dec X\n  inc Y\n"
-        "action b\n  pre Y>0\n  dec Y\ngoal X=0 Y=0\n"
-    )
-    proj = syntactic_projection(q).fondp
+    proj = _twovar_projection()
     psi = constraint_formula(conjoin(qnp_constraints(["X", "Y"])), proj)
     goal = Letter("X=0,Y=0")
     phi = L.implies(psi, eventually(goal))
@@ -416,7 +415,7 @@ def test_qnp_dpw_two_vars_agrees_with_pipeline():
 def test_no_three_priority_dpw_for_two_variables():
     """Witness for the priority lower bound: a nested loop family whose
     verdicts alternate accept/reject four deep forces any DPW for the
-    two-variable formula to use at least four priorities.  The direct
+    two-variable formula to use at least four priorities.  The record
     automaton classifies the chain correctly."""
     alphabet, obs_zero, inc, dec = _twovar_alphabet()
     d = qnp_dpw_direct(("X", "Y"), {"X=0,Y=0"}, obs_zero, inc, dec, alphabet)
@@ -436,46 +435,119 @@ def test_no_three_priority_dpw_for_two_variables():
         assert dpw_accepts(d, word) == expect
 
 
-def test_synthesize_direct_and_generic_agree():
-    """The generic pipeline and the record-automaton fast path produce the
-    same verdict and the same reachable policy behavior on the counter."""
-    p = counter_projection()
-    cx = qnp_constraint("X")
-    generic = synthesize(p, cx, direct=False)
-    fast = synthesize(p, cx, direct=True)
-    assert generic.realizable and fast.realizable
-    for res in (generic, fast):
-        actions = {o: a for (m, o), a in res.policy.output.items()}
-        assert actions == {"X>0": "Dec"}
-    assert synthesis_language_difference(generic.dpws, p.goal_states, fast.dpws[0]) is None
-
-
-def test_synthesize_two_var_direct_and_generic_agree():
+def _twovar_projection():
     from genplan.qnp import parse_qnp, syntactic_projection
-    from genplan.constraints import conjoin, qnp_constraints
-    from genplan.model import run_policy
 
     q = parse_qnp(
         "vars X Y\ninit_values X in {2}\ninit_values Y in {2}\n"
         "action a\n  pre X>0\n  dec X\n  inc Y\n"
         "action b\n  pre Y>0\n  dec Y\ngoal X=0 Y=0\n"
     )
-    proj = syntactic_projection(q).fondp
+    return syntactic_projection(q).fondp
+
+
+def test_counter_class_dpws_accept_exactly_the_violations():
+    """Synthesis under builtin counter constraints plays on one 3-state
+    automaton per variable, whose state is the class of the last letter
+    read.  On the two-variable QNP it accepts a lasso iff the lasso
+    violates that variable's constraint, for every lasso over the letters
+    with a prefix and a cycle of at most two letters each."""
+    alphabet = _twovar_alphabet()[0]
+    proj = _twovar_projection()
+    res = synthesize(proj, conjoin(qnp_constraints(["X", "Y"])))
+    assert len(res.dpws) == 2
+    letters = sorted(alphabet)
+    for var, d in zip(("X", "Y"), res.dpws):
+        assert len(d.states) == 3
+        f = constraint_formula(qnp_constraint(var), proj)
+        for pl in range(3):
+            for prefix in itertools.product(letters, repeat=pl):
+                for cl in range(1, 3):
+                    for cycle in itertools.product(letters, repeat=cl):
+                        w = Word(prefix, cycle)
+                        assert dpw_accepts(d, w) == (not eval_lasso(f, w, alphabet)), (var, w)
+
+
+def test_synthesize_builtin_and_ltl_text_agree():
+    """The builtin counter constraint (letter-class automata) and the same
+    constraint as LTL text (the generic route) give the same verdict and
+    the same reachable policy behavior on the counter.  Either game lets
+    the controller win exactly the words of the record automaton for
+    ``qnp(X) -> eventually goal``."""
+    p = counter_projection()
+    cx = qnp_constraint("X")
+    record = qnp_dpw_for_problem(p, ["X"])
+    for c in (cx, ltl_text_constraint(cx, p)):
+        res = synthesize(p, c)
+        assert res.realizable, c.name
+        actions = {o: a for (m, o), a in res.policy.output.items()}
+        assert actions == {"X>0": "Dec"}, c.name
+        assert synthesis_language_difference(res.dpws, p.goal_states, record) is None, c.name
+
+
+def test_synthesize_two_var_builtin_and_ltl_text_agree():
+    proj = _twovar_projection()
     cv = conjoin(qnp_constraints(["X", "Y"]))
-    generic = synthesize(proj, cv, direct=False)
-    fast = synthesize(proj, cv, direct=True)
-    assert generic.realizable and fast.realizable
-    assert synthesis_language_difference(generic.dpws, proj.goal_states, fast.dpws[0]) is None
-    for res in (generic, fast):
-        assert check_solution(proj, res.policy, Under(cv)).is_solution
+    record = qnp_dpw_for_problem(proj, ["X", "Y"])
+    for c in (cv, ltl_text_constraint(cv, proj)):
+        res = synthesize(proj, c)
+        assert res.realizable, c.name
+        assert synthesis_language_difference(res.dpws, proj.goal_states, record) is None, c.name
+        assert check_solution(proj, res.policy, Under(cv)).is_solution, c.name
+
+
+def test_repeated_counter_constraint_gets_one_automaton():
+    """A variable named twice in a conjunction of builtin counter
+    constraints gets one automaton, and the policy of the variable alone."""
+    p = counter_projection()
+    cx = qnp_constraint("X")
+    once = synthesize(p, cx)
+    twice = synthesize(p, conjoin([cx, cx]))
+    assert len(once.dpws) == len(twice.dpws) == 1
+    for field in ("memory_states", "initial", "update", "output"):
+        assert getattr(twice.policy, field) == getattr(once.policy, field), field
+
+
+def _fully_observable(p):
+    """``p`` with every state observed as itself; a state shows X = 0 iff
+    its observation in ``p`` did."""
+    zero = p.annotations["obs_zero"]
+    annotations = dict(p.annotations, obs_zero={s: zero[p.obs_fn[s]] for s in p.states})
+    return as_fondp(Pondp(
+        states=p.states,
+        init=p.init,
+        observations=set(p.states),
+        actions=p.actions,
+        goal_states=p.goal_states,
+        avail=p.avail,
+        obs_fn={s: s for s in p.states},
+        succ=p.succ,
+        annotations=annotations,
+    ))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(annotated_problems().map(_fully_observable), st.sampled_from(["X", "Y", "XY"]))
+def test_class_synthesis_agrees_with_record_automaton(p, variables):
+    """Seeded sweep over random fully observable annotated problems: under
+    qnp(X), qnp(Y) or both, synthesis on the letter-class automata gives
+    the verdict of the game on the record automaton, and every policy it
+    finds passes the constraint check."""
+    c = conjoin(qnp_constraints(variables))
+    res = synthesize(p, c)
+    game = build_parity_game(p, (qnp_dpw_for_problem(p, tuple(variables)),))
+    sol = solve_parity(game)
+    assert res.realizable == all(sol.region[v] == CONTROLLER for v in game.initial)
+    if res.realizable:
+        assert check_solution(p, res.policy, Under(c)).is_solution
 
 
 def test_synthesized_policies_declare_their_memory_and_are_minimal():
     """Moves whose outcomes are all goal states once updated to automaton
-    states the game never played.  On both routes, every memory state a
+    states the game never played.  Under the builtin counter constraints
+    and under the same constraints as LTL text, every memory state a
     synthesized policy names is declared, and no two are Moore-equivalent."""
     from genplan.qnp import parse_qnp, syntactic_projection
-    from genplan.constraints import conjoin, qnp_constraints
 
     from .helpers import moore_equivalent_pairs
 
@@ -494,21 +566,18 @@ def test_synthesized_policies_declare_their_memory_and_are_minimal():
         q = parse_qnp(text)
         proj = syntactic_projection(q).fondp
         cv = conjoin(qnp_constraints(q.variables))
-        for direct in (True, False):
-            mu = synthesize(proj, cv, direct=direct).policy
+        for c in (cv, ltl_text_constraint(cv, proj)):
+            mu = synthesize(proj, c).policy
             memory = set(mu.memory_states)
-            assert mu.initial in memory and set(mu.update.values()) <= memory, (name, direct)
-            assert {m for m, _ in (*mu.update, *mu.output)} <= memory, (name, direct)
-            assert not moore_equivalent_pairs(mu, sorted(proj.observations)), (name, direct)
-            assert check_solution(proj, mu, Under(cv)).is_solution, (name, direct)
+            assert mu.initial in memory and set(mu.update.values()) <= memory, (name, c.name)
+            assert {m for m, _ in (*mu.update, *mu.output)} <= memory, (name, c.name)
+            assert not moore_equivalent_pairs(mu, sorted(proj.observations)), (name, c.name)
+            assert check_solution(proj, mu, Under(cv)).is_solution, (name, c.name)
 
 
 def test_pipeline_budget_smoke():
     """Desk-scale complexity check: the pipeline stays within budget on a
     formula of size about 25 over a 32-state projection."""
-    from genplan.projection import as_fondp
-    from genplan.model import Pondp
-
     n = 32
     states = [f"s{i}" for i in range(n)]
     succ = {}
@@ -554,15 +623,6 @@ def test_parity_cycle_search():
 # ---------------------------------------------------------------------------
 
 
-def _ltl_text_constraint(q, p):
-    """The counter constraints of a QNP as an LTL constraint, so synthesis
-    takes the generic tableau and determinization route."""
-    from genplan.constraints import conjoin, constraint_formula, ltl_constraint, qnp_constraints
-
-    cv = conjoin(qnp_constraints(q.variables))
-    return ltl_constraint(constraint_formula(cv, p), name=cv.name)
-
-
 def _memoryless_policies(p):
     """Every memoryless policy acting at each non-goal observation."""
     states = sorted(s for s in p.states if s not in p.goal_states)
@@ -585,7 +645,7 @@ def test_lazy_synthesis_agrees_with_full_dpw_game():
         if len(q.variables) > 2:
             continue
         p = syntactic_projection(q).fondp
-        c = _ltl_text_constraint(q, p)
+        c = ltl_text_constraint(conjoin(qnp_constraints(q.variables)), p)
         res = synthesize(p, c)
         sigma = frozenset(set(p.observations) | set(p.actions))
         goal = L.lor(*[Letter(g) for g in sorted(p.goal_states, key=str)])
@@ -615,7 +675,7 @@ def test_lazy_synthesis_builds_only_reached_states():
 
     q = parse_qnp(TWOVAR)
     p = syntactic_projection(q).fondp
-    res = synthesize(p, _ltl_text_constraint(q, p))
+    res = synthesize(p, ltl_text_constraint(conjoin(qnp_constraints(q.variables)), p))
     assert res.realizable
     assert sum(len(d.states) for d in res.dpws) <= 200
 
