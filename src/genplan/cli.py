@@ -48,8 +48,6 @@ from .model import (
 )
 from .projection import as_fondp, project
 
-DEFAULT_BUDGET = 10**6
-
 
 def _load_class(path):
     with open(path) as fh:
@@ -253,10 +251,7 @@ def _cmd_simulate(args):
             q, mu, chosen, seed=args.seed, max_steps=args.max_steps,
             stop_at_goal=not args.no_stop_at_goal,
         )
-        goal = any(
-            all(qnp._holds(l, *_qnp_state_of(q, s), q.variables) for l in q.goal)
-            for s in t.states
-        )
+        goal = qnp.reaches_goal(q, t)
     else:
         p = load_pondp(args.input)
         t = run_policy(
@@ -275,21 +270,6 @@ def _cmd_simulate(args):
     }
     _emit(doc)
     return 0 if goal else 1
-
-
-def _qnp_state_of(q, sid):
-    from fractions import Fraction
-
-    fluents = set()
-    values = {}
-    for part in sid.split(","):
-        if "=" in part:
-            name, _, val = part.partition("=")
-            if name in q.variables:
-                values[name] = Fraction(val)
-                continue
-        fluents.add(part)
-    return frozenset(fluents), tuple(values[v] for v in q.variables)
 
 
 def _parse_alphabet(text):
@@ -454,7 +434,7 @@ def main(argv=None):
     try:
         if args.budget is None:
             with decoding("GENPLAN_BUDGET"):
-                args.budget = int(os.environ.get("GENPLAN_BUDGET", DEFAULT_BUDGET))
+                args.budget = int(os.environ.get("GENPLAN_BUDGET", ltl.DEFAULT_BUDGET))
         code = args.func(args)
     except (GenplanError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

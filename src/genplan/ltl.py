@@ -144,10 +144,6 @@ def always(f):
     return lnot(Until(TRUE, lnot(f)))
 
 
-def release(f, g):
-    return lnot(Until(lnot(f), lnot(g)))
-
-
 def constant(f):
     """True or False when ``f`` holds on every word or on none by folding
     its constants (``l U true`` is true, ``l U false`` false), else None."""

@@ -4,9 +4,12 @@ variables with increment/decrement effect descriptors.
 A QNP denotes a family of concrete problems, one per choice of initial
 values and of concrete increment/decrement semantics.  Only the booleans
 ``X=0`` / ``X>0`` are observable for a numeric variable, so every concrete
-instance projects onto the same boolean abstraction, built here directly
-from the syntax.  The commitment transformation (``close``) makes the
-abstraction's nondeterministic decrements safe for fair FOND planning.
+instance projects onto the same boolean abstraction: the two-valued
+instance (DEC = {0, x}, INC = {1}) with each state named by its
+observation.  One successor routine (``_outcomes``) serves instantiation,
+simulation and that projection.  The commitment transformation (``close``)
+makes the abstraction's nondeterministic decrements safe for fair FOND
+planning.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .errors import (
     BoundTooSmallError,
+    InvalidPolicyError,
     NotClosureEligibleError,
     OutOfRangeError,
     QnpParseError,
@@ -68,7 +73,8 @@ class ConcreteSemantics:
     bounded: any multiple of ``grid`` in [lo, hi], floored at 0; increments
     must be positive when the variable is 0.
     two_valued: DEC(x) = {0, x} and INC = {1}; the canonical instance whose
-    behaviors mirror the boolean abstraction exactly.
+    behaviors mirror the boolean abstraction exactly.  Its values are plain
+    ints, which keeps the syntactic projection as cheap as a boolean table.
     """
 
     mode: str = "unit"
@@ -80,7 +86,7 @@ class ConcreteSemantics:
         if self.mode == "unit":
             return {max(Fraction(0), x - 1)}
         if self.mode == "two_valued":
-            return {Fraction(0), x}
+            return {0, x}
         out = set()
         step = self._ceil_grid(self.lo)
         while step <= self.hi:
@@ -92,7 +98,7 @@ class ConcreteSemantics:
         if self.mode == "unit":
             return {x + 1}
         if self.mode == "two_valued":
-            return {Fraction(1)}
+            return {1}
         out = set()
         step = self._ceil_grid(self.lo)
         while step <= self.hi:
@@ -346,14 +352,14 @@ def _literal_text(lit):
 
 
 # ---------------------------------------------------------------------------
-# Concrete states and identifiers
+# States, identifiers and the transition function
 # ---------------------------------------------------------------------------
 
 
-def _obs_id(q, fluent_set, bits):
+def _obs_id(q, fluent_set, values):
     """Observation id: true fluents then one atom per variable."""
     parts = sorted(fluent_set)
-    parts += [f"{v}=0" if bits[i] else f"{v}>0" for i, v in enumerate(q.variables)]
+    parts += [f"{v}=0" if x == 0 else f"{v}>0" for v, x in zip(q.variables, values)]
     return ",".join(parts)
 
 
@@ -363,23 +369,115 @@ def _state_id(q, fluent_set, values):
     return ",".join(parts)
 
 
-def _holds(lit, fluent_set, values, variables):
-    if lit[0] == "fluent":
-        return (lit[1] in fluent_set) == lit[2]
-    x = values[variables.index(lit[1])]
-    return (x == 0) if lit[2] == "zero" else (x > 0)
+def reaches_goal(q, trajectory):
+    """Whether a ``simulate`` trajectory visits a goal state, read back
+    from the ``_state_id`` names it records."""
+    for sid in trajectory.states:
+        fluents, values = set(), {}
+        for part in sid.split(","):
+            name, eq, val = part.partition("=")
+            if eq and name in q.variables:
+                values[name] = Fraction(val)
+            else:
+                fluents.add(part)
+        if _holds(q, q.goal, fluents, [values[v] for v in q.variables]):
+            return True
+    return False
+
+
+def _holds(q, literals, fluent_set, values):
+    """Whether every literal holds in the state ``(fluent_set, values)``."""
+    for lit in literals:
+        if lit[0] == "fluent":
+            ok = (lit[1] in fluent_set) == lit[2]
+        else:
+            x = values[q.variables.index(lit[1])]
+            ok = (x == 0) if lit[2] == "zero" else (x > 0)
+        if not ok:
+            return False
+    return True
 
 
 def _strips_apply(a, fluent_set):
     return frozenset((fluent_set - a.delete) | a.add)
 
 
-def qnp_annotations(q):
-    """Effect tags and declared variables, consumed by constraint binding."""
-    return {
+def _outcomes(q, a, values, sems):
+    """The sorted values each variable may take after ``a``, in variable
+    order; ``sems`` holds each variable's ConcreteSemantics."""
+    out = []
+    for v, x, sem in zip(q.variables, values, sems):
+        eff = a.numeric.get(v)
+        if eff == "inc":
+            out.append(sorted(sem.inc_outcomes(x)))
+        elif eff == "dec":
+            out.append(sorted(sem.dec_outcomes(x)))
+        else:
+            out.append([x])
+    return out
+
+
+def _explore(q, starts, sems, name, cls, bound=None):
+    """The problem of class ``cls`` grounded on the states reachable from
+    the ``(fluents, values)`` pairs ``starts``, each state called
+    ``name(q, fluents, values)`` and observed by its zero/positive
+    booleans.  Values above ``bound`` are capped, which the annotations
+    record since capping can cut behaviors."""
+    states = {st: name(q, *st) for st in starts}
+    queue = list(states)
+    succ = {}
+    avail = {}
+    capped = False
+    while queue:
+        st = queue.pop()
+        fl, vals = st
+        sid = states[st]
+        acts = []
+        for a in q.actions:
+            if not _holds(q, a.pre, fl, vals):
+                continue
+            acts.append(a.name)
+            options = _outcomes(q, a, vals, sems)
+            if bound is not None:
+                capped = capped or any(o > bound for opts in options for o in opts)
+                options = [sorted({min(o, bound) for o in opts}) for opts in options]
+            fl2 = _strips_apply(a, fl)
+            ids = set()
+            for new_vals in product(*options):
+                t = (fl2, new_vals)
+                if t not in states:
+                    states[t] = name(q, *t)
+                    queue.append(t)
+                ids.add(states[t])
+            succ[(a.name, sid)] = frozenset(ids)
+        avail[sid] = frozenset(acts)
+
+    obs_fn = {}
+    obs_zero = {}
+    goal_states = set()
+    for (fl, vals), sid in states.items():
+        o = obs_fn[sid] = _obs_id(q, fl, vals)
+        obs_zero[o] = sorted(v for v, x in zip(q.variables, vals) if x == 0)
+        if _holds(q, q.goal, fl, vals):
+            goal_states.add(sid)
+    annotations = {  # effect tags and declared variables, read by constraint binding
         "variables": list(q.variables),
         "action_effects": {a.name: dict(a.numeric) for a in q.actions},
+        "obs_zero": obs_zero,
     }
+    if capped:
+        annotations["capped"] = True
+    return cls(
+        states=frozenset(states.values()),
+        init=frozenset(states[st] for st in starts),
+        observations=frozenset(obs_fn.values()),
+        actions=frozenset(a.name for a in q.actions),
+        goal_states=frozenset(goal_states),
+        avail=avail,
+        obs_fn=obs_fn,
+        succ=succ,
+        annotations=annotations,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,86 +506,8 @@ def instantiate(q, chosen, bound):
         if val > bound:
             raise BoundTooSmallError(f"bound {bound} below initial {v}={val}")
         values0.append(val)
-
-    start = (q.init_fluents, tuple(values0))
-    capped = False
-    states = {}
-    succ = {}
-    avail = {}
-    queue = [start]
-    states[start] = _state_id(q, *start)
-    while queue:
-        st = queue.pop()
-        fl, vals = st
-        sid = states[st]
-        acts = []
-        for a in q.actions:
-            if not all(_holds(l, fl, vals, q.variables) for l in a.pre):
-                continue
-            acts.append(a.name)
-            fl2 = _strips_apply(a, fl)
-            value_options = []
-            for i, v in enumerate(q.variables):
-                x = vals[i]
-                eff = a.numeric.get(v)
-                sem = q.semantics_for(v)
-                if eff == "inc":
-                    opts = sem.inc_outcomes(x)
-                elif eff == "dec":
-                    opts = sem.dec_outcomes(x)
-                else:
-                    opts = {x}
-                clipped = set()
-                for o in opts:
-                    if o > bound:
-                        capped = True
-                        o = bound
-                    clipped.add(o)
-                value_options.append(sorted(clipped))
-            targets = set()
-            def expand(i, acc):
-                if i == len(value_options):
-                    targets.add((fl2, tuple(acc)))
-                    return
-                for o in value_options[i]:
-                    expand(i + 1, acc + [o])
-            expand(0, [])
-            ids = set()
-            for t in targets:
-                if t not in states:
-                    states[t] = _state_id(q, *t)
-                    queue.append(t)
-                ids.add(states[t])
-            succ[(a.name, sid)] = frozenset(ids)
-        avail[sid] = frozenset(acts)
-
-    goal_states = {
-        sid
-        for (fl, vals), sid in states.items()
-        if all(_holds(l, fl, vals, q.variables) for l in q.goal)
-    }
-    obs_fn = {}
-    obs_zero = {}
-    for (fl, vals), sid in states.items():
-        bits = tuple(x == 0 for x in vals)
-        o = _obs_id(q, fl, bits)
-        obs_fn[sid] = o
-        obs_zero[o] = sorted(v for i, v in enumerate(q.variables) if bits[i])
-    annotations = dict(qnp_annotations(q))
-    annotations["obs_zero"] = obs_zero
-    if capped:
-        annotations["capped"] = True
-    return Pondp(
-        states=frozenset(states.values()),
-        init=frozenset({states[start]}),
-        observations=frozenset(obs_fn.values()),
-        actions=frozenset(a.name for a in q.actions),
-        goal_states=frozenset(goal_states),
-        avail=avail,
-        obs_fn=obs_fn,
-        succ=succ,
-        annotations=annotations,
-    )
+    sems = [q.semantics_for(v) for v in q.variables]
+    return _explore(q, [(q.init_fluents, tuple(values0))], sems, _state_id, Pondp, bound)
 
 
 def simulate(q, mu, chosen, seed=0, max_steps=100000, stop_at_goal=True):
@@ -501,40 +521,26 @@ def simulate(q, mu, chosen, seed=0, max_steps=100000, stop_at_goal=True):
     for i, v in enumerate(q.variables):
         if not q.init_values[v].contains(vals[i]):
             raise OutOfRangeError(f"{v}={vals[i]} outside the declared descriptor")
+    sems = [q.semantics_for(v) for v in q.variables]
     mem = mu.initial
     states = [_state_id(q, fl, vals)]
     actions = []
     by_name = {a.name: a for a in q.actions}
     while len(actions) < max_steps:
-        goal_now = all(_holds(l, fl, vals, q.variables) for l in q.goal)
-        if stop_at_goal and goal_now:
+        if stop_at_goal and _holds(q, q.goal, fl, vals):
             return FiniteTrajectory(states=tuple(states), actions=tuple(actions))
-        bits = tuple(x == 0 for x in vals)
-        obs = _obs_id(q, fl, bits)
+        obs = _obs_id(q, fl, vals)
         name = mu.output.get((mem, obs))
         if name is None:
             return FiniteTrajectory(states=tuple(states), actions=tuple(actions))
         mem = mu.next_memory(mem, obs)
         a = by_name.get(name)
-        if a is None or not all(_holds(l, fl, vals, q.variables) for l in a.pre):
-            from .errors import InvalidPolicyError
-
+        if a is None or not _holds(q, a.pre, fl, vals):
             raise InvalidPolicyError(
                 f"policy picked inapplicable action {name!r} at {states[-1]!r}"
             )
         fl = _strips_apply(a, fl)
-        new_vals = []
-        for i, v in enumerate(q.variables):
-            eff = a.numeric.get(v)
-            sem = q.semantics_for(v)
-            if eff == "inc":
-                opts = sorted(sem.inc_outcomes(vals[i]))
-            elif eff == "dec":
-                opts = sorted(sem.dec_outcomes(vals[i]))
-            else:
-                opts = [vals[i]]
-            new_vals.append(opts[rng.randrange(len(opts))])
-        vals = tuple(new_vals)
+        vals = tuple(opts[rng.randrange(len(opts))] for opts in _outcomes(q, a, vals, sems))
         actions.append(name)
         states.append(_state_id(q, fl, vals))
     return FiniteTrajectory(
@@ -558,101 +564,17 @@ class SyntacticProjection:
 
 def syntactic_projection(q):
     """Boolean problem over F plus the atoms X=0 / X>0: increments set the
-    positive atom, decrements branch 'if X>0 then X>0 | X=0'.  Grounded by
-    reachability from the initial boolean states (several when both values
-    are initially possible for some variable)."""
+    positive atom, decrements branch 'if X>0 then X>0 | X=0'.  This is the
+    two-valued instance (values 0 and 1) from every initial valuation the
+    descriptors allow, with each state named by its observation."""
     validate_qnp(q)
-    n = len(q.variables)
-
-    init_bit_options = []
-    for v in q.variables:
-        d = q.init_values[v]
-        opts = []
-        if d.zero_possible:
-            opts.append(True)
-        if d.positive_possible:
-            opts.append(False)
-        init_bit_options.append(opts)
-
-    inits = set()
-    def expand_init(i, acc):
-        if i == n:
-            inits.add((q.init_fluents, tuple(acc)))
-            return
-        for b in init_bit_options[i]:
-            expand_init(i + 1, acc + [b])
-    expand_init(0, [])
-
-    def holds(lit, fl, bits):
-        if lit[0] == "fluent":
-            return (lit[1] in fl) == lit[2]
-        b = bits[q.variables.index(lit[1])]
-        return b if lit[2] == "zero" else not b
-
-    states = {}
-    succ = {}
-    avail = {}
-    queue = list(inits)
-    for st in inits:
-        states[st] = _obs_id(q, *st)
-    while queue:
-        st = queue.pop()
-        fl, bits = st
-        sid = states[st]
-        acts = []
-        for a in q.actions:
-            if not all(holds(l, fl, bits) for l in a.pre):
-                continue
-            acts.append(a.name)
-            fl2 = _strips_apply(a, fl)
-            options = []
-            for i, v in enumerate(q.variables):
-                eff = a.numeric.get(v)
-                if eff == "inc":
-                    options.append([False])  # X>0
-                elif eff == "dec":
-                    options.append([False, True] if not bits[i] else [True])
-                else:
-                    options.append([bits[i]])
-            targets = set()
-            def expand(i, acc):
-                if i == n:
-                    targets.add((fl2, tuple(acc)))
-                    return
-                for b in options[i]:
-                    expand(i + 1, acc + [b])
-            expand(0, [])
-            ids = set()
-            for t in targets:
-                if t not in states:
-                    states[t] = _obs_id(q, *t)
-                    queue.append(t)
-                ids.add(states[t])
-            succ[(a.name, sid)] = frozenset(ids)
-        avail[sid] = frozenset(acts)
-
-    goal_states = {
-        sid for (fl, bits), sid in states.items()
-        if all(holds(l, fl, bits) for l in q.goal)
-    }
-    obs_zero = {
-        sid: sorted(v for i, v in enumerate(q.variables) if bits[i])
-        for (fl, bits), sid in states.items()
-    }
-    annotations = dict(qnp_annotations(q))
-    annotations["obs_zero"] = obs_zero
-    all_ids = frozenset(states.values())
-    fondp = Fondp(
-        states=all_ids,
-        init=frozenset(states[st] for st in inits),
-        observations=all_ids,
-        actions=frozenset(a.name for a in q.actions),
-        goal_states=frozenset(goal_states),
-        avail=avail,
-        obs_fn={sid: sid for sid in all_ids},
-        succ=succ,
-        annotations=annotations,
-    )
+    init_options = [
+        [x for x, ok in ((0, d.zero_possible), (1, d.positive_possible)) if ok]
+        for d in (q.init_values[v] for v in q.variables)
+    ]
+    starts = [(q.init_fluents, vals) for vals in product(*init_options)]
+    sems = [ConcreteSemantics(mode="two_valued")] * len(q.variables)
+    fondp = _explore(q, starts, sems, _obs_id, Fondp)
     description = {
         "atoms": sorted(q.fluents) + [f"{v}=0" for v in q.variables] + [f"{v}>0" for v in q.variables],
         "actions": {

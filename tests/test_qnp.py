@@ -3,6 +3,7 @@ instantiation, syntactic projection, similarity, and closure."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from genplan.qnp import (
     ConcreteSemantics,
     InitDescriptor,
     Qnp,
+    QnpAction,
     close_qnp,
     closure_diagnostics,
     instantiate,
@@ -309,19 +311,84 @@ def test_abstract_policy_transfers_to_similar_instances():
         assert check_solution(inst, canon, Under(cv)).kind == "SOLVES_UNDER_CONSTRAINT"
 
 
+def random_qnp(rng):
+    """A valid QNP with 0-2 fluents, 1-3 variables and 1-4 actions with
+    random preconditions, add and delete lists, increments and decrements."""
+    fluents = ("p", "q")[: rng.randint(0, 2)]
+    variables = ("X", "Y", "Z")[: rng.randint(1, 3)]
+
+    def condition(chance):
+        lits = [("fluent", f, rng.random() < 0.5) for f in fluents if rng.random() < chance]
+        lits += [("var", v, rng.choice(("zero", "pos"))) for v in variables if rng.random() < chance]
+        return tuple(lits)
+
+    def some_fluents():
+        return frozenset(f for f in fluents if rng.random() < 0.4)
+
+    actions = []
+    for k in range(rng.randint(1, 4)):
+        effects = {v: rng.choice((None, "inc", "dec")) for v in variables}
+        actions.append(QnpAction(
+            name=f"a{k}", pre=condition(0.4), add=some_fluents(), delete=some_fluents(),
+            numeric={v: e for v, e in effects.items() if e},
+        ))
+    inits = ((0,), (3,), (0, 2), (1, 4))
+    return Qnp(
+        fluents=frozenset(fluents),
+        init_fluents=some_fluents(),
+        actions=tuple(actions),
+        goal=condition(0.5),
+        variables=variables,
+        init_values={
+            v: InitDescriptor(kind="set", values=tuple(Fraction(x) for x in rng.choice(inits)))
+            for v in variables
+        },
+    )
+
+
 def test_two_valued_instance_mirrors_projection():
-    """The two-valued variant is similar and its instances project onto
-    exactly the syntactic projection."""
-    q = parse_qnp(COUNTER)
-    tv = two_valued_variant(q)
-    assert similar(q, tv)
-    members = [instantiate(tv, {"X": v}, bound=1) for v in (1,)]
-    explicit = observation_projection(infer_class(members))
-    syntactic = syntactic_projection(q).fondp
-    assert explicit.succ == syntactic.succ
-    assert explicit.states == syntactic.states
+    """The two-valued variant is similar, and its instances from every
+    initial 0/1 valuation project onto exactly the syntactic projection.
+    Swept over 250 seeded random QNPs; the explicit side goes through
+    ``observation_projection``, which shares no code with the projection."""
+    rng = random.Random(2011)
+    for _ in range(250):
+        q = random_qnp(rng)
+        tv = two_valued_variant(q)
+        assert similar(q, tv)
+        members = [
+            instantiate(tv, dict(zip(q.variables, values)), bound=1)
+            for values in product(*(tv.init_values[v].values for v in q.variables))
+        ]
+        explicit = observation_projection(infer_class(members))
+        syntactic = syntactic_projection(q).fondp
+        assert explicit.states == syntactic.states
+        assert explicit.succ == syntactic.succ
+        assert explicit.avail == syntactic.avail
+        assert explicit.goal_states == syntactic.goal_states
+        assert explicit.init == syntactic.init
     # the instance itself is isomorphic to the projection: states are 0/1
-    assert members[0].states == frozenset({"X=0", "X=1"})
+    counter = instantiate(two_valued_variant(parse_qnp(COUNTER)), {"X": 1}, bound=1)
+    assert counter.states == frozenset({"X=0", "X=1"})
+
+
+def test_simulate_branching_trace_is_pinned():
+    """One seeded walk where outcomes branch: X moves by 0-2 (bounded) and
+    Y decrements to {0, Y} (two-valued).  The RNG draws once per variable
+    per step in variable order, unaffected variables included, so any
+    change in how outcomes are drawn changes this trace."""
+    q = parse_qnp(
+        TWOVAR.replace("{20}", "{3}").replace("{30}", "{1}")
+        .replace("goal", "semantics X bounded 0 2\nsemantics Y two_valued\ngoal")
+    )
+    canon = Policy.memoryless({"X>0,Y=0": "a", "X>0,Y>0": "b", "X=0,Y>0": "b"})
+    t = simulate(q, canon, {"X": 3, "Y": 1}, seed=5)
+    assert t.actions == ("b", "b", "b", "a", "b", "b", "b", "a", "b", "b", "b")
+    assert t.states == (
+        "X=3,Y=1", "X=3,Y=1", "X=3,Y=1", "X=3,Y=0", "X=1,Y=1", "X=1,Y=1",
+        "X=1,Y=1", "X=1,Y=0", "X=0,Y=1", "X=0,Y=1", "X=0,Y=1", "X=0,Y=0",
+    )
+    assert not t.truncated
 
 
 def test_boolean_projection_coherence():
