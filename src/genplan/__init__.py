@@ -17,7 +17,7 @@ from .constraints import (
     qnp_constraints,
     satisfies,
 )
-from .fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
+from .fond import UNSOLVABLE, strong_cyclic_plan
 from .model import (
     FAIR,
     STRONG,
@@ -91,5 +91,4 @@ __all__ = [
     "synthesize",
     "syntactic_projection",
     "validate",
-    "verify_strong_cyclic",
 ]

@@ -208,7 +208,7 @@ def _cmd_plan(args):
     if mu == fond.UNSOLVABLE:
         _emit({"command": "plan", "reason": "UNSOLVABLE"})
         return 1
-    verdict = fond.verify_strong_cyclic(p, mu, budget=args.budget)
+    verdict = check_solution(p, mu, FAIR, budget=args.budget)
     doc = {"command": "plan", "policy": mu.as_memoryless_mapping()}
     return _emit_verified(doc, mu, verdict, args.output)
 
@@ -377,7 +377,7 @@ def build_parser():
 
     sp = sub.add_parser("synthesize", help="LTL synthesis on a projection")
     sp.add_argument("input")
-    sp.add_argument("--constraint", action="append", help="qnp(X), fairness, true, or LTL text")
+    sp.add_argument("--constraint", action="append", help="qnp(X), true, or LTL text")
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=_cmd_synthesize)
 

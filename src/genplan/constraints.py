@@ -142,7 +142,10 @@ def constraint_formula(c, p):
     """The concrete LTL formula of an LTL constraint over the alphabet of
     ``p`` (observations and actions)."""
     if c.kind != "ltl":
-        raise NotLtlExpressibleError(f"constraint {c.name!r} is not an LTL constraint")
+        raise NotLtlExpressibleError(
+            f"constraint {c.name!r} is not an LTL constraint: synthesis takes "
+            "LTL-expressible constraints, and `genplan plan` solves under fairness"
+        )
     if c.formula is not None:
         return c.formula
     tag = c.template[0]
@@ -167,29 +170,6 @@ def constraint_alphabet(c, p):
     if c.level == "state":
         return frozenset(set(p.states) | set(p.actions))
     return frozenset(set(p.observations) | set(p.actions))
-
-
-def fairness_to_ltl(p, budget=2000):
-    """State-level LTL encoding of fairness: one implication per
-    nondeterministic transition pair.  Only viable for small problems."""
-    conjuncts = []
-    for (a, s), targets in sorted(p.succ.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-        if len(targets) < 2:
-            continue
-        trigger = L.always(L.eventually(L.And(L.Letter(s), L.Next(L.Letter(a)))))
-        for t in sorted(targets, key=str):
-            occ = L.always(
-                L.eventually(
-                    L.And(L.Letter(s), L.Next(L.And(L.Letter(a), L.Next(L.Letter(t)))))
-                )
-            )
-            conjuncts.append(L.implies(trigger, occ))
-    formula = L.land(*conjuncts)
-    if formula.size > budget:
-        raise NotLtlExpressibleError(
-            f"fairness encoding has size {formula.size}, over budget {budget}"
-        )
-    return formula
 
 
 # ---------------------------------------------------------------------------
@@ -379,90 +359,85 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     """Whether every infinite trajectory of ``p`` satisfying ``c`` satisfies
     ``c_prime``; decided as emptiness of the product of the problem's
     transition structure with the conjunct NBAs of ``c`` and the NBA of
-    the negation of ``c_prime``, without determinizing any of them.  A
-    fairness antecedent asks for a move-closed component of the product
-    with the one NBA.  A False result carries a witnessing lasso."""
+    the negation of ``c_prime``, without determinizing any of them.
+    Fairness, on either side, is judged per (state, action) pair of ``p``,
+    as `satisfies` judges it, by a Streett search of that product: a fair
+    antecedent asks for a component in which each move is followed by each
+    of its outcomes (`_fair_pairs`), and a fair consequent for one that
+    takes a move but never one of its outcomes (`_unfair_lasso`).  A False
+    result carries a witnessing lasso."""
     if c == c_prime:
         return ImplicationResult(holds=True)
-
+    automata = [] if c.kind == "fairness" else [(a, c.level) for a in _conjunct_nbas(c, p, budget)]
+    if c_prime.kind != "fairness":
+        f_neg = L.lnot(constraint_formula(c_prime, p))
+        nba = L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget)
+        automata.append((nba, c_prime.level))
+    product = _trajectory_product(p, automata, budget)
     if c_prime.kind == "fairness":
-        c_prime = ltl_constraint(fairness_to_ltl(p), name="fairness", level="state")
-
-    f_neg = L.lnot(constraint_formula(c_prime, p))
-    neg = (L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget), c_prime.level)
-    if c.kind == "fairness":
-        lasso = _fair_accepting_lasso(p, neg, budget)
+        lasso = _unfair_lasso(p, product, automata)
+    elif c.kind == "fairness":
+        pairs = _fair_pairs(product[2].__getitem__, _move)
+        lasso = _streett_product_lasso(product, automata, *pairs)
     else:
-        automata = [(a, c.level) for a in _conjunct_nbas(c, p, budget)] + [neg]
-        product = _trajectory_product(p, automata, budget)
         lasso = _accepting_lasso(*product, [a for a, _ in automata], lambda s: s)
     return ImplicationResult(holds=lasso is None, witness=lasso)
 
 
-def _fair_accepting_lasso(p, automaton, budget):
-    """A fair lasso of ``p`` accepted by the (nba, level) ``automaton``.
+def _move(x, y):
+    """The transition (s, a, t) of p that a bilayer product edge from an "m"
+    node takes, or None for an edge from an "n" node."""
+    return (x[1], x[2], y[1]) if x[0] == "m" else None
 
-    Refine the bilayer product to its maximal move-closed strongly
-    connected substructures (every move kept keeps a successor for each of
-    its outcome states); any such structure holding an accepting state
-    yields the witness by covering all its edges in one closed walk, which
-    makes the projected lasso fair.
-    """
-    inits, nodes, edges = _trajectory_product(p, [automaton], budget)
-    accepting = automaton[0].accepting
-    for comp, succ in _closed_components(nodes, edges):
-        if any(v[-1][0] in accepting for v in comp):
-            return _product_lasso(inits, edges, graph.covering_walk(comp, succ), lambda s: s)
+
+def _fair_pairs(succ, step):
+    """Fairness per (state, action) pair as Streett requests and answers:
+    node v requests the transition ``step(v, w)`` to each successor w, and
+    the edge from v to w answers it; a step of None is no transition."""
+    return (lambda v: {step(v, w) for w in succ(v)} - {None}), (lambda v, w: {step(v, w)})
+
+
+def _streett_product_lasso(product, automata, requests, answers, succ=None):
+    """The lasso of the bilayer ``product`` with ``automata`` whose cycle
+    covers the first component that `graph.streett_component` finds under
+    ``succ`` (the product's edges when None), or None.  Beyond
+    ``requests`` and ``answers``, each node requests, for each automaton,
+    a node that holds an accepting state of it."""
+    inits, nodes, edges = product
+    succ = succ or edges.__getitem__
+    every = set(range(len(automata)))
+
+    def accepting(x):
+        return {i for i, ((a, _), q) in enumerate(zip(automata, x[-1])) if q in a.accepting}
+
+    comp = graph.streett_component(
+        nodes, succ, lambda x: every | requests(x), lambda x, y: accepting(x) | answers(x, y)
+    )
+    if comp is None:
+        return None
+    return _product_lasso(inits, edges, graph.covering_walk(set(comp), succ), lambda s: s)
+
+
+def _unfair_lasso(p, product, automata):
+    """An unfair lasso of ``p`` accepted by ``automata``, or None: for some
+    nondeterministic (s, a, t), a component of their ``product`` that
+    takes a move (s, a) once the edges from it to t are removed."""
+    edges = product[2]
+    for (a, s), targets in sorted(p.succ.items(), key=lambda kv: (str(kv[0][1]), str(kv[0][0]))):
+        for t in sorted(targets, key=str) if len(targets) > 1 else ():
+
+            def succ(x, cut=(s, a, t)):
+                return [y for y in edges[x] if _move(x, y) != cut]
+
+            def answers(x, y, pair=(s, a)):
+                return {pair} if x[0] == "m" and x[1:3] == pair else set()
+
+            lasso = _streett_product_lasso(
+                product, automata, lambda x, pair=(s, a): {pair}, answers, succ
+            )
+            if lasso is not None:
+                return lasso
     return None
-
-
-def _closed_components(nodes, edges):
-    """Maximal move-closed strongly connected substructures of a bilayer
-    product, with the successor function inside each."""
-    stack = [nodes]
-    while stack:
-        cur = _closed_core(stack.pop(), edges)
-
-        def succ(v, cur=cur):
-            return [w for w in edges[v] if w in cur]
-
-        comps = list(graph.sccs(sorted(cur, key=str), succ))
-        if len(comps) == 1:
-            if graph.has_cycle(comps[0], succ):
-                yield cur, succ
-            continue
-        stack.extend(set(comp) for comp in comps if graph.has_cycle(comp, succ))
-
-
-def _closed_core(nodes, edges):
-    """The largest subset of ``nodes`` in which every node keeps a successor
-    in each of its groups: an "n" node's successors (its moves) form one
-    group, and an "m" node's successors form one group per outcome state."""
-
-    def group(v, w):
-        return w[1] if v[0] == "m" else None
-
-    pred = {}
-    left = {}
-    dead = []
-    for v in nodes:
-        count = left[v] = {group(v, w): 0 for w in edges[v]}
-        for w in edges[v]:
-            if w in nodes:
-                pred.setdefault(w, []).append(v)
-                count[group(v, w)] += 1
-        if not count or not all(count.values()):
-            dead.append(v)
-    core = set(nodes).difference(dead)
-    while dead:
-        w = dead.pop()
-        for v in pred.get(w, ()):
-            if v in core:
-                left[v][group(v, w)] -= 1
-                if not left[v][group(v, w)]:
-                    core.discard(v)
-                    dead.append(v)
-    return core
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +450,9 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None)
     `model.PolicyProduct`) that satisfies the constraint, or None.
     ``reach`` is the set of ids of its goal-free reachable region.
 
+    Fairness is judged per (state, action) pair of ``p``, as `satisfies`
+    judges it: the FAIR check's trapped component first, then a Streett
+    search for a fair cycle that nodes of different memory make together.
     A conjunction of builtin weak counter constraints is a Streett
     condition on the product itself (`_streett_lasso`).  Any other
     constraint is decomposed into conjuncts, one NBA each, and the search
@@ -484,7 +462,9 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None)
     builds them); otherwise they are translated here.
     """
     if c.kind == "fairness":
-        return _fair_counterexample(prod, reach)
+        nodes, act = prod.nodes, prod.act
+        pairs = _fair_pairs(prod.succ.__getitem__, lambda i, j: (nodes[i][0], act[i], nodes[j][0]))
+        return _fair_counterexample(prod, reach) or _policy_streett_lasso(prod, reach, *pairs)
     variables = _qnp_template_vars(c)
     if variables is not None:
         return _streett_lasso(p, variables, prod, reach)
@@ -493,40 +473,34 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None)
     return accepted_policy_lasso(p, c.level, nbas, prod, reach, budget)
 
 
+def _policy_streett_lasso(prod, reach, requests, answers):
+    """The lasso whose cycle covers the first component inside ``reach``
+    that `graph.streett_component` finds on the policy product, or None."""
+    succ = prod.succ
+
+    def inner(i):
+        return [j for j in succ[i] if j in reach]
+
+    comp = graph.streett_component(reach, inner, requests, answers, key=_by_str(prod))
+    return None if comp is None else _covering_lasso(prod, comp, inner, reach)
+
+
 def _streett_lasso(p, variables, prod, reach):
     """A lasso of the policy product inside ``reach`` that satisfies the weak
     counter constraint of each of ``variables``, or None: SIEVE (Srivastava
     et al., AAAI 2011) as Streett emptiness (Henzinger & Telle, 1996).  A
     node requests X when its action decrements X, and answers X when its
-    action increments X or its observation has X = 0.  A cyclic component
-    with an unanswered request loses the nodes that make it and is split
-    again, so each branch recurses at most once per variable.  The first
-    cyclic component with none left is covered by the lasso's cycle."""
+    action increments X or its observation has X = 0."""
     _require_known(p, variables)
     effects = p.annotations.get("action_effects", {})
     zero = p.annotations.get("obs_zero", {})
-    nodes, succ, act = prod.nodes, prod.succ, prod.act
+    nodes, act = prod.nodes, prod.act
     dec, good = {}, {}
     for i in reach:
         eff, z = effects.get(act[i], {}), zero.get(p.obs_fn[nodes[i][0]], ())
         dec[i] = {v for v in variables if eff.get(v) == "dec"}
         good[i] = {v for v in variables if eff.get(v) == "inc" or v in z}
-
-    def search(region):
-        def inner(i):
-            return [j for j in succ[i] if j in region]
-
-        for comp in graph.sccs(sorted(region, key=_by_str(prod)), inner):
-            if graph.has_cycle(comp, inner):
-                bad = set().union(*map(dec.get, comp)) - set().union(*map(good.get, comp))
-                if not bad:
-                    return _covering_lasso(prod, comp, inner, reach)
-                lasso = search({i for i in comp if not dec[i] & bad})
-                if lasso is not None:
-                    return lasso
-        return None
-
-    return search(reach)
+    return _policy_streett_lasso(prod, reach, dec.__getitem__, lambda i, j: good[i])
 
 
 def accepted_policy_lasso(p, level, nbas, prod, reach, budget=L.DEFAULT_BUDGET):

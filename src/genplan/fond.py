@@ -1,5 +1,5 @@
 """Strong-cyclic (fair) FOND planning over explicit fully observable
-problems, and verification of the produced policies.
+problems; `model.check_solution` in FAIR mode verifies the policies.
 
 The planner is the standard pruning fixpoint: repeatedly discard states
 from which the goal is unreachable using only actions whose outcomes all
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .ltl import DEFAULT_BUDGET
-from .model import FAIR, Policy, check_solution, numbered
+from .model import Policy, numbered
 
 UNSOLVABLE = "UNSOLVABLE"
 
@@ -73,9 +72,3 @@ def strong_cyclic_plan(p):
                 queue.append(t)
     return Policy.memoryless({n.observations[o]: n.actions[best[o]] for o in sorted(best)})
 
-
-def verify_strong_cyclic(p, mu, budget=DEFAULT_BUDGET):
-    """Delegates to the fair-solution check; the verdict carries a fair
-    counterexample lasso (a reachable non-goal bottom component) on failure.
-    ``budget`` caps the policy product it builds."""
-    return check_solution(p, mu, FAIR, budget=budget)

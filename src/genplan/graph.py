@@ -172,6 +172,34 @@ def dominant_cycle(nodes, succ, priority, targets):
     return None
 
 
+def streett_component(nodes, succ, requests, answers, key=str):
+    """The first strongly connected set inside ``nodes`` that has a cycle
+    and answers every request its members make, as a list, or None:
+    Streett emptiness by SCC refinement (Emerson & Lei, 1987).  Node v
+    makes the requests ``requests(v)``, the edge from v to w answers
+    ``answers(v, w)``.  A cyclic component with a request that none of its
+    inner edges answers loses the nodes that make one, and the rest is
+    split again, depth first, in Tarjan's order over nodes sorted by ``key``."""
+
+    def search(region):
+        def inner(v):
+            return [w for w in succ(v) if w in region]
+
+        for comp in sccs(sorted(region, key=key), inner):
+            if has_cycle(comp, inner):
+                members = set(comp)
+                answered = [answers(v, w) for v in comp for w in inner(v) if w in members]
+                bad = set().union(*map(requests, comp)).difference(*answered)
+                if not bad:
+                    return comp
+                found = search({v for v in comp if not requests(v) & bad})
+                if found is not None:
+                    return found
+        return None
+
+    return search(set(nodes))
+
+
 def refine(nodes, label, succ):
     """The coarsest partition of ``nodes`` that refines ``label`` and is
     stable: members of a class have the same set of (edge label, class)

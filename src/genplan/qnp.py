@@ -307,6 +307,8 @@ def parse_qnp(text):
                     raise QnpParseError(f"{where}: bounded needs 'lo hi [grid g]'")
                 lo, hi = _parse_value(args[0], where), _parse_value(args[1], where)
                 grid = _parse_value(args[3], where) if len(args) == 4 else Fraction(1)
+                if grid <= 0 or lo < 0 or hi < lo:
+                    raise QnpParseError(f"{where}: bounded needs 0 <= lo <= hi and grid > 0")
                 semantics[var] = ConcreteSemantics(mode="bounded", lo=lo, hi=hi, grid=grid)
             else:
                 raise QnpParseError(f"{where}: unknown semantics mode {mode!r}")

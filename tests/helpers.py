@@ -6,9 +6,10 @@ brute-force strategy enumeration and strategy verification for parity
 games, an exact class-grouped agreement check between parity automata and
 the LTL semantics over a bounded lasso universe, the constraint check
 through determinized conjuncts, kept as the reference for its Büchi
-reading, the earlier tuple-keyed policy product, its STRONG and FAIR
-checks and its planner, and the dict-walking problem validation, kept as
-references for the numbered ones.  The index-appearance-record DPW for
+reading, the LTL encoding of fairness, the reference for `implies`, the
+earlier tuple-keyed policy product, its STRONG and FAIR checks and its
+planner, and the dict-walking problem validation, kept as references for
+the numbered ones.  The index-appearance-record DPW for
 counter constraints is the reference for synthesis on letter classes.
 The QNP printer and the two-valued variant of a QNP serve the QNP tests.
 """
@@ -446,6 +447,66 @@ def dpw_counterexample_search(p, c, prod, reach):
     one on-the-fly determinized automaton per conjunct."""
     dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET)]
     return dpw_policy_lasso(p, c.level, dpws, prod, reach)
+
+
+def fairness_to_ltl(p):
+    """State-level LTL encoding of fairness: one implication per
+    nondeterministic transition (s, a, t), "if s is followed by a
+    infinitely often, so is s a t".  The reference for `implies`, which
+    decides fairness without it; only viable for small problems."""
+    conjuncts = []
+    for (a, s), targets in sorted(p.succ.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        if len(targets) < 2:
+            continue
+        trigger = L.always(L.eventually(L.And(L.Letter(s), L.Next(L.Letter(a)))))
+        for t in sorted(targets, key=str):
+            occ = L.always(
+                L.eventually(
+                    L.And(L.Letter(s), L.Next(L.And(L.Letter(a), L.Next(L.Letter(t)))))
+                )
+            )
+            conjuncts.append(L.implies(trigger, occ))
+    return L.land(*conjuncts)
+
+
+def small_lassos(p, max_prefix=2, max_cycle=4):
+    """The words of the lassos of ``p`` from an initial state with at most
+    ``max_prefix`` prefix steps and 1 to ``max_cycle`` cycle steps, each
+    once, as lassos whose cycle has no shorter period and whose prefix
+    does not end with the cycle's last step; for brute-force refutation."""
+
+    def walks(s, n):
+        layer = out = [((s,), ())]
+        for _ in range(n):
+            layer = [
+                (states + (t,), actions + (a,))
+                for states, actions in layer
+                for a in sorted(p.avail.get(states[-1], ()), key=str)
+                for t in sorted(p.succ[(a, states[-1])], key=str)
+            ]
+            out = out + layer
+        return out
+
+    found = set()
+    for s0 in sorted(p.init, key=str):
+        for pre_s, pre_a in walks(s0, max_prefix):
+            for cyc_s, cyc_a in walks(pre_s[-1], max_cycle):
+                if not cyc_a or cyc_s[-1] != pre_s[-1]:
+                    continue
+                pre, cyc = list(zip(pre_s, pre_a)), list(zip(cyc_s, cyc_a))
+                n = len(cyc)
+                cyc = cyc[: next(d for d in range(1, n + 1) if cyc == cyc[d:] + cyc[:d])]
+                while pre and pre[-1] == cyc[-1]:
+                    cyc.insert(0, cyc.pop())
+                    pre.pop()
+                found.add((tuple(pre), tuple(cyc)))
+    return [
+        Lasso(
+            tuple(s for s, _ in pre), tuple(a for _, a in pre),
+            tuple(s for s, _ in cyc), tuple(a for _, a in cyc),
+        )
+        for pre, cyc in sorted(found, key=str)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1183,9 +1244,39 @@ def _reference_fair_lasso(start, edges, reach):
     return None
 
 
+def _reference_pair_fair_lasso(start, edges, reach):
+    """A goal-free lasso of the tuple-keyed product that is fair per
+    (state, action) pair, or None.  Each cyclic strongly connected part of
+    ``reach``, in turn, drops the nodes whose (state, action) pair misses
+    one of its outcomes on the edges inside it and is split again; the
+    first part that drops nothing is covered by the lasso's cycle."""
+
+    def search(region):
+        def succ(n):
+            return [m for _, m in edges[n] if m in region]
+
+        for comp in graph.sccs(sorted(region, key=str), succ):
+            if not graph.has_cycle(comp, succ):
+                continue
+            seen = {(n[0], a, m[0]) for n in comp for a, m in edges[n] if m in comp}
+            unfair = {
+                (n[0], a) for n in comp for a, m in edges[n] if (n[0], a, m[0]) not in seen
+            }
+            if not unfair:
+                return _reference_lasso(start, edges, graph.covering_walk(set(comp), succ), reach)
+            kept = {n for n in comp if not any((n[0], a) in unfair for a, _ in edges[n])}
+            lasso = search(kept)
+            if lasso is not None:
+                return lasso
+        return None
+
+    return search(reach)
+
+
 def reference_check(p, mu, mode):
     """`model.check_solution` over the tuple-keyed product, for STRONG,
-    FAIR and Under(fairness)."""
+    FAIR and Under(fairness); the last falls back to a search that is fair
+    per (state, action) pair when no trapped component is found."""
     start, nodes, edges, stops, invalid = reference_policy_product(p, mu)
     if invalid is not None:
         return Verdict(kind="INVALID_POLICY", witness=_reference_trace(start, edges, invalid[0]))
@@ -1217,6 +1308,7 @@ def reference_check(p, mu, mode):
             return Verdict(kind="NOT_A_SOLUTION", counterexample=lasso)
         return Verdict(kind="FAIR_SOLUTION")
     assert isinstance(mode, Under) and mode.constraint.kind == "fairness"
+    lasso = lasso or _reference_pair_fair_lasso(start, edges, reach)
     if lasso is not None:
         return Verdict(kind="NOT_A_SOLUTION", constraint="fairness", counterexample=lasso)
     return Verdict(kind="SOLVES_UNDER_CONSTRAINT", constraint="fairness")

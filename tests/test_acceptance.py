@@ -17,7 +17,7 @@ from genplan.constraints import (
     qnp_constraint,
     qnp_constraints,
 )
-from genplan.fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
+from genplan.fond import UNSOLVABLE, strong_cyclic_plan
 from genplan.ltl import eval_lasso, ltl_to_nba
 from genplan.model import (
     FAIR,
@@ -177,7 +177,7 @@ def test_criterion_3_twovar(tmp_path):
     )
     pc = load_pondp(str(fondp_path))
     mu = policy_from_json_dict(json.loads(policy_path.read_text()))
-    assert verify_strong_cyclic(pc, mu).kind == "FAIR_SOLUTION"
+    assert check_solution(pc, mu, FAIR).kind == "FAIR_SOLUTION"
 
     # the canonical policy takes exactly 30 + 20*2 = 70 steps from (20, 30)
     canon = Policy.memoryless({"X>0,Y=0": "a", "X>0,Y>0": "b", "X=0,Y>0": "b"})
@@ -290,7 +290,7 @@ def test_criterion_4_cross_engine():
         )
         assert plannable == (name not in expected_unsolvable), name
         if plannable:
-            assert verify_strong_cyclic(pc, plan).kind == "FAIR_SOLUTION", name
+            assert check_solution(pc, plan, FAIR).kind == "FAIR_SOLUTION", name
             verdict = check_solution(po, res.policy, Under(cv))
             assert verdict.kind == "SOLVES_UNDER_CONSTRAINT", name
             # the fair policy also solves the closed projection given the

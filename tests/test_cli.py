@@ -257,6 +257,30 @@ def test_simulate_fondp(tmp_path, capsys):
     assert doc["goal_reached"] is True
 
 
+def test_simulate_rejects_zero_grid(tmp_path, capsys):
+    """A bounded semantics with grid 0 is malformed input (exit 2), not a
+    ZeroDivisionError traceback."""
+    with open(TWOVAR_QNP) as fh:
+        text = fh.read()
+    path = tmp_path / "grid0.qnp"
+    path.write_text(text.replace("goal", "semantics X bounded 0 1 grid 0\ngoal", 1))
+    code, doc = run_cli(
+        capsys, "simulate", str(path), "--policy", CANONICAL, "--init", "X=20,Y=30"
+    )
+    assert code == 2
+    assert doc["error"] == "QnpParseError" and "bounded needs" in doc["message"]
+
+
+def test_synthesize_fairness_points_to_plan(capsys):
+    """Synthesis takes LTL-expressible constraints only; given fairness it
+    exits 2 and names the command that solves under fairness."""
+    code, doc = run_cli(capsys, "synthesize", COUNTER_FONDP, "--constraint", "fairness")
+    assert code == 2
+    assert doc["error"] == "NotLtlExpressibleError"
+    assert "synthesis takes LTL-expressible constraints" in doc["message"]
+    assert "`genplan plan` solves under fairness" in doc["message"]
+
+
 def test_ltl2dpw(tmp_path, capsys):
     out = tmp_path / "dpw.json"
     code, doc = run_cli(

@@ -6,34 +6,36 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genplan import ltl as L
 from genplan.constraints import (
     ALL_TRAJECTORIES,
+    _conjunct_formulas,
     _conjunct_nbas,
     accepted_policy_lasso,
     conjoin,
     constraint_formula,
     counterexample_search,
     fairness_constraint,
-    fairness_to_ltl,
     implies,
     ltl_constraint,
     qnp_constraint,
     qnp_constraints,
     satisfies,
 )
-from genplan.errors import NotLtlExpressibleError, SizeBudgetExceededError, UnknownVariableError
+from genplan.errors import SizeBudgetExceededError, UnknownVariableError
 from genplan.model import (
     FiniteTrajectory,
     Lasso,
     Policy,
+    Pondp,
     Under,
     _goal_free_region,
     _policy_product,
     check_solution,
+    is_fair,
     run_policy,
 )
 from genplan.omega import nba_to_dpw
@@ -50,10 +52,12 @@ from .helpers import (
     dpw_accepts,
     dpw_counterexample_search,
     dpw_policy_lasso,
+    fairness_to_ltl,
     finite_memory_policies,
     is_generated_by,
     rand_formula,
     rand_word,
+    small_lassos,
 )
 from .test_acceptance import _qnp_suite
 
@@ -319,10 +323,87 @@ def test_fairness_to_ltl_small():
     assert eval_lasso(f, fair.word(), sigma)
 
 
-def test_fairness_to_ltl_budget():
-    p = concrete_counter(6, bound=8, dec_steps=(1, 2))
-    with pytest.raises(NotLtlExpressibleError):
-        fairness_to_ltl(p, budget=10)
+def test_fair_antecedent_judges_each_state_action_pair():
+    """s a-> {t1, t2}, t1 b-> s, t2 b-> s: the run s a t1 b s a t2 b, repeated,
+    is fair and takes a then t1 infinitely often, so fairness does not
+    imply F G !(a & X t1).  From its accepting state the NBA reads a into a
+    state that reads only t1, so the product node of a on that run keeps
+    one outcome: the witness needs a component judged per (state, action)
+    pair, where another node of a supplies t2."""
+    p = Pondp(
+        states={"s", "t1", "t2"},
+        init={"s"},
+        observations={"s", "t1", "t2"},
+        actions={"a", "b"},
+        goal_states=set(),
+        avail={"s": {"a"}, "t1": {"b"}, "t2": {"b"}},
+        obs_fn={v: v for v in ("s", "t1", "t2")},
+        succ={("a", "s"): {"t1", "t2"}, ("b", "t1"): {"s"}, ("b", "t2"): {"s"}},
+    )
+    f = ltl_constraint(parse_ltl("F G !(a & X t1)", set(p.states) | set(p.actions)), level="state")
+    res = implies(fairness_constraint(), f, p)
+    assert not res.holds
+    assert satisfies(fairness_constraint(), res.witness, p)
+    assert not satisfies(f, res.witness, p)
+
+
+def _assert_refuted_by_witness(c, c_prime, p, res):
+    assert satisfies(c, res.witness, p) and not satisfies(c_prime, res.witness, p)
+
+
+# seed 122 draws X ((s1 -> s1) & s1), which no state-level word satisfies
+# (its second letter is an action), so every fair lasso refutes that
+# fairness implies it; a search that keeps a product node only when it has
+# a successor for each outcome answers that it does
+_TWO_STATE_LOOP = Pondp(
+    states={"s0", "s1"},
+    init={"s0", "s1"},
+    observations={"o0"},
+    actions={"a"},
+    goal_states=set(),
+    avail={"s0": {"a"}, "s1": {"a"}},
+    obs_fn={"s0": "o0", "s1": "o0"},
+    succ={("a", "s0"): {"s0", "s1"}, ("a", "s1"): {"s0", "s1"}},
+    annotations={
+        "variables": ["X", "Y"],
+        "action_effects": {"a": {"X": "dec", "Y": "dec"}},
+        "obs_zero": {"o0": ["X"]},
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(annotated_problems(), st.integers(0, 2**30))
+@example(_TWO_STATE_LOOP, 122)
+def test_fairness_implications_replay_and_resist_small_lassos(p, seed):
+    """Seeded sweep: with fairness on either side, against a random
+    state-level formula and the counter constraints, every False answer
+    of `implies` replays its witness with `satisfies`, and no lasso with
+    a prefix of at most 2 and a cycle of at most 4 steps refutes a True
+    one.  Where the fairness formula has at most two conjuncts, the
+    consequent also agrees with `implies` on that formula."""
+    rng = random.Random(seed)
+    letters = sorted(set(p.states) | set(p.actions), key=str)
+    f = ltl_constraint(rand_formula(rng, 3, letters), level="state")
+    fair = fairness_constraint()
+    lassos = small_lassos(p)
+    fair_lassos = [t for t in lassos if is_fair(p, t)]
+    unfair_lassos = [t for t in lassos if not is_fair(p, t)]
+    formula = fairness_to_ltl(p)
+    for other in (f, qnp_constraint("X")):
+        res = implies(fair, other, p)
+        if res.holds:
+            assert all(satisfies(other, t, p) for t in fair_lassos), other.name
+        else:
+            _assert_refuted_by_witness(fair, other, p, res)
+        res = implies(other, fair, p)
+        if res.holds:
+            assert not any(satisfies(other, t, p) for t in unfair_lassos), other.name
+        else:
+            _assert_refuted_by_witness(other, fair, p, res)
+        if len(_conjunct_formulas(formula)) <= 2:
+            reference = ltl_constraint(formula, name="fairness", level="state")
+            assert implies(other, reference, p).holds == res.holds
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import sys
 from hypothesis import given, settings
 
 from genplan import fond
-from genplan.fond import UNSOLVABLE, strong_cyclic_plan, verify_strong_cyclic
-from genplan.model import Policy, Pondp, Under, check_solution, is_fair, is_goal_reaching
+from genplan.fond import UNSOLVABLE, strong_cyclic_plan
+from genplan.model import FAIR, Policy, Pondp, Under, check_solution, is_fair, is_goal_reaching
 from genplan.constraints import qnp_constraint
 from genplan.qnp import close_qnp, parse_qnp, syntactic_projection
 
@@ -34,7 +34,7 @@ def test_plan_counter_projection():
     solution."""
     mu = strong_cyclic_plan(counter_projection())
     assert mu.as_memoryless_mapping() == {POS: "Dec"}
-    assert verify_strong_cyclic(counter_projection(), mu).kind == "FAIR_SOLUTION"
+    assert check_solution(counter_projection(), mu, FAIR).kind == "FAIR_SOLUTION"
 
 
 def test_plan_closed_counter():
@@ -45,7 +45,7 @@ def test_plan_closed_counter():
     mapping = mu.as_memoryless_mapping()
     assert mapping["X>0"] == "set(X)"
     assert mapping["q_X,X>0"] == "Dec"
-    assert verify_strong_cyclic(pc, mu).kind == "FAIR_SOLUTION"
+    assert check_solution(pc, mu, FAIR).kind == "FAIR_SOLUTION"
 
 
 def test_plan_unsolvable():
@@ -65,7 +65,7 @@ def test_plan_unsolvable():
 def test_verify_rejects_increment_policy():
     po = counter_projection()
     mu = Policy.memoryless({POS: "Inc"})
-    v = verify_strong_cyclic(po, mu)
+    v = check_solution(po, mu, FAIR)
     assert v.kind == "NOT_A_SOLUTION"
     assert v.counterexample.cycle_states == (POS,)
     assert is_fair(po, v.counterexample)
@@ -109,7 +109,7 @@ def test_planner_output_always_verifies():
             # the verifier agrees nothing can be done: the decrement-free
             # certificate is that no policy exists, spot-check a few
             continue
-        assert verify_strong_cyclic(p, mu).kind == "FAIR_SOLUTION", trial
+        assert check_solution(p, mu, FAIR).kind == "FAIR_SOLUTION", trial
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,7 +172,7 @@ def test_lift_policy_to_closed_counter():
     open_policy = Policy.memoryless({POS: "Dec"})
     lifted = lift_policy_to_closed(open_policy, pc)
     assert lifted is not None
-    assert verify_strong_cyclic(pc, lifted).kind == "FAIR_SOLUTION"
+    assert check_solution(pc, lifted, FAIR).kind == "FAIR_SOLUTION"
 
 
 def test_erase_commitments_counter():

@@ -1,6 +1,8 @@
 """Property tests for the graph kernel against brute-force oracles on
 random small digraphs."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +116,47 @@ def test_covering_walk_covers_every_edge(g):
         assert walk[0] == min(comp) and set(walk) <= comp
         assert is_closed_walk(walk, succ)
         assert {(v, walk[(i + 1) % len(walk)]) for i, v in enumerate(walk)} == inside
+
+
+@st.composite
+def streett_graphs(draw, max_nodes=7):
+    """(nodes, successor lists, node requests, edge answers) with nodes
+    0..n-1, at most one request per node and answers drawn from {0, 1}."""
+    n = draw(st.integers(1, max_nodes))
+    succ = [sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=3)))) for _ in range(n)]
+    requests = [draw(st.frozensets(st.integers(0, 1), max_size=1)) for _ in range(n)]
+    answers = {(v, w): draw(st.frozensets(st.integers(0, 1))) for v in range(n) for w in succ[v]}
+    return list(range(n)), succ, requests, answers
+
+
+def streett_good(subset, succ, requests, answers):
+    """Whether ``subset`` is strongly connected through its own edges, has
+    one, and answers on them every request its members make."""
+    inner = [[w for w in succ[v] if w in subset] if v in subset else [] for v in range(len(succ))]
+    reach = closure(range(len(succ)), inner)
+    if not all(w in reach[v] for v in subset for w in subset):
+        return False
+    answered = set().union(*(answers[v, w] for v in subset for w in inner[v]))
+    return set().union(*(requests[v] for v in subset)) <= answered
+
+
+@settings(max_examples=400, deadline=None)
+@given(streett_graphs())
+def test_streett_component_matches_brute_force(g):
+    """A Streett component exists iff some subset of the nodes is one (all
+    subsets tried), and the one returned is one."""
+    nodes, succ, requests, answers = g
+    comp = graph.streett_component(
+        nodes, succ.__getitem__, requests.__getitem__, lambda v, w: answers[v, w]
+    )
+    exists = any(
+        streett_good(set(sub), succ, requests, answers)
+        for k in range(1, len(nodes) + 1)
+        for sub in itertools.combinations(nodes, k)
+    )
+    assert (comp is not None) == exists
+    if comp is not None:
+        assert streett_good(set(comp), succ, requests, answers)
 
 
 @st.composite

@@ -483,6 +483,51 @@ def test_under_fairness_matches_fair():
             assert fair.is_solution == under.is_solution
 
 
+# s a-> {t1, t2}, t1 b-> s, t2 b-> s, t2 c-> g; the policy's memory toggles
+# at s, and it plays b at t2 in m1 but c in m0
+_TOGGLE_AT_S = (
+    Pondp(
+        states={"s", "t1", "t2", "g"},
+        init={"s"},
+        observations={"s", "t1", "t2", "g"},
+        actions={"a", "b", "c"},
+        goal_states={"g"},
+        avail={"s": {"a"}, "t1": {"b"}, "t2": {"b", "c"}, "g": set()},
+        obs_fn={v: v for v in ("s", "t1", "t2", "g")},
+        succ={
+            ("a", "s"): {"t1", "t2"}, ("b", "t1"): {"s"}, ("b", "t2"): {"s"}, ("c", "t2"): {"g"},
+        },
+    ),
+    Policy(
+        memory_states=("m0", "m1"),
+        initial="m0",
+        update={("m0", "s"): "m1", ("m1", "s"): "m0"},
+        output={
+            ("m0", "s"): "a", ("m1", "s"): "a", ("m0", "t1"): "b", ("m1", "t1"): "b",
+            ("m0", "t2"): "c", ("m1", "t2"): "b",
+        },
+    ),
+)
+
+
+def test_under_fairness_judges_each_state_action_pair():
+    """Every node of the policy product can reach the goal, so FAIR accepts;
+    but s a t2 b s a t1 b, repeated, avoids the goal and is fair, since
+    s a meets both of its outcomes, once from each memory state.  So
+    Under(fairness) rejects, with that cycle as its witness."""
+    p, mu = _TOGGLE_AT_S
+    assert check_solution(p, mu, FAIR).kind == "FAIR_SOLUTION"
+    v = check_solution(p, mu, Under(fairness_constraint()))
+    assert v.kind == "NOT_A_SOLUTION"
+    cx = v.counterexample
+    assert set(cx.cycle_transitions()) == {
+        ("s", "a", "t1"), ("t1", "b", "s"), ("s", "a", "t2"), ("t2", "b", "s"),
+    }
+    assert is_fair(p, cx) and satisfies(fairness_constraint(), cx, p)
+    assert not is_goal_reaching(p, cx) and is_generated_by(p, mu, cx)
+    assert v.to_json_dict() == reference_check(p, mu, Under(fairness_constraint())).to_json_dict()
+
+
 def test_dead_end_is_counterexample_in_all_modes():
     """A reachable non-goal stop fails every mode, including constrained
     ones (finite trajectories satisfy every constraint)."""

@@ -122,6 +122,16 @@ def test_parse_errors():
         parse_qnp("pre X>0\ngoal X=0\n")  # pre outside action
 
 
+@pytest.mark.parametrize("args", ["0 1 grid 0", "0 1 grid -1", "-2 1", "2 1"])
+def test_parse_rejects_bad_bounded_semantics(args):
+    """A zero grid divides by zero, a negative one never ends the outcome
+    loop, and a negative or inverted step range lets values go negative:
+    each is a parse error that names its line."""
+    text = f"vars X\ninit_values X in {{1}}\nsemantics X bounded {args}\ngoal X=0\n"
+    with pytest.raises(QnpParseError, match="^line 3: bounded needs"):
+        parse_qnp(text)
+
+
 def test_parse_fluents_and_intervals():
     q = parse_qnp(
         "fluents p q\nvars N\ninit p\ninit_values N in [1,4]\n"
