@@ -332,9 +332,10 @@ def _accepting_lasso(inits, nodes, edges, nbas, state_of):
     """The lasso of a cycle of a bilayer product with ``nbas`` (arguments
     as `_bilayer_product` returns them, and as for `_product_lasso`) that
     passes an accepting state of each of them, or None: generalized Büchi
-    emptiness (Couvreur, FM 1999), in one pass over the strongly connected
-    components, as a cycle whose maximum is even in every entry when an
-    accepting state has priority 2 and any other state 1."""
+    emptiness (Couvreur, FM 1999), as a cycle whose maximum is even in
+    every entry when an accepting state has priority 2 and any other state
+    1; the Streett search behind it needs one pass over the strongly
+    connected components for that."""
     accepting = [a.accepting for a in nbas]
     prio = {x: tuple(2 if q in f else 1 for f, q in zip(accepting, x[-1])) for x in nodes}
     cycle = omega.cycle_with_max_parity(nodes, edges.__getitem__, prio, 0)
@@ -415,7 +416,7 @@ def _streett_product_lasso(product, automata, requests, answers, succ=None):
     )
     if comp is None:
         return None
-    return _product_lasso(inits, edges, graph.covering_walk(set(comp), succ), lambda s: s)
+    return _product_lasso(inits, edges, graph.covering_walk(comp, succ), lambda s: s)
 
 
 def _unfair_lasso(p, product, automata):

@@ -1,6 +1,10 @@
 """Graph searches and the one partition refinement shared by both decision
 engines, their automata and their witnesses.
 
+One Streett search (`streett_component`) decides every acceptance cycle:
+parity, Büchi, counters, fairness, and any cycle at all (no requests).
+One builder (`closed_walk`) assembles every cycle and covering walk.
+
 A graph is given by its nodes and a successor function ``succ(v)`` that
 returns a list of nodes (``refine`` reads labelled edges instead).  Ties
 are broken by list order: sources in the order given, successors in the
@@ -132,46 +136,6 @@ def shortest_path(sources, succ, targets, allowed=None, nonempty=False):
     return None
 
 
-def _hop(u, v, succ, allowed):
-    """The nodes after ``u`` on a shortest path from u to v in ``allowed``."""
-    return shortest_path([u], succ, (v,), allowed)[1:]
-
-
-def dominant_cycle(nodes, succ, priority, targets):
-    """A cycle inside ``nodes`` whose maximum priority is ``t`` for one of
-    the priority tuples ``t`` in ``targets``, or None.
-
-    ``priority[v]`` is a tuple with one entry per priority function, and
-    the maximum is taken entry by entry.  Target tuples are tried in
-    order.  For each, the search keeps the nodes whose priorities are all
-    at most the target and looks for a strongly connected component that
-    has a cycle and realizes every target entry.  The cycle is returned as
-    a node list, closing back to its first node: from the least node (by
-    ``str``) realizing the first entry, through the least node realizing
-    each further entry, by shortest paths."""
-    for top in targets:
-        sub = {v for v in nodes if all(p <= t for p, t in zip(priority[v], top))}
-
-        def inner(v):
-            return [w for w in succ(v) if w in sub]
-
-        for comp in sccs(sorted(sub, key=str), inner):
-            if not has_cycle(comp, inner) or not all(
-                any(priority[v][i] == t for v in comp) for i, t in enumerate(top)
-            ):
-                continue
-            order = sorted(comp, key=str)
-            want = [next(v for v in order if priority[v][i] == t) for i, t in enumerate(top)]
-            comp = set(comp)
-            cycle = want[:1]
-            for v in want[1:] + want[:1]:
-                cycle += _hop(cycle[-1], v, inner, comp)
-            if len(cycle) == 1:
-                cycle = shortest_path(want[:1], inner, want[:1], comp, nonempty=True)
-            return cycle[:-1]
-    return None
-
-
 def streett_component(nodes, succ, requests, answers, key=str):
     """The first strongly connected set inside ``nodes`` that has a cycle
     and answers every request its members make, as a list, or None:
@@ -227,19 +191,25 @@ def refine(nodes, label, succ):
     return dict(zip(nodes, block))
 
 
-def covering_walk(nodes, succ):
-    """A closed walk through every edge inside the strongly connected set
-    ``nodes``, or None when it has no edge.  The walk starts at the least
-    node (by ``str``), takes the edges in the order of their source node
-    and of ``succ``, joins them by shortest paths, and is returned as a
-    node list that closes back to its first node."""
-    order = sorted(nodes, key=str)
-    edges = [(u, w) for u in order for w in succ(u) if w in nodes]
-    if not edges:
-        return None
-    walk = order[:1]
-    for u, w in edges:
-        walk += _hop(walk[-1], u, succ, nodes)
-        walk.append(w)
-    walk += _hop(walk[-1], order[0], succ, nodes)
+def closed_walk(legs, succ, allowed):
+    """A closed walk inside ``allowed`` that takes, for each leg ``(u, w)``
+    in turn, a shortest path of at least one edge from u to w, and joins
+    each leg to the next, and the last to the first, by a shortest path.
+    Returned as a node list that closes back to its first node, the first
+    leg's u."""
+    walk = [legs[0][0]]
+    for u, w in legs:
+        walk += shortest_path([walk[-1]], succ, (u,), allowed)[1:]
+        walk += shortest_path([u], succ, (w,), allowed, nonempty=True)[1:]
+    walk += shortest_path([walk[-1]], succ, walk[:1], allowed)[1:]
     return walk[:-1]
+
+
+def covering_walk(nodes, succ, key=str):
+    """A closed walk through every edge inside the strongly connected set
+    ``nodes``, or None when it has no edge: the `closed_walk` whose legs
+    are those edges, in the order of their source node (by ``key``) and of
+    ``succ``.  It starts at the least node."""
+    nodes = set(nodes)
+    edges = [(u, w) for u in sorted(nodes, key=key) for w in succ(u) if w in nodes]
+    return closed_walk(edges, succ, nodes) if edges else None

@@ -738,19 +738,16 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
     if stop is not None:
         return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(prod, stop, reach))
 
-    def succ_gf(i):
-        return [j for j in prod.succ[i] if j in reach]
-
     if mode == STRONG:
-        for comp in graph.sccs(sorted(reach, key=_by_str(prod)), succ_gf):
-            if graph.has_cycle(comp, succ_gf):
-                v0 = min(comp, key=_by_str(prod))
-                cycle = graph.shortest_path([v0], succ_gf, {v0}, set(comp), nonempty=True)
-                return Verdict(
-                    kind="NOT_A_SOLUTION",
-                    counterexample=_lasso_from_product(prod, cycle[:-1], reach),
-                )
-        return Verdict(kind="STRONG_SOLUTION")
+        # any cycle will do: a Streett search without requests
+        comp = graph.streett_component(
+            reach, prod.succ.__getitem__, lambda i: (), lambda i, j: (), key=_by_str(prod)
+        )
+        if comp is None:
+            return Verdict(kind="STRONG_SOLUTION")
+        v0 = min(comp, key=_by_str(prod))
+        cycle = graph.closed_walk([(v0, v0)], prod.succ.__getitem__, set(comp))
+        return Verdict(kind="NOT_A_SOLUTION", counterexample=_lasso_from_product(prod, cycle, reach))
 
     if mode == FAIR:
         lasso = _fair_counterexample(prod, reach)
@@ -791,23 +788,18 @@ def _fair_counterexample(prod, reach):
     def inner(i):
         return [j for j in succ[i] if j in trapped]
 
-    for comp in graph.sccs(sorted(trapped, key=_by_str(prod)), inner):
-        comp = set(comp)
-        if all(j in comp for i in comp for j in inner(i)):
-            return _covering_lasso(prod, comp, inner, reach)
-    return None
+    # every trapped node has a trapped successor, and Tarjan completes a
+    # component only after all it reaches: the first one is closed
+    comp = next(graph.sccs(sorted(trapped, key=_by_str(prod)), inner))
+    return _covering_lasso(prod, comp, inner, reach)
 
 
 def _covering_lasso(prod, comp, inner, reach):
     """The lasso of the policy product whose cycle is the covering walk of
     the strongly connected id set ``comp`` under ``inner``, with a prefix
     inside ``reach``."""
-    # the walk sorts its nodes by str: give it (state, memory) pairs
-    nodes, index = prod.nodes, prod.index
-    walk = graph.covering_walk(
-        {nodes[i] for i in comp}, lambda n: [nodes[j] for j in inner(index[n])]
-    )
-    return _lasso_from_product(prod, [index[n] for n in walk], reach)
+    walk = graph.covering_walk(comp, inner, key=_by_str(prod))
+    return _lasso_from_product(prod, walk, reach)
 
 
 # ---------------------------------------------------------------------------

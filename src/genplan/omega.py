@@ -364,19 +364,22 @@ def _entries(priority):
 
 
 def _attractor(g, nodes, player, target):
-    """Player-``player`` attractor to ``target`` in the subgame of ``g`` on
-    ``nodes``; returns (set, strategy)."""
+    """Player-``player`` attractor to ``target`` (a subset of ``nodes``) in
+    the subgame of ``g`` on ``nodes``; returns (set, strategy).  Nodes are
+    visited in the order of ``g.nodes``, so the strategy does not depend on
+    string hashing."""
     owner = g.owner
-    preds = {v: [] for v in nodes}
+    order = [v for v in g.nodes if v in nodes]
+    preds = {v: [] for v in order}
     out_deg = {}
-    for v in nodes:
+    for v in order:
         inside = [w for w in g.edges[v] if w in nodes]
         out_deg[v] = len(inside)
         for w in inside:
             preds[w].append(v)
-    attr = set(target)
     strategy = {}
-    queue = list(target)
+    queue = [v for v in order if v in target]
+    attr = set(queue)
     while queue:
         w = queue.pop()
         for v in preds[w]:
@@ -460,14 +463,32 @@ def solve_parity(g):
 def cycle_with_max_parity(nodes, succ, priority, parity):
     """Find a cycle, restricted to ``nodes``, whose maximum priority has the
     given parity in every entry (an int priority is a single entry);
-    returns the cycle as a node list or None."""
+    returns the cycle as a node list or None.
+
+    Parity as a Streett condition: a node requests each of its entry
+    values ``(i, p)`` of the wrong parity, and an edge out of v answers
+    every wrong-parity value below v's own entry.  The cycle runs through
+    the first component `graph.streett_component` finds: from the least
+    node (by ``str``) at the component's maximum of entry 0, through the
+    least node at the maximum of each further entry, by shortest paths."""
     prio = {v: _entries(priority[v]) for v in nodes}
-    k = len(next(iter(prio.values()), ()))
-    tops = [
-        sorted({pr[i] for pr in prio.values() if pr[i] % 2 == parity}, reverse=True)
-        for i in range(k)
-    ]
-    return graph.dominant_cycle(nodes, succ, prio, list(itertools.product(*tops)))
+    wrong = {(i, p) for pr in prio.values() for i, p in enumerate(pr) if p % 2 != parity}
+
+    def requests(v):
+        return wrong.intersection(enumerate(prio[v]))
+
+    def answers(v, w):
+        return {(i, q) for i, q in wrong if q < prio[v][i]}
+
+    comp = graph.streett_component(prio, succ, requests, answers)
+    if comp is None:
+        return None
+    order = sorted(comp, key=str)
+    tops = map(max, zip(*(prio[v] for v in comp)))
+    stops = [next(v for v in order if prio[v][i] == top) for i, top in enumerate(tops)]
+    # one leg to each next stop at another node; a single stop is a cycle
+    legs = [(v, w) for v, w in zip(stops, stops[1:] + stops[:1]) if v != w] or [(stops[0],) * 2]
+    return graph.closed_walk(legs, succ, set(comp))
 
 
 # ---------------------------------------------------------------------------

@@ -554,7 +554,8 @@ def dpw_language_difference(d1, d2):
     Returns None when L(d1) = L(d2); otherwise an ultimately periodic
     witness word accepted by exactly one of them.  Works on the synchronous
     product: a difference exists iff some reachable cycle has an even
-    dominant priority on one side and an odd one on the other.
+    dominant priority on one side and an odd one on the other, that is,
+    with one added to d2's priorities, a maximum of one parity in both.
     """
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatchError("DPW alphabets differ")
@@ -565,11 +566,9 @@ def dpw_language_difference(d1, d2):
         return [(d1.delta[(v[0], a)], d2.delta[(v[1], a)]) for a in letters]
 
     nodes = graph.reachable([init], succ)
-    prio = {v: (d1.priority[v[0]], d2.priority[v[1]]) for v in nodes}
-    p1s = sorted({pr[0] for pr in prio.values()})
-    p2s = sorted({pr[1] for pr in prio.values()})
-    targets = [(pa, pb) for pa in p1s for pb in p2s if pa % 2 != pb % 2]
-    cycle = graph.dominant_cycle(nodes, succ, prio, targets)
+    prio = {v: (d1.priority[v[0]], d2.priority[v[1]] + 1) for v in nodes}
+    cycle = cycle_with_max_parity(nodes, succ, prio, 0)
+    cycle = cycle or cycle_with_max_parity(nodes, succ, prio, 1)
     if cycle is None:
         return None
     return _product_witness(init, succ, letters, cycle)
@@ -1377,7 +1376,7 @@ def coarse_problems(draw):
     avail, succ = {}, {}
     for s in states:
         avail[s] = action_set() if draw(st.integers(0, 9)) == 0 else by_obs[obs_fn[s]]
-        for a in avail[s]:
+        for a in sorted(avail[s]):
             succ[(a, s)] = draw(st.sets(st.sampled_from(states), min_size=1, max_size=3))
     return Pondp(
         states=states,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genplan import graph
+from genplan.omega import cycle_with_max_parity
 
 from .helpers import _can_reach, _dominant_cycle_nodes, greatest_bisimulation
 
@@ -87,19 +88,69 @@ def test_shortest_path_is_shortest(g, targets, nonempty):
     assert len(path) - 1 == hits[0]
 
 
-@settings(max_examples=300, deadline=None)
-@given(digraphs(), st.integers(0, 1))
-def test_dominant_cycle_with_one_priority(g, parity):
+@st.composite
+def parity_graphs(draw, max_nodes=8):
+    """(nodes, successor lists, priorities) as `digraphs` draws them, with
+    priorities of one to three entries in 0..4: an int for one entry, a
+    tuple for more."""
+    nodes, succ, _ = draw(digraphs(max_nodes))
+    k = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 4)] * k)
+    rows = draw(st.lists(row, min_size=len(nodes), max_size=len(nodes)))
+    return nodes, succ, [row[0] if k == 1 else row for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(parity_graphs(), st.integers(0, 1))
+def test_cycle_with_max_parity_matches_oracle(g, parity):
+    """A cycle whose maximum has the given parity in every entry is found
+    iff the brute-force oracle (one SCC pass per tuple of tops) finds one,
+    and the cycle returned is a closed walk with such a maximum."""
     nodes, succ, priority = g
-    prios = sorted({p for p in priority if p % 2 == parity}, reverse=True)
-    cycle = graph.dominant_cycle(
-        nodes, succ.__getitem__, {v: (priority[v],) for v in nodes}, [(p,) for p in prios]
-    )
+    cycle = cycle_with_max_parity(nodes, succ.__getitem__, priority, parity)
     oracle = _dominant_cycle_nodes(set(nodes), succ.__getitem__, priority, parity)
     assert (cycle is None) == (not oracle)
     if cycle is not None:
         assert is_closed_walk(cycle, succ)
-        assert max(priority[v] for v in cycle) % 2 == parity
+        rows = [p if isinstance(p, tuple) else (p,) for p in map(priority.__getitem__, cycle)]
+        assert all(top % 2 == parity for top in map(max, zip(*rows)))
+
+
+def distances(comp, succ):
+    """dist[v, w]: the fewest edges on a path from v to w inside ``comp``
+    (0 from v to itself), by Floyd-Warshall."""
+    far = len(succ) + 1
+    dist = {(v, w): 0 if v == w else 1 if w in succ[v] else far for v in comp for w in comp}
+    for k in comp:
+        for v in comp:
+            for w in comp:
+                dist[v, w] = min(dist[v, w], dist[v, k] + dist[k, w])
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.data())
+def test_closed_walk_takes_each_leg_by_shortest_paths(g, data):
+    """Inside a strongly connected set with a cycle, the walk starts at the
+    first leg's source, takes each leg by a shortest path of at least one
+    edge, joins the legs by shortest paths, and closes."""
+    nodes, succ, _ = g
+    for comp in graph.sccs(nodes, succ.__getitem__):
+        if not graph.has_cycle(comp, succ.__getitem__):
+            continue
+        legs = data.draw(st.lists(st.tuples(*[st.sampled_from(comp)] * 2), min_size=1, max_size=4))
+        comp = set(comp)
+        walk = graph.closed_walk(legs, succ.__getitem__, comp)
+        assert set(walk) <= comp and is_closed_walk(walk, succ)
+        dist = distances(comp, succ)
+        full, at, end = walk + walk[:1], 0, legs[0][0]
+        for u, w in legs:
+            at += dist[end, u]
+            assert full[at] == u
+            at += 1 + min(dist[x, w] for x in succ[u] if x in comp)
+            assert full[at] == w
+            end = w
+        assert at + dist[end, legs[0][0]] == len(walk)
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,13 +158,13 @@ def test_dominant_cycle_with_one_priority(g, parity):
 def test_covering_walk_covers_every_edge(g):
     nodes, succ, _ = g
     for comp in graph.sccs(nodes, succ.__getitem__):
+        walk = graph.covering_walk(comp, succ.__getitem__, key=lambda v: -v)
         comp = set(comp)
-        walk = graph.covering_walk(comp, succ.__getitem__)
         inside = {(v, w) for v in comp for w in succ[v] if w in comp}
         if not inside:
             assert walk is None
             continue
-        assert walk[0] == min(comp) and set(walk) <= comp
+        assert walk[0] == max(comp) and set(walk) <= comp
         assert is_closed_walk(walk, succ)
         assert {(v, walk[(i + 1) % len(walk)]) for i, v in enumerate(walk)} == inside
 

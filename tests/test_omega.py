@@ -1,7 +1,10 @@
 """Tests for determinization, parity games, and synthesis."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -606,6 +609,49 @@ def test_pipeline_budget_smoke():
     game = build_parity_game(p, [dpw])
     sol = solve_parity(game)
     assert all(v in sol.region for v in game.nodes)
+
+
+THREEVAR_CHAIN = (
+    "vars X Y Z\ninit_values X in {3}\ninit_values Y in {2}\ninit_values Z in {2}\n"
+    "action a\n  pre X>0\n  dec X\n  inc Y\n"
+    "action b\n  pre Y>0\n  dec Y\n  inc Z\n"
+    "action c\n  pre Z>0\n  dec Z\ngoal X=0 Y=0 Z=0\n"
+)
+
+
+def test_solved_strategy_ignores_hash_seed():
+    """Zielonka's attractors visit nodes in the game's order, so the solved
+    strategy of `counter` and `threevar_chain`, with builtin counter
+    constraints and with the same constraints as LTL text, is the same under
+    hash seeds 0 and 1 (compared by sha1)."""
+    code = (
+        "import hashlib, sys\n"
+        "from genplan.constraints import (\n"
+        "    conjoin, constraint_formula, ltl_constraint, qnp_constraints)\n"
+        "from genplan.omega import synthesize\n"
+        "from genplan.qnp import parse_qnp, syntactic_projection\n"
+        "for text in sys.argv[1:]:\n"
+        "    q = parse_qnp(text)\n"
+        "    p = syntactic_projection(q).fondp\n"
+        "    c = conjoin(qnp_constraints(q.variables))\n"
+        "    for psi in (c, ltl_constraint(constraint_formula(c, p))):\n"
+        "        strategy = sorted(synthesize(p, psi).solution.strategy.items(), key=repr)\n"
+        "        print(hashlib.sha1(repr(strategy).encode()).hexdigest())\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "problems", "counter.qnp")) as f:
+        counter = f.read()
+    src = os.path.dirname(os.path.dirname(L.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code, counter, THREEVAR_CHAIN],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1] and outs[0].count("\n") == 4
 
 
 def test_parity_cycle_search():
