@@ -25,7 +25,7 @@ from .constraints import (
     ltl_constraint,
     qnp_constraint,
 )
-from .errors import GenplanError, decoding
+from .errors import GenplanError, UnknownVariableError, decoding
 from .model import (
     FAIR,
     STRONG,
@@ -243,7 +243,14 @@ def _cmd_simulate(args):
         for part in (args.init or "").split(","):
             if part:
                 var, _, val = part.partition("=")
-                chosen[var.strip()] = val.strip()
+                var = var.strip()
+                if var not in q.variables:
+                    raise UnknownVariableError(
+                        f"--init names {var!r}, which the QNP does not declare"
+                    )
+                if var in chosen:
+                    raise GenplanError(f"--init gives {var!r} twice")
+                chosen[var] = val.strip()
         missing = [v for v in q.variables if v not in chosen]
         if missing:
             raise GenplanError(f"--init missing values for {missing}")

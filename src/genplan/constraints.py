@@ -225,75 +225,89 @@ def _conjunct_nbas(c, p, budget):
     return [L.ltl_to_nba(f, sigma, budget=budget) for f in conjuncts]
 
 
-def _bilayer_product(inits, automata, moves, budget=None):
-    """Product of a move structure with NBAs, in two layers.
+def _bilayer_product(inits, automata, moves, budget=None, stage="constraint-check product",
+                     counted="nodes"):
+    """Product of a move structure with automata, in two layers.
 
-    ``automata`` is a list of (nba, letter) pairs, where ``letter(v)`` is
-    the symbol the automaton reads at base node ``v``; ``moves(v)`` lists
-    the (action, successor base nodes) pairs of ``v``.  Nodes are
-    ("n", v, qs) before the automata read v's letter and ("m", v, a, qs)
-    after it, pending the action letter ``a``; ``qs`` holds one state per
-    automaton, and each choice of successor states gives its own node.
-    Only nodes reachable from ``inits`` are built, depth first.  Raises
-    SizeBudgetExceededError once more than ``budget`` "n" nodes are built
-    (checked before each node is expanded; None sets no cap).  Returns
-    (initial nodes, nodes, edges).
+    ``automata`` lists one (initial states, successors, letter) triple per
+    automaton: ``successors(q, x)`` lists the states it moves to from q on
+    the symbol x, and ``letter(v)`` is the symbol it reads at base node v.
+    ``moves(v)`` lists the (action, successor base nodes) pairs of ``v``;
+    it is called once per base node.  Nodes are ("n", v, qs) before the
+    automata read v's letter and ("m", v, a, qs) after it, pending the
+    action letter ``a``; ``qs`` holds one state per automaton, and each
+    choice of successor states gives its own node.  A node without moves
+    reads no letter and has no edges.
+    Only nodes reachable from ``inits`` are built, depth first, and
+    ``nodes`` keeps them in the order found.  Raises
+    SizeBudgetExceededError, naming ``stage`` and what it ``counted``, once
+    more than ``budget`` "n" nodes are built (checked before each node is
+    expanded; None sets no cap).  Returns (initial nodes, nodes, edges).
     """
-    nbas = [a for a, _ in automata]
-
-    def read(qs, letters):
-        """Every tuple of successors of ``qs``, each automaton reading its letter."""
-        return itertools.product(*(a.successors(q, x) for a, q, x in zip(nbas, qs, letters)))
-
-    initial = list(itertools.product(*(sorted(a.initial) for a in nbas)))
+    reads = [(succ, letter) for _, succ, letter in automata]
+    initial = list(itertools.product(*(init for init, _, _ in automata)))
     start = [("n", v, qs) for v in inits for qs in initial]
-    nodes = set(start)
+    nodes = dict.fromkeys(start)
     edges = {}
-    outcomes = {}
+    outcomes = {}  # base node -> {action: successor base nodes}
     stack = list(start)
     built = len(start)
     while stack:
         if budget is not None and built > budget:
             raise SizeBudgetExceededError(
-                f"constraint-check product exceeded budget: {built} nodes built, "
-                f"budget {budget}"
+                f"{stage} exceeded budget: {built} {counted} built, budget {budget}"
             )
         x = stack.pop()
         if x[0] == "n":
             _, v, qs = x
-            qs1s = list(read(qs, [letter(v) for _, letter in automata]))
-            acts = moves(v)
-            outcomes.update(((v, a), succs) for a, succs in acts)
-            outs = [("m", v, a, qs1) for a, _ in acts for qs1 in qs1s]
+            acts = outcomes.get(v)
+            if acts is None:
+                acts = outcomes[v] = dict(moves(v))
+            outs = []
+            if acts:
+                steps = [f(q, letter(v)) for (f, letter), q in zip(reads, qs)]
+                qs1s = list(itertools.product(*steps))
+                outs = [("m", v, a, qs1) for a in acts for qs1 in qs1s]
         else:
             _, v, a, qs1 = x
-            qs2s = list(read(qs1, [a] * len(nbas)))
-            outs = [("n", w, qs2) for w in outcomes[v, a] for qs2 in qs2s]
+            qs2s = list(itertools.product(*[f(q, a) for (f, _), q in zip(reads, qs1)]))
+            outs = [("n", w, qs2) for w in outcomes[v][a] for qs2 in qs2s]
         edges[x] = outs
         for y in outs:
             if y not in nodes:
-                nodes.add(y)
+                nodes[y] = None
                 stack.append(y)
                 built += y[0] == "n"
     return start, nodes, edges
 
 
-def _trajectory_product(p, automata, budget):
-    """Bilayer product of p's transition structure with (nba, level)
-    automata; the base nodes are p's states; ``budget`` caps its "n" nodes."""
+def _trajectory_product(p, automata, budget, stop=(), *stage):
+    """Bilayer product of p's transition structure, with no moves at the
+    states of ``stop``, with ``automata`` (triples as `_bilayer_product`
+    takes them) whose letters read p's states; ``budget`` caps its "n"
+    nodes, and ``stage`` names the product and what it counts there."""
 
     def moves(s):
-        return [
-            (a, sorted(p.succ[(a, s)], key=str))
-            for a in sorted(p.avail.get(s, ()), key=str)
-        ]
+        if s in stop:
+            return []
+        return [(a, sorted(p.succ[(a, s)], key=str)) for a in sorted(p.avail.get(s, ()), key=str)]
 
-    return _bilayer_product(
-        sorted(p.init, key=str),
-        [(a, _letter(level, p)) for a, level in automata],
-        moves,
-        budget,
-    )
+    return _bilayer_product(sorted(p.init, key=str), automata, moves, budget, *stage)
+
+
+def _policy_bilayer_product(prod, reach, automata, budget=None):
+    """Bilayer product of the policy product ``prod`` (a
+    `model.PolicyProduct`), inside its region ``reach``, with ``automata``
+    (triples as `_bilayer_product` takes them).  Its base nodes are the
+    (state, memory) pairs, because the cycle searches on it break ties by
+    their ``str``; ``budget`` caps its "n" nodes."""
+    nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
+
+    def moves(v):
+        i = index[v]
+        return [(act[i], [nodes[j] for j in succ[i] if j in reach])] if succ[i] else []
+
+    return _bilayer_product([nodes[i] for i in prod.start if i in reach], automata, moves, budget)
 
 
 def _product_lasso(inits, edges, cycle, state_of):
@@ -374,7 +388,8 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
         f_neg = L.lnot(constraint_formula(c_prime, p))
         nba = L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget)
         automata.append((nba, c_prime.level))
-    product = _trajectory_product(p, automata, budget)
+    triples = [(sorted(a.initial), a.successors, _letter(level, p)) for a, level in automata]
+    product = _trajectory_product(p, triples, budget)
     if c_prime.kind == "fairness":
         lasso = _unfair_lasso(p, product, automata)
     elif c.kind == "fairness":
@@ -507,23 +522,10 @@ def _streett_lasso(p, variables, prod, reach):
 def accepted_policy_lasso(p, level, nbas, prod, reach, budget=L.DEFAULT_BUDGET):
     """A lasso of the policy product (arguments as for
     `counterexample_search`) accepted by every automaton in ``nbas``, or
-    None: a cycle of their bilayer product with the policy product that
-    passes an accepting state of each (`_accepting_lasso`).  The base
-    nodes of that product are the (state, memory) pairs, because the cycle
-    search breaks ties by their ``str``.  ``budget`` caps its nodes."""
-    nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
-
-    def moves(v):
-        i = index[v]
-        if not succ[i]:
-            return []
-        return [(act[i], [nodes[j] for j in succ[i] if j in reach])]
-
+    None: a cycle of their bilayer product with the policy product
+    (`_policy_bilayer_product`) that passes an accepting state of each
+    (`_accepting_lasso`).  ``budget`` caps its nodes."""
     letter = _letter(level, p)
-    inits, bnodes, bedges = _bilayer_product(
-        [nodes[i] for i in prod.start if i in reach],
-        [(a, lambda v: letter(v[0])) for a in nbas],
-        moves,
-        budget,
-    )
-    return _accepting_lasso(inits, bnodes, bedges, nbas, lambda v: v[0])
+    automata = [(sorted(a.initial), a.successors, lambda v: letter(v[0])) for a in nbas]
+    product = _policy_bilayer_product(prod, reach, automata, budget)
+    return _accepting_lasso(*product, nbas, lambda v: v[0])

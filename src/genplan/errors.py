@@ -36,10 +36,6 @@ class InvalidPolicyError(GenplanError):
         self.witness = witness
 
 
-class ResolverExhaustedError(GenplanError):
-    """A scripted nondeterminism resolver ran out of choices."""
-
-
 class NotATrajectoryError(GenplanError):
     """A sequence failed the adjacency checks of the owning problem."""
 

@@ -4,8 +4,10 @@ Implements the back half of the synthesis pipeline: determinization of
 Buchi automata into parity word automata via compact Safra trees, the
 3-state letter-class DPW of a violated weak counter constraint, the
 product of an observation projection with one DPW per constraint
-conjunct as a generalized parity game, the generalized Zielonka solver,
-and strategy extraction into a minimal policy transducer.
+conjunct as a generalized parity game (the bilayer product that the
+constraint check builds, `constraints._bilayer_product`), the
+generalized Zielonka solver, and strategy extraction into a minimal
+policy transducer.
 """
 
 from __future__ import annotations
@@ -499,101 +501,65 @@ WIN = ("sink", "win")
 LOSE = ("sink", "lose")
 
 
-def _step(dpws, qs, letter):
-    """The successor of a tuple of automaton states on one letter."""
-    return tuple(d.delta[(q, letter)] for d, q in zip(dpws, qs))
+def _reading(d, letter):
+    """A DPW as the (initial states, successors, letter) triple that
+    `constraints._bilayer_product` reads, reading ``letter(v)`` at base
+    node v."""
+    return (d.initial,), lambda q, x: (d.delta[q, x],), letter
+
+
+def _priority(dpws, qs):
+    """The priority of a tuple of automaton states: one entry per DPW."""
+    return tuple(d.priority[q] for d, q in zip(dpws, qs))
 
 
 def build_parity_game(p, dpws, budget=DEFAULT_BUDGET):
-    """Product of a fully observable projection with DPWs over its
-    observation-action alphabet, in which the controller wins the plays
-    that reach the goal or that some DPW accepts.
+    """The bilayer product (`constraints._trajectory_product`) of a fully
+    observable projection with DPWs over its observation-action alphabet,
+    as a game in which the controller wins the plays that reach the goal
+    or that some DPW accepts.
 
-    Controller nodes (s, qs) pick an available action after the DPWs read
-    the observation letter; environment nodes (s, qs', a) pick a successor
-    state.  A node's priority has one entry per DPW.  Goal observations
-    collapse into a sink that is even in every entry: any play that visits
-    the goal satisfies the reachability disjunct, and a policy may stop
-    there, so continuations are irrelevant.  Non-goal nodes with no
-    available action lead to a sink that is odd in every entry.  Raises
-    SizeBudgetExceededError once more than ``budget`` controller nodes,
-    sinks included, are built; each environment node hangs off one of them,
+    Controller nodes ("n", s, qs) pick an available action; environment
+    nodes ("m", s, a, qs'), reached once the DPWs have read the
+    observation s, pick a successor state.  A node's priority has one
+    entry per DPW.  Goal states have no moves, and a controller node
+    without moves becomes a sink: `WIN`, even in every entry, at a goal
+    (any play that visits the goal satisfies the reachability disjunct,
+    and a policy may stop there, so continuations are irrelevant), and
+    `LOSE`, odd in every entry, anywhere else.  A sink is in the game only
+    when some node reaches it.  Raises SizeBudgetExceededError once more
+    than ``budget`` controller nodes of the product are built, those that
+    become sinks included; each environment node hangs off one of them,
     one per available action.
     """
+    from .constraints import _trajectory_product
+
     sigma = set(p.observations) | set(p.actions)
     if not all(sigma <= set(d.alphabet) for d in dpws):
         raise AlphabetMismatchError(
             "DPW alphabet does not cover the projection's observations and actions"
         )
-    k = len(dpws)
-    nodes = []
-    owner = {}
-    priority = {}
-    edges = {}
-
-    built = 0
-
-    def prio(qs):
-        return tuple(d.priority[q] for d, q in zip(dpws, qs))
-
-    def add(v, own, pri):
-        nonlocal built
-        if v not in owner:
-            nodes.append(v)
-            owner[v] = own
-            priority[v] = pri
-            built += own == CONTROLLER
-            if built > budget:
-                raise SizeBudgetExceededError(
-                    f"parity game exceeded budget: {built} controller nodes built, "
-                    f"budget {budget}"
-                )
-        return v
-
-    def sink(v, parity):
-        add(v, CONTROLLER, (parity,) * k)
-        edges[v] = (v,)
-        return v
-
-    initial = []
-    queue = []
-
-    def ctrl_node(s, qs):
-        if s in p.goal_states:
-            return sink(WIN, 0)
-        v = ("c", s, qs)
-        if v not in owner:
-            add(v, CONTROLLER, prio(qs))
-            queue.append(v)
-        return v
-
-    for s in sorted(p.init, key=str):
-        initial.append(ctrl_node(s, tuple(d.initial for d in dpws)))
-
-    while queue:
-        v = queue.pop()
-        _, s, qs = v
-        q1s = _step(dpws, qs, s)
-        outs = []
-        for a in sorted(p.avail.get(s, ()), key=str):
-            e = ("e", s, q1s, a)
-            if e not in owner:
-                add(e, ENVIRONMENT, prio(q1s))
-                q2s = _step(dpws, q1s, a)
-                succs = tuple(
-                    ctrl_node(s2, q2s) for s2 in sorted(p.succ[(a, s)], key=str)
-                )
-                edges[e] = succs
-            outs.append(e)
-        edges[v] = tuple(outs) if outs else (sink(LOSE, 1),)
-
-    return ParityGame(
-        nodes=tuple(nodes),
-        owner=owner,
-        priority=priority,
-        edges=edges,
-        initial=tuple(initial),
+    goal = p.goal_states
+    automata = [_reading(d, lambda s: s) for d in dpws]
+    inits, nodes, edges = _trajectory_product(
+        p, automata, budget, goal, "parity game", "controller nodes"
     )
+    sinks = {WIN: (0,) * len(dpws), LOSE: (1,) * len(dpws)}
+
+    def fold(x):
+        return (WIN if x[1] in goal else LOSE) if x[0] == "n" and not edges[x] else x
+
+    owner, priority, out = {}, {}, {}
+    for x in nodes:
+        v = fold(x)
+        if v in sinks:
+            owner[v], priority[v], out[v] = CONTROLLER, sinks[v], (v,)
+        else:
+            owner[v] = CONTROLLER if x[0] == "n" else ENVIRONMENT
+            priority[v] = _priority(dpws, x[-1])
+            out[v] = tuple(map(fold, edges[x]))
+    initial = tuple(map(fold, inits))
+    return ParityGame(tuple(owner), owner, priority, out, initial)
 
 
 @dataclass(frozen=True, eq=False)
@@ -661,7 +627,7 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET):
     name = (lambda qs: qs[0]) if len(dpws) == 1 else (lambda qs: qs)
     initial = tuple(d.initial for d in dpws)
     memory = sorted(
-        {v[2] for v in played if v[0] == "c"} | {initial}, key=lambda qs: str(name(qs))
+        {v[2] for v in played if v[0] == "n"} | {initial}, key=lambda qs: str(name(qs))
     )
     observations = sorted(p.observations, key=str)
     halt = "halt"
@@ -670,15 +636,14 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET):
     for qs in memory:
         m = name(qs)
         for obs in observations:
-            v = ("c", obs, qs)
+            v = ("n", obs, qs)
             move = strategy.get(v) if v in played else None
-            if obs not in p.goal_states and move is not None and move != LOSE:
-                _, _, q1s, a = move
-                output[(m, obs)] = a
-                # a move whose outcomes are all goal states leads to no
-                # played automaton state
-                done = all(w == WIN for w in game.edges[move])
-                update[(m, obs)] = halt if done else name(_step(dpws, q1s, a))
+            if move is not None:
+                output[(m, obs)] = move[2]
+                # the next memory is the automaton states the move leads to;
+                # a move whose outcomes are all goal states leads to none
+                nxt = [w for w in game.edges[move] if w[0] == "n"]
+                update[(m, obs)] = name(nxt[0][2]) if nxt else halt
             else:
                 update[(m, obs)] = halt
     policy = Policy(
@@ -780,14 +745,14 @@ def _uniform_actions(game, strategy):
     than one action, try each of those actions (in ``str`` order) at all of
     them, and keep the first under which the play still wins.  Nodes that
     agree on their action need no memory to tell them apart."""
-    for obs in sorted({v[1] for v in game.nodes if v[0] == "c"}, key=str):
-        nodes = [v for v in _played_region(game, strategy) if v[0] == "c" and v[1] == obs]
-        actions = sorted({strategy[v][3] for v in nodes}, key=str)
+    for obs in sorted({v[1] for v in game.nodes if v[0] == "n"}, key=str):
+        nodes = [v for v in _played_region(game, strategy) if v[0] == "n" and v[1] == obs]
+        actions = sorted({strategy[v][2] for v in nodes}, key=str)
         if len(actions) < 2:
             continue
         for a in actions:
             trial = dict(strategy)
-            trial.update((v, next(e for e in game.edges[v] if e[3] == a)) for v in nodes)
+            trial.update((v, next(e for e in game.edges[v] if e[2] == a)) for v in nodes)
             if _play_is_winning(game, trial):
                 strategy = trial
                 break
@@ -800,40 +765,26 @@ def refute_policy(result, p, policy):
     policy stops, or else a lasso whose cycle has an odd maximum in every
     entry; None when the policy wins the game.
 
-    The policy is fixed inside the game: its memory runs alongside the game
-    nodes, and every environment choice is searched, so any finite-memory
-    policy that does not win is refuted.  (With more than one automaton the
-    environment may need memory, so ``counterstrategy`` is not replayed.)"""
-    from .constraints import _product_lasso
-    from .model import FiniteTrajectory
+    The policy is fixed inside the game: the bilayer product of its
+    product with ``p`` (goal-free part) with the game's automata, in which
+    every environment choice is searched, so any finite-memory policy that
+    does not win is refuted.  (With more than one automaton the
+    environment may need memory, so ``counterstrategy`` is not
+    replayed.)"""
+    from .constraints import _policy_bilayer_product, _product_lasso
+    from .model import _by_str, _finite_trace, _goal_free_region, _policy_product
 
-    game = result.game
-
-    def succ(x):
-        if x[0] == "m":
-            return [("n", w, x[3]) for w in game.edges[x[1]] if w != WIN]
-        _, v, m = x
-        obs = p.obs_fn[v[1]]
-        a = policy.output.get((m, obs))
-        return [
-            ("m", e, a, policy.next_memory(m, obs))
-            for e in game.edges[v] if e != LOSE and e[3] == a
-        ]
-
-    inits = [("n", v, policy.initial) for v in game.initial if v != WIN]
-    edges = {x: succ(x) for x in graph.reachable(inits, succ)}
-    stops = {x for x, out in edges.items() if x[0] == "n" and not out}
-    if stops:
-        path = graph.shortest_path(inits, edges.__getitem__, stops)
-        return FiniteTrajectory(
-            states=tuple(x[1][1] for x in path if x[0] == "n"),
-            actions=tuple(x[2] for x in path if x[0] == "m"),
-        )
-    priority = {x: game.priority[x[1]] for x in edges}
-    cycle = cycle_with_max_parity(edges, edges.__getitem__, priority, 1)
-    if cycle is None:
-        return None
-    return _product_lasso(inits, edges, cycle, lambda v: v[1])
+    prod = _policy_product(p, policy)
+    reach = _goal_free_region(p, prod)
+    stop = min((i for i in reach if not prod.succ[i]), key=_by_str(prod), default=None)
+    if stop is not None:
+        return _finite_trace(prod, stop, reach)
+    dpws = result.dpws
+    automata = [_reading(d, lambda v: v[0]) for d in dpws]
+    inits, nodes, edges = _policy_bilayer_product(prod, reach, automata)
+    priority = {x: _priority(dpws, x[-1]) for x in nodes}
+    cycle = cycle_with_max_parity(nodes, edges.__getitem__, priority, 1)
+    return None if cycle is None else _product_lasso(inits, edges, cycle, lambda v: v[0])
 
 
 # ---------------------------------------------------------------------------

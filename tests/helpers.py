@@ -34,7 +34,7 @@ from genplan.model import (
     Verdict,
     infer_class,
 )
-from genplan.errors import AlphabetMismatchError, ResolverExhaustedError, decoding
+from genplan.errors import AlphabetMismatchError, GenplanError, decoding
 from genplan.constraints import (
     _conjunct_nbas, _product_lasso, constraint_formula, ltl_constraint,
 )
@@ -1012,6 +1012,10 @@ def lift_policy_to_closed(policy, closed_proj):
 # ---------------------------------------------------------------------------
 # Replay of trajectories against policies
 # ---------------------------------------------------------------------------
+
+
+class ResolverExhaustedError(GenplanError):
+    """A scripted nondeterminism resolver ran out of choices."""
 
 
 class ScriptedResolver:

@@ -271,6 +271,25 @@ def test_simulate_rejects_zero_grid(tmp_path, capsys):
     assert doc["error"] == "QnpParseError" and "bounded needs" in doc["message"]
 
 
+def test_simulate_rejects_bad_init(tmp_path, capsys):
+    """--init naming a variable the QNP does not declare, or one variable
+    twice, is malformed input (exit 2) that names the variable."""
+    policy = tmp_path / "dec.json"
+    save_json(
+        {"memory_states": ["m0"], "initial": "m0", "update": [], "output": []}, str(policy)
+    )
+    argv = ["simulate", COUNTER_QNP, "--policy", str(policy), "--init"]
+    for init, error, message in (
+        ("X=5,Z=1", "UnknownVariableError", "--init names 'Z', which the QNP does not declare"),
+        ("X=5,X=5", "GenplanError", "--init gives 'X' twice"),
+    ):
+        code, doc = run_cli(capsys, *argv, init)
+        assert code == 2, init
+        assert doc == {"error": error, "message": message}, init
+    code, doc = run_cli(capsys, *argv, "X=5")
+    assert code == 1 and doc["goal_reached"] is False
+
+
 def test_synthesize_fairness_points_to_plan(capsys):
     """Synthesis takes LTL-expressible constraints only; given fairness it
     exits 2 and names the command that solves under fairness."""

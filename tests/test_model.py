@@ -22,7 +22,6 @@ from genplan.errors import (
     InvalidPolicyError,
     MalformedInputError,
     NotATrajectoryError,
-    ResolverExhaustedError,
     UnavailableActionError,
 )
 from genplan.fond import strong_cyclic_plan
@@ -58,6 +57,7 @@ from genplan.projection import as_fondp
 from .helpers import (
     ZERO,
     POS,
+    ResolverExhaustedError,
     ScriptedResolver,
     annotated_problems,
     coarse_problems,

@@ -16,6 +16,8 @@ from genplan.model import Policy, Under, check_solution, is_goal_reaching, run_p
 from genplan.omega import (
     CONTROLLER,
     ENVIRONMENT,
+    LOSE,
+    WIN,
     ParityGame,
     build_parity_game,
     cycle_with_max_parity,
@@ -211,10 +213,47 @@ def test_game_shape_and_win():
     phi = counter_acceptance_formula()
     dpw = nba_to_dpw(ltl_to_nba(phi, SIGMA))
     game = build_parity_game(p, [dpw])
-    ctrl = [v for v in game.nodes if v[0] == "c"]
-    assert len(ctrl) <= 2 * len(dpw.states)
+    ctrl = [v for v in game.nodes if game.owner[v] == CONTROLLER]
+    assert ctrl and len(ctrl) <= 2 * len(dpw.states)
     sol = solve_parity(game)
     assert all(sol.region[v] == CONTROLLER for v in game.initial)
+
+
+def test_game_sinks():
+    """A goal state is in the game only as the `WIN` sink, an initial one
+    too; a reachable dead end that is not a goal folds into the `LOSE`
+    sink, and `LOSE` is in the game exactly when such a dead end is
+    reachable.  Every node has an edge."""
+
+    def projection(to_dead_end):
+        states = {"g", "s", "t", "d"}
+        return as_fondp(
+            Pondp(
+                states=states,
+                init={"g", "s"},
+                observations=states,
+                actions={"go", "stay"},
+                goal_states={"g"},
+                avail={"g": {"stay"}, "s": {"go", "stay"}, "t": {"go"}, "d": set()},
+                obs_fn={v: v for v in states},
+                succ={
+                    ("stay", "g"): {"g"},
+                    ("stay", "s"): {"s"},
+                    ("go", "s"): {"g", "t"},
+                    ("go", "t"): {"d"} if to_dead_end else {"s"},
+                },
+            )
+        )
+
+    for to_dead_end in (True, False):
+        p = projection(to_dead_end)
+        dpw = nba_to_dpw(ltl_to_nba(L.TRUE, set(p.observations) | set(p.actions)))
+        game = build_parity_game(p, [dpw])
+        assert all(game.edges[v] for v in game.nodes)
+        assert WIN in game.initial and game.edges[WIN] == (WIN,)
+        assert all(v in (WIN, LOSE) or v[1] != "g" for v in game.nodes)
+        assert (LOSE in game.nodes) == to_dead_end
+        assert all(game.owner[v] == CONTROLLER for v in (WIN, LOSE) if v in game.nodes)
 
 
 def test_game_reachability_goal_only():
