@@ -19,6 +19,7 @@ from .errors import (
     AlphabetMismatchError,
     NotLtlExpressibleError,
     SizeBudgetExceededError,
+    UnknownLetterError,
     UnknownVariableError,
 )
 from .model import (
@@ -94,48 +95,16 @@ def conjoin(constraints, name=None):
 # ---------------------------------------------------------------------------
 
 
-def _effect_letters(p, var, effect):
-    effects = p.annotations.get("action_effects", {})
-    return [a for a in sorted(p.actions, key=str) if effects.get(a, {}).get(var) == effect]
-
-
-def _zero_letters(p, var):
-    zero = p.annotations.get("obs_zero", {})
-    return [o for o in sorted(p.observations, key=str) if var in zero.get(o, ())]
-
-
-def _require_known(p, variables):
+def _require_known(p, var):
     known = set(p.annotations.get("variables", ()))
     for eff in p.annotations.get("action_effects", {}).values():
         known.update(eff)
     for vs in p.annotations.get("obs_zero", {}).values():
         known.update(vs)
-    for var in variables:
-        if var not in known:
-            raise UnknownVariableError(
-                f"variable {var!r} has no effect tags or zero atoms in the problem"
-            )
-
-
-def _qnp_template_vars(psi):
-    """Variables of a (conjunction of) weak counter-constraint templates,
-    each once, in the order they first occur, or None when the constraint
-    has any other shape."""
-    template = getattr(psi, "template", None)
-    if template is None:
-        return None
-    if template[0] == "qnp":
-        _, var, strong = template
-        return None if strong else (var,)
-    if template[0] == "and":
-        out = []
-        for c in template[1:]:
-            sub = _qnp_template_vars(c)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return tuple(dict.fromkeys(out))
-    return None
+    if var not in known:
+        raise UnknownVariableError(
+            f"variable {var!r} has no effect tags or zero atoms in the problem"
+        )
 
 
 def constraint_formula(c, p):
@@ -152,14 +121,17 @@ def constraint_formula(c, p):
     if tag == "and":
         return L.land(*[constraint_formula(ci, p) for ci in c.template[1:]])
     _, var, strong = c.template
-    _require_known(p, [var])
-    inc = L.lor(*[L.Letter(a) for a in _effect_letters(p, var, "inc")])
-    dec = L.lor(*[L.Letter(a) for a in _effect_letters(p, var, "dec")])
-    zeros = _zero_letters(p, var)
+    _require_known(p, var)
+    effects = p.annotations.get("action_effects", {})
+    zero_obs = p.annotations.get("obs_zero", {})
+    actions, observations = sorted(p.actions, key=str), sorted(p.observations, key=str)
+    inc = L.lor(*[L.Letter(a) for a in actions if effects.get(a, {}).get(var) == "inc"])
+    dec = L.lor(*[L.Letter(a) for a in actions if effects.get(a, {}).get(var) == "dec"])
+    zeros = [o for o in observations if var in zero_obs.get(o, ())]
     zero = L.lor(*[L.Letter(o) for o in zeros])
     antecedent = L.And(L.eventually(L.always(L.lnot(inc))), L.always(L.eventually(dec)))
     if strong:
-        nonzero = L.lor(*[L.Letter(o) for o in sorted(p.observations, key=str) if o not in zeros])
+        nonzero = L.lor(*[L.Letter(o) for o in observations if o not in zeros])
         consequent = L.eventually(L.always(L.lnot(nonzero)))
     else:
         consequent = L.always(L.eventually(zero))
@@ -213,16 +185,76 @@ def _conjunct_formulas(f):
     return [f]
 
 
-def _conjunct_nbas(c, p, budget):
-    """One NBA per top-level conjunct of the bound formula; a word satisfies
-    the constraint iff every conjunct automaton accepts it.  Keeps the
-    tableaux, and synthesis's determinizations, small for conjunctions of
-    per-variable constraints.  Conjuncts that fold to true are left out,
-    unless all of them do."""
+def _conjuncts(c, p):
+    """The top-level conjuncts of ``c`` bound to ``p``, in order, each with
+    its letter classes (`_letter_classes`), None outside the fragment.  A
+    conjunct repeats an earlier one when both have the same letter classes
+    (or, outside the fragment, are the same formula), and is left out."""
     sigma = constraint_alphabet(c, p)
-    conjuncts = _conjunct_formulas(constraint_formula(c, p))
+    out = {}
+    for f in _conjunct_formulas(constraint_formula(c, p)):
+        cls = _letter_classes(f, sigma)
+        out.setdefault(cls or f, (f, cls))
+    return list(out.values())
+
+
+def _letter_classes(f, sigma):
+    """The pair (S, Ts) when the conjunct ``f``, read as a disjunction
+    (`ltl._disjuncts`), is ``G F S | F G T_1 | ... | F G T_b`` over
+    letter sets (`_letter_set`), else None.  The ``G F`` sets are joined
+    into S, a disjunct that folds to false is left out, and a conjunct
+    with one that folds to true is ``G F sigma``."""
+    s, ts = frozenset(), []
+    for g in L._disjuncts(f):
+        match g:
+            case L.Not(L.Until(L.TrueF(), L.Not(L.Until(L.TrueF(), x)))):  # G F x
+                gf, letters = True, _letter_set(x, sigma)
+            case L.Until(L.TrueF(), L.Not(L.Until(L.TrueF(), x))):  # F G !x
+                gf, letters = False, _letter_set(L.lnot(x), sigma)
+            case _:
+                letters = None
+        if letters is None:
+            value = L.constant(g)
+            if value is None:
+                return None
+            if value:
+                return sigma, ()
+        elif gf:
+            s |= letters
+        else:
+            ts.append(letters)
+    return s, tuple(ts)
+
+
+def _letter_set(f, sigma):
+    """The letters of ``sigma`` at which ``f`` holds (exactly one letter
+    holds at each position), or None when ``f`` has a temporal operator."""
+    if isinstance(f, L.Letter) and f.name not in sigma:
+        raise UnknownLetterError(f"formula letters outside alphabet: {[f.name]}")
+    match f:
+        case L.TrueF():
+            return sigma
+        case L.Letter(name):
+            return frozenset((name,))
+        case L.Not(x):
+            x = _letter_set(x, sigma)
+            return None if x is None else sigma - x
+        case L.And(x, y):
+            x, y = _letter_set(x, sigma), _letter_set(y, sigma)
+            return None if x is None or y is None else x & y
+    return None
+
+
+def _conjunct_nbas(c, p, budget):
+    """One NBA per distinct top-level conjunct of the bound formula, keyed
+    by the conjunct; a word satisfies the constraint iff every conjunct
+    automaton accepts it.  Keeps the tableaux, and synthesis's
+    determinizations, small for conjunctions of per-variable constraints.
+    Conjuncts that fold to true are left out, unless all of them do."""
+    sigma = constraint_alphabet(c, p)
+    conjuncts = list(dict.fromkeys(_conjunct_formulas(constraint_formula(c, p))))
     conjuncts = [f for f in conjuncts if L.constant(f) is not True] or conjuncts[:1]
-    return [L.ltl_to_nba(f, sigma, budget=budget) for f in conjuncts]
+    return {f: L.ltl_to_nba(f, sigma, budget=budget) for f in conjuncts}
 
 
 def _bilayer_product(inits, automata, moves, budget=None, stage="constraint-check product",
@@ -331,9 +363,7 @@ def _product_lasso(inits, edges, cycle, state_of):
     while pre and pre[-1] == cyc[-1]:
         cyc.insert(0, cyc.pop())
         pre.pop()
-    n = len(cyc)
-    period = next(d for d in range(1, n + 1) if n % d == 0 and cyc == cyc[d:] + cyc[:d])
-    cyc = cyc[:period]
+    cyc = cyc[:graph.period(cyc)]
     return Lasso(
         prefix_states=tuple(s for s, _ in pre),
         prefix_actions=tuple(a for _, a in pre),
@@ -383,7 +413,9 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     result carries a witnessing lasso."""
     if c == c_prime:
         return ImplicationResult(holds=True)
-    automata = [] if c.kind == "fairness" else [(a, c.level) for a in _conjunct_nbas(c, p, budget)]
+    automata = []
+    if c.kind != "fairness":
+        automata = [(a, c.level) for a in _conjunct_nbas(c, p, budget).values()]
     if c_prime.kind != "fairness":
         f_neg = L.lnot(constraint_formula(c_prime, p))
         nba = L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget)
@@ -469,23 +501,24 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None)
     Fairness is judged per (state, action) pair of ``p``, as `satisfies`
     judges it: the FAIR check's trapped component first, then a Streett
     search for a fair cycle that nodes of different memory make together.
-    A conjunction of builtin weak counter constraints is a Streett
-    condition on the product itself (`_streett_lasso`).  Any other
-    constraint is decomposed into conjuncts, one NBA each, and the search
-    is Büchi emptiness of the product with them (`accepted_policy_lasso`);
-    no automaton is determinized.  ``nbas`` are those NBAs when the caller
-    has them already (`_conjunct_nbas` of ``c`` and ``p``, as synthesis
-    builds them); otherwise they are translated here.
+    A constraint whose conjuncts all have letter classes (every builtin
+    counter constraint, and LTL text of the same shape) is a Streett
+    condition on the product itself (`_class_lasso`), and no automaton is
+    built.  Otherwise each conjunct gets an NBA, and the search is Büchi
+    emptiness of the product with them (`accepted_policy_lasso`); no
+    automaton is determinized.  ``nbas`` are those NBAs when the caller
+    has them already (the values of `_conjunct_nbas` of ``c`` and ``p``,
+    as synthesis builds them); the search then takes them in any case.
     """
     if c.kind == "fairness":
         nodes, act = prod.nodes, prod.act
         pairs = _fair_pairs(prod.succ.__getitem__, lambda i, j: (nodes[i][0], act[i], nodes[j][0]))
         return _fair_counterexample(prod, reach) or _policy_streett_lasso(prod, reach, *pairs)
-    variables = _qnp_template_vars(c)
-    if variables is not None:
-        return _streett_lasso(p, variables, prod, reach)
     if nbas is None:
-        nbas = _conjunct_nbas(c, p, budget)
+        classes = [cls for _, cls in _conjuncts(c, p)]
+        if None not in classes:
+            return _class_lasso(p, c.level, classes, prod, reach)
+        nbas = _conjunct_nbas(c, p, budget).values()
     return accepted_policy_lasso(p, c.level, nbas, prod, reach, budget)
 
 
@@ -501,22 +534,25 @@ def _policy_streett_lasso(prod, reach, requests, answers):
     return None if comp is None else _covering_lasso(prod, comp, inner, reach)
 
 
-def _streett_lasso(p, variables, prod, reach):
-    """A lasso of the policy product inside ``reach`` that satisfies the weak
-    counter constraint of each of ``variables``, or None: SIEVE (Srivastava
-    et al., AAAI 2011) as Streett emptiness (Henzinger & Telle, 1996).  A
-    node requests X when its action decrements X, and answers X when its
-    action increments X or its observation has X = 0."""
-    _require_known(p, variables)
-    effects = p.annotations.get("action_effects", {})
-    zero = p.annotations.get("obs_zero", {})
-    nodes, act = prod.nodes, prod.act
-    dec, good = {}, {}
-    for i in reach:
-        eff, z = effects.get(act[i], {}), zero.get(p.obs_fn[nodes[i][0]], ())
-        dec[i] = {v for v in variables if eff.get(v) == "dec"}
-        good[i] = {v for v in variables if eff.get(v) == "inc" or v in z}
-    return _policy_streett_lasso(prod, reach, dec.__getitem__, lambda i, j: good[i])
+def _class_lasso(p, level, classes, prod, reach):
+    """A lasso of the policy product inside ``reach`` that satisfies each
+    conjunct ``G F S | F G T_1 | ... | F G T_b`` of ``classes`` (pairs
+    (S, Ts)), or None: SIEVE (Srivastava et al., AAAI 2011) as Streett
+    emptiness.  A cycle satisfies the conjunct when it reads a letter of S
+    or only letters of some T_k, so there is one search per choice of k in
+    each conjunct (T is empty when b = 0), in which a node requests the
+    conjuncts whose T misses one of its two letters, and answers those
+    whose S holds one: for weak `qnp` a decrement requests, and an
+    increment or a zero observation answers."""
+    letter, nodes, act = _letter(level, p), prod.nodes, prod.act
+    reads = {i: {letter(nodes[i][0]), act[i]} for i in reach}
+    good = {i: {k for k, (s, _) in enumerate(classes) if s & x} for i, x in reads.items()}
+    for pick in itertools.product(*[ts or (frozenset(),) for _, ts in classes]):
+        bad = {i: {k for k, t in enumerate(pick) if not x <= t} for i, x in reads.items()}
+        lasso = _policy_streett_lasso(prod, reach, bad.__getitem__, lambda i, j: good[i])
+        if lasso is not None:
+            return lasso
+    return None
 
 
 def accepted_policy_lasso(p, level, nbas, prod, reach, budget=L.DEFAULT_BUDGET):

@@ -205,6 +205,12 @@ def closed_walk(legs, succ, allowed):
     return walk[:-1]
 
 
+def period(walk):
+    """The length of the shortest prefix that repeats into ``walk``."""
+    n = len(walk)
+    return next(d for d in range(1, n + 1) if n % d == 0 and walk[d:] == walk[:n - d])
+
+
 def covering_walk(nodes, succ, key=str):
     """A closed walk through every edge inside the strongly connected set
     ``nodes``, or None when it has no edge: the `closed_walk` whose legs

@@ -720,11 +720,12 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
     FAIR: the strong-cyclic condition (goal reachable from every reachable
     goal-free node, no goal-free stops).
     Under(c): no goal-avoiding infinite behavior of the product satisfies
-    the constraint (`constraints.counterexample_search`): builtin weak
-    counter constraints are a Streett condition on the policy product, any
-    other LTL constraint is Büchi emptiness of the policy product with
-    the NBAs of its conjuncts, and nothing is determinized.  ``nbas`` are
-    those NBAs when the caller has them already (a synthesis result's).
+    the constraint (`constraints.counterexample_search`): a constraint
+    whose conjuncts all have letter classes (such as every counter
+    constraint) is a Streett condition on the policy product, any other
+    LTL constraint is Büchi emptiness of the policy product with the NBAs
+    of its conjuncts, and nothing is determinized.  ``nbas`` are those
+    NBAs when the caller has them already (a synthesis result's).
     Goal-free stops are counterexamples since finite trajectories satisfy
     every constraint.  ``budget`` caps the policy product nodes, the
     tableaux and the nodes of the product with the NBAs.
@@ -796,10 +797,11 @@ def _fair_counterexample(prod, reach):
 
 def _covering_lasso(prod, comp, inner, reach):
     """The lasso of the policy product whose cycle is the covering walk of
-    the strongly connected id set ``comp`` under ``inner``, with a prefix
-    inside ``reach``."""
+    the strongly connected id set ``comp`` under ``inner``, folded to its
+    shortest period of (state, memory) nodes, with a prefix inside
+    ``reach``."""
     walk = graph.covering_walk(comp, inner, key=_by_str(prod))
-    return _lasso_from_product(prod, walk, reach)
+    return _lasso_from_product(prod, walk[:graph.period(walk)], reach)
 
 
 # ---------------------------------------------------------------------------

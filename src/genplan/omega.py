@@ -2,7 +2,7 @@
 
 Implements the back half of the synthesis pipeline: determinization of
 Buchi automata into parity word automata via compact Safra trees, the
-3-state letter-class DPW of a violated weak counter constraint, the
+letter-class DPW of a violated G F / F G conjunct (counter constraints), the
 product of an observation projection with one DPW per constraint
 conjunct as a generalized parity game (the bilayer product that the
 constraint check builds, `constraints._bilayer_product`), the
@@ -569,25 +569,41 @@ class SynthesisResult:
     counterstrategy: dict = None  # the environment's moves on its winning region
     game: ParityGame = None
     solution: GameSolution = None
-    dpws: tuple = None  # the game's automata: counter class Dpws, or conjunct LazyDpws
-    nbas: tuple = None  # the generic route's conjunct NBAs, which the LazyDpws complement
+    dpws: tuple = None  # the game's automata: one class Dpw or LazyDpw per conjunct
+    nbas: tuple = None  # every conjunct's NBA, when some conjunct needs a LazyDpw
 
 
 def synthesize(p, psi, budget=DEFAULT_BUDGET):
     """Solve the projection under an observation-level LTL constraint psi.
 
     The controller plays a generalized parity game (`build_parity_game`,
-    `solve_parity`) with one DPW per conjunct of psi, each accepting the
-    words that violate its conjunct, and wins by reaching the goal or by a
-    play that some DPW accepts.  A conjunction of builtin weak counter
-    constraints gets one 3-state DPW per variable (`_counter_class_dpw`).
-    Any other constraint is translated to one NBA per top-level conjunct
-    (`constraints._conjunct_nbas`), and each NBA's complement is
-    determinized as a `LazyDpw`, so only the automaton states the game
-    reaches are built.  The result keeps those conjunct NBAs as ``nbas``,
-    so that the constraint check of its policy (`model.check_solution`)
-    need not translate them again.
+    `solve_parity`) with one DPW per distinct top-level conjunct of psi,
+    each accepting the words that violate its conjunct, and wins by
+    reaching the goal or by a play that some DPW accepts.  The conjunct's
+    shape, not its name, picks its DPW: one with letter classes
+    (`constraints._letter_classes`, such as every counter constraint) gets
+    its `_class_dpw` and no tableau.  When some conjunct has none, every
+    conjunct gets an NBA (`constraints._conjunct_nbas`), which the result
+    keeps as ``nbas`` for the constraint check of its policy, and each
+    conjunct without letter classes plays the complement of its NBA,
+    determinized on the fly as a `LazyDpw`.  The policy comes from
+    `_synthesize_on`.
+    """
+    from .constraints import _conjunct_nbas, _conjuncts, constraint_alphabet
 
+    sigma = constraint_alphabet(psi, p)
+    conjuncts = _conjuncts(psi, p)
+    nbas = {} if all(cls for _, cls in conjuncts) else _conjunct_nbas(psi, p, budget)
+    dpws = tuple(
+        _class_dpw(sigma, *cls) if cls else
+        LazyDpw(nbas[f], budget, stage="synthesis-game determinization", complement=True)
+        for f, cls in conjuncts
+    )
+    return _synthesize_on(p, dpws, budget, tuple(nbas.values()) or None)
+
+
+def _synthesize_on(p, dpws, budget, nbas=None):
+    """Play the game of ``p`` with ``dpws`` and keep ``nbas`` in the result.
     A winning strategy becomes a transducer policy whose memory is the
     played tuples of automaton states (the states themselves when there is
     one automaton) plus a ``halt`` state, minimized over the (memory,
@@ -595,20 +611,8 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET):
     (`model.Policy.minimized`).  An unrealizable result carries the
     environment's moves on its winning region as ``counterstrategy``.
     """
-    from .constraints import _conjunct_nbas, _qnp_template_vars, _require_known
     from .model import Policy, _policy_product
 
-    variables = _qnp_template_vars(psi)
-    nbas = None
-    if variables is not None:
-        _require_known(p, variables)
-        dpws = tuple(_counter_class_dpw(p, var) for var in variables)
-    else:
-        nbas = tuple(_conjunct_nbas(psi, p, budget))
-        dpws = tuple(
-            LazyDpw(nba, budget, stage="synthesis-game determinization", complement=True)
-            for nba in nbas
-        )
     game = build_parity_game(p, dpws, budget)
     sol = solve_parity(game)
 
@@ -660,25 +664,32 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET):
     )
 
 
-def _counter_class_dpw(p, var):
-    """The 3-state DPW of the words that violate the weak counter constraint
-    of ``var``: infinitely many decrements of ``var``, and only finitely
-    many increments of it or observations with ``var`` = 0.  Its state is
-    the class of the last letter read, which is also the state's priority:
-    3 for an increment or a zero observation, 2 for a decrement, 1 for any
-    other letter."""
-    from .constraints import _effect_letters, _zero_letters
+def _class_dpw(sigma, s, ts):
+    """The DPW over ``sigma`` of the words that violate the conjunct
+    ``G F s | F G t_1 | ... | F G t_b`` (letter sets): finitely many
+    letters of s, and infinitely many of each ``sigma - t_k`` (of sigma
+    when b = 0), degeneralized with a counter.  State ``3 j + c`` awaits
+    set j and read a letter of class c, its priority: 3 in s, 2 in the
+    last awaited set (j restarts at 0), else 1; a letter of an earlier
+    awaited set moves to j + 1.  It has 2 b + 1 states (3 when b <= 1,
+    where the state is the class of the last letter) and 3 priorities."""
+    awaited = [sigma - t for t in ts] or [sigma]
+    b = len(awaited)
 
-    cls = dict.fromkeys(set(p.observations) | set(p.actions), 1)
-    cls.update(dict.fromkeys(_effect_letters(p, var, "dec"), 2))
-    cls.update(dict.fromkeys(_effect_letters(p, var, "inc") + _zero_letters(p, var), 3))
-    states = (1, 2, 3)
+    def step(j, x):
+        if x in s:
+            return 3 * j + 3
+        if x in awaited[j]:
+            return 2 if j + 1 == b else 3 * j + 4
+        return 3 * j + 1
+
+    states = sorted({2} | {3 * j + c for j in range(b) for c in (1, 3)})
     return Dpw(
-        states=states,
-        alphabet=frozenset(cls),
-        delta={(q, a): c for q in states for a, c in cls.items()},
+        states=tuple(states),
+        alphabet=frozenset(sigma),
+        delta={(q, x): step((q - 1) // 3, x) for q in states for x in sigma},
         initial=1,
-        priority={q: q for q in states},
+        priority={q: (q - 1) % 3 + 1 for q in states},
     )
 
 

@@ -14,10 +14,13 @@ found no policy, otherwise ``synth=1`` and the policy with its memory
 states renamed m0, m1, ... in first-visit order (observations in ``str``
 order), as ``{observation: action}`` when it is memoryless and as
 ``memory|observation>action>memory`` entries when not, then ``game=N``
-for the N nodes of its parity game.  Diffing the output of two checkouts
-shows which artifacts and automata a change touched, how the size of
-each written policy and each synthesis game moved, and which policies
-behave differently rather than only name their memory differently.
+for the N nodes of its parity game and ``dpw=S/P`` for each of its
+automata, in conjunct order: the S states it built and the P distinct
+priorities among them.  Diffing the output of two checkouts shows which
+artifacts and automata a change touched, how the size of each written
+policy, each synthesis game and each game automaton moved, and which
+policies behave differently rather than only name their memory
+differently.
 Standard library only; no test collects this file.
 """
 
@@ -78,14 +81,15 @@ def behaviour(policy, observations):
 
 
 def recorded_synthesize(p, *args, **kwargs):
-    """``omega.synthesize``, appending its verdict, behaviour and game size
-    to RECORDS."""
+    """``omega.synthesize``, appending its verdict, behaviour, game size and
+    automaton sizes to RECORDS."""
     result = synthesize(p, *args, **kwargs)
     if result.realizable:
         RECORDS.append(f"synth=1 {behaviour(result.policy, p.observations)}")
     else:
         RECORDS.append("synth=0")
     RECORDS.append(f"game={len(result.game.nodes)}")
+    RECORDS.extend(f"dpw={len(d.states)}/{len(set(d.priority.values()))}" for d in result.dpws)
     return result
 
 

@@ -32,13 +32,17 @@ from genplan.model import (
     Pondp,
     Under,
     Verdict,
+    _policy_product,
+    check_solution,
     infer_class,
 )
 from genplan.errors import AlphabetMismatchError, GenplanError, decoding
 from genplan.constraints import (
     _conjunct_nbas, _product_lasso, constraint_formula, ltl_constraint,
 )
-from genplan.omega import CONTROLLER, Dpw, LazyDpw, cycle_with_max_parity, normalize_priorities
+from genplan.omega import (
+    CONTROLLER, Dpw, LazyDpw, _synthesize_on, cycle_with_max_parity, normalize_priorities,
+)
 from genplan.projection import as_fondp
 from genplan.qnp import ConcreteSemantics, InitDescriptor, Qnp, _literal_text
 
@@ -221,9 +225,34 @@ def qnp_dpw_direct(variables, goal_letters, obs_zero, inc_letters, dec_letters, 
 
 
 def ltl_text_constraint(c, p):
-    """The LTL constraint ``c`` bound to ``p`` and passed as its formula, so
-    that synthesis takes the generic tableau and determinization route."""
+    """The LTL constraint ``c`` bound to ``p`` and passed as its formula;
+    synthesis and the check choose their route by its shape, as for the
+    builtin name."""
     return ltl_constraint(constraint_formula(c, p), name=c.name)
+
+
+def safra_synthesize(p, c, budget=L.DEFAULT_BUDGET):
+    """`omega.synthesize` on the route of conjuncts outside the
+    letter-class fragment, whatever their shape: the game of ``p`` with
+    the complemented compact-Safra `LazyDpw` of each conjunct NBA; the
+    result keeps the NBAs for the check.  The reference for the class
+    route."""
+    nbas = tuple(_conjunct_nbas(c, p, budget).values())
+    dpws = tuple(
+        LazyDpw(a, budget, stage="synthesis-game determinization", complement=True)
+        for a in nbas
+    )
+    return _synthesize_on(p, dpws, budget, nbas)
+
+
+def nba_check(p, mu, c, budget=L.DEFAULT_BUDGET):
+    """`model.check_solution` under ``c`` on the route of conjuncts outside
+    the letter-class fragment: Büchi emptiness of the policy product with
+    the conjunct NBAs.  The policy product is built first, so the budget
+    stops the stages in the check's order: policy product, tableaux,
+    product with the NBAs."""
+    _policy_product(p, mu, budget)
+    return check_solution(p, mu, Under(c), budget, _conjunct_nbas(c, p, budget).values())
 
 
 def qnp_dpw_for_problem(p, variables):
@@ -269,6 +298,35 @@ def rand_formula(rng, depth, letters):
     if op == "impl":
         return L.implies(a, b)
     return L.Until(a, b)
+
+
+def rand_letter_set(rng, depth, letters):
+    """A random formula without temporal operators: a letter set."""
+    if depth == 0 or rng.random() < 0.4:
+        return L.Letter(rng.choice(letters)) if rng.random() < 0.9 else L.TRUE
+    op = rng.choice(["not", "and", "or"])
+    if op == "not":
+        return L.lnot(rand_letter_set(rng, depth - 1, letters))
+    parts = [rand_letter_set(rng, depth - 1, letters) for _ in range(2)]
+    return L.And(*parts) if op == "and" else L.lor(*parts)
+
+
+def rand_fragment_formula(rng, letters):
+    """A random conjunction of one or two conjuncts in the letter-class
+    fragment: each a disjunction of one to three ``G F S`` and ``F G T``
+    terms over random letter sets, written as a disjunction or, one time
+    in three, as an implication whose antecedent is the negated terms."""
+    conjuncts = []
+    for _ in range(rng.randint(1, 2)):
+        terms = [
+            (L.always(L.eventually(x)) if rng.random() < 0.5 else L.eventually(L.always(x)))
+            for x in (rand_letter_set(rng, 2, letters) for _ in range(rng.randint(1, 3)))
+        ]
+        if len(terms) > 1 and rng.random() < 1 / 3:
+            conjuncts.append(L.implies(L.land(*map(L.lnot, terms[:-1])), terms[-1]))
+        else:
+            conjuncts.append(L.lor(*terms))
+    return L.land(*conjuncts)
 
 
 def rand_word(rng, letters, maxp=6, maxc=6):
@@ -445,7 +503,7 @@ def dpw_policy_lasso(p, level, dpws, prod, reach):
 def dpw_counterexample_search(p, c, prod, reach):
     """`constraints.counterexample_search` for an LTL constraint, through
     one on-the-fly determinized automaton per conjunct."""
-    dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET)]
+    dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET).values()]
     return dpw_policy_lasso(p, c.level, dpws, prod, reach)
 
 
@@ -1223,6 +1281,10 @@ def _reference_trace(start, edges, target, within=None):
 
 
 def _reference_lasso(start, edges, cycle, within):
+    """The lasso of the node ``cycle``, cut to its shortest repeating
+    part."""
+    n = len(cycle)
+    cycle = next(cycle[:d] for d in range(1, n + 1) if cycle == cycle[:d] * (n // d))
     prefix = _reference_trace(start, edges, cycle[0], within)
     return Lasso(
         prefix_states=prefix.states[:-1],

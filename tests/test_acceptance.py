@@ -63,9 +63,11 @@ from .helpers import (
     is_generated_by,
     ltl_text_constraint,
     nba_accepts_lasso,
+    nba_check,
     rand_formula,
     rand_game,
     rand_word,
+    safra_synthesize,
     verify_strategy,
 )
 
@@ -134,14 +136,18 @@ def test_criterion_1_reference_automaton():
 def test_criterion_2_counter_synthesis():
     po = counter_projection()
     cx = qnp_constraint("X")
-    for c in (cx, ltl_text_constraint(cx, po)):
-        res = synthesize(po, c)
+    for route, res in (
+        ("builtin", synthesize(po, cx)),
+        ("ltl text", synthesize(po, ltl_text_constraint(cx, po))),
+        ("safra", safra_synthesize(po, cx)),
+    ):
         assert res.realizable
         verdict = check_solution(po, res.policy, Under(cx))
         assert verdict.kind == "SOLVES_UNDER_CONSTRAINT"
+        assert nba_check(po, res.policy, cx).kind == "SOLVES_UNDER_CONSTRAINT"
         for x0 in (1, 5, 10, 100):
             t = run_policy(concrete_counter(x0), res.policy)
-            assert len(t.actions) == x0, (c.name, x0, len(t.actions))
+            assert len(t.actions) == x0, (route, x0, len(t.actions))
             assert t.states[-1] == "X=0"
     assert not synthesize(po, ALL_TRAJECTORIES).realizable
 

@@ -494,10 +494,11 @@ def test_json_artifacts_reparse(tmp_path, capsys):
 
 def _qnp_as_ltl_text(fondp, variables):
     """The builtin weak counter constraints of ``variables`` bound to the
-    problem file and pretty-printed as LTL text, which takes the automaton
-    route of the constraint check."""
+    problem file and pretty-printed as LTL text, with each ``G F x``
+    written as the equivalent ``G X F x``: outside the letter-class
+    fragment, so synthesis and the check take the automaton route."""
     c = conjoin(qnp_constraints(variables))
-    return ltl.pretty(constraint_formula(c, load_pondp(str(fondp))))
+    return ltl.pretty(constraint_formula(c, load_pondp(str(fondp)))).replace("G F", "G X F")
 
 
 def test_synthesize_translates_each_conjunct_once(tmp_path, capsys, monkeypatch):
@@ -520,6 +521,56 @@ def test_synthesize_translates_each_conjunct_once(tmp_path, capsys, monkeypatch)
     assert code == 0
     assert doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
     assert len(calls) == 2
+
+
+def test_letter_class_constraints_build_no_automaton(tmp_path, capsys, monkeypatch):
+    """Counter constraints as LTL text, weak and strong, are in the
+    letter-class fragment: neither synthesis nor the constraint check runs
+    the tableau (`ltl.ltl_to_nba`) or determinizes (`omega.LazyDpw`)."""
+    from genplan import omega
+
+    fondp = tmp_path / "twovar.json"
+    assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
+    capsys.readouterr()
+    p = load_pondp(str(fondp))
+    calls = []
+    translate, lazy = ltl.ltl_to_nba, omega.LazyDpw
+    monkeypatch.setattr(ltl, "ltl_to_nba", lambda *a, **k: calls.append(a[0]) or translate(*a, **k))
+    monkeypatch.setattr(omega, "LazyDpw", lambda *a, **k: calls.append(a[0]) or lazy(*a, **k))
+    for strong in (False, True):
+        text = ltl.pretty(constraint_formula(conjoin(qnp_constraints(["X", "Y"], strong)), p))
+        code, doc = run_cli(capsys, "synthesize", str(fondp), "--constraint", text)
+        assert code == 0 and doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
+        code, doc = run_cli(capsys, "verify", "--mode", "constraint", str(fondp), CANONICAL, text)
+        assert code == 0 and doc["verdict"] == "SOLVES_UNDER_CONSTRAINT"
+    assert calls == []
+
+
+def test_counter_witness_cycle_is_its_shortest_period(tmp_path, capsys):
+    """The commitment route's plan for this QNP loops: it sets q_X,
+    decrements X to 0, unsets q_X and increments X again.  The counter
+    check's witness is that 4-step loop, once: the covering walk of the
+    component, folded to the shortest period of its (state, memory)
+    nodes."""
+    qnp_file = tmp_path / "loop.qnp"
+    qnp_file.write_text(
+        "fluents p\nvars X\ninit_values X in {1, 4}\n"
+        "action a0\n  pre p\n  add p\n"
+        "action a1\n  pre X>0\n  add p\n  dec X\n"
+        "action a2\n  del p\n  inc X\n"
+        "action a3\n  pre X>0\n  del p\n  dec X\n"
+        "goal p X>0\n"
+    )
+    closed, plan = tmp_path / "closed.json", tmp_path / "plan.json"
+    assert main(["qnp2fond", str(qnp_file), "--close", "-o", str(closed)]) == 0
+    assert main(["plan", str(closed), "-o", str(plan)]) == 0
+    capsys.readouterr()
+    code, doc = run_cli(capsys, "verify", "--mode", "constraint", str(closed), str(plan), "qnp(X)")
+    assert code == 1 and doc["verdict"] == "NOT_A_SOLUTION"
+    cx = doc["counterexample"]
+    assert cx["prefix_actions"] == []
+    assert cx["cycle_actions"] == ["set(X)", "a1", "unset(X)", "a2"]
+    assert cx["cycle_states"] == ["X>0", "q_X,X>0", "p,q_X,X=0", "p,X=0"]
 
 
 def test_verify_constraint_honours_budget(tmp_path, capsys, monkeypatch):
@@ -730,7 +781,7 @@ def test_verify_constraint_budget_reaches_the_nba_product(tmp_path, capsys):
     capsys.readouterr()
     text = _qnp_as_ltl_text(fondp, ["X", "Y"])
     args = ["verify", "--mode", "constraint", str(fondp), CANONICAL, text]
-    code, doc = run_cli(capsys, "--budget", "14", *args)
+    code, doc = run_cli(capsys, "--budget", "20", *args)
     assert code == 2
     assert doc["error"] == "SizeBudgetExceededError"
     assert doc["message"].startswith("constraint-check product exceeded budget")

@@ -42,11 +42,13 @@ from .helpers import (
     dpw_accepts,
     dpw_language_difference,
     ltl_text_constraint,
+    nba_check,
     qnp_dpw_direct,
     qnp_dpw_for_problem,
     rand_formula,
     rand_game,
     rand_word,
+    safra_synthesize,
     synthesis_language_difference,
     verify_strategy,
 )
@@ -323,21 +325,20 @@ def test_unrealizable_refutation():
 
 
 def test_refute_policy_inside_the_game():
-    """Fixed inside a realizable game, of the builtin constraint or of the
-    same constraint as LTL text, the synthesized policy is not refuted; a
-    policy that increments forever is refuted by a lasso, and one that
-    stops short of the goal by a finite trajectory."""
+    """Fixed inside a realizable game, on the letter-class automaton or on
+    the compact-Safra one of the same constraint, the synthesized policy is
+    not refuted; a policy that increments forever is refuted by a lasso,
+    and one that stops short of the goal by a finite trajectory."""
     from genplan.model import FiniteTrajectory
 
     p = counter_projection()
     cx = qnp_constraint("X")
-    for c in (cx, ltl_text_constraint(cx, p)):
-        res = synthesize(p, c)
-        assert refute_policy(res, p, res.policy) is None, c.name
+    for route, res in (("class", synthesize(p, cx)), ("safra", safra_synthesize(p, cx))):
+        assert refute_policy(res, p, res.policy) is None, route
         t = refute_policy(res, p, Policy.memoryless({"X>0": "Inc"}))
-        assert t.cycle_states == ("X>0",) and t.cycle_actions == ("Inc",), c.name
+        assert t.cycle_states == ("X>0",) and t.cycle_actions == ("Inc",), route
         t = refute_policy(res, p, Policy.memoryless({}))
-        assert isinstance(t, FiniteTrajectory) and t.states == ("X>0",), c.name
+        assert isinstance(t, FiniteTrajectory) and t.states == ("X>0",), route
 
 
 def test_synthesize_goal_already_reached():
@@ -489,53 +490,100 @@ def _twovar_projection():
 
 
 def test_counter_class_dpws_accept_exactly_the_violations():
-    """Synthesis under builtin counter constraints plays on one 3-state
-    automaton per variable, whose state is the class of the last letter
-    read.  On the two-variable QNP it accepts a lasso iff the lasso
-    violates that variable's constraint, for every lasso over the letters
-    with a prefix and a cycle of at most two letters each."""
+    """Synthesis under builtin counter constraints plays on one letter-class
+    automaton per variable: 3 states for the weak form, whose state is the
+    class of the last letter read, and 5 for the strong form, which awaits
+    two Büchi sets (decrements, then X > 0 observations).  On the
+    two-variable QNP it accepts a lasso iff the lasso violates that
+    variable's constraint, for every lasso over the letters with a prefix
+    and a cycle of at most two letters each."""
     alphabet = _twovar_alphabet()[0]
     proj = _twovar_projection()
-    res = synthesize(proj, conjoin(qnp_constraints(["X", "Y"])))
-    assert len(res.dpws) == 2
     letters = sorted(alphabet)
-    for var, d in zip(("X", "Y"), res.dpws):
-        assert len(d.states) == 3
-        f = constraint_formula(qnp_constraint(var), proj)
-        for pl in range(3):
-            for prefix in itertools.product(letters, repeat=pl):
-                for cl in range(1, 3):
-                    for cycle in itertools.product(letters, repeat=cl):
-                        w = Word(prefix, cycle)
-                        assert dpw_accepts(d, w) == (not eval_lasso(f, w, alphabet)), (var, w)
+    for strong in (False, True):
+        res = synthesize(proj, conjoin(qnp_constraints(["X", "Y"], strong=strong)))
+        assert len(res.dpws) == 2
+        for var, d in zip(("X", "Y"), res.dpws):
+            assert len(d.states) == (5 if strong else 3)
+            assert len(set(d.priority.values())) == 3
+            f = constraint_formula(qnp_constraint(var, strong=strong), proj)
+            for pl in range(3):
+                for prefix in itertools.product(letters, repeat=pl):
+                    for cl in range(1, 3):
+                        for cycle in itertools.product(letters, repeat=cl):
+                            w = Word(prefix, cycle)
+                            violated = not eval_lasso(f, w, alphabet)
+                            assert dpw_accepts(d, w) == violated, (strong, var, w)
+
+
+def _routes(p, c):
+    """(route, synthesis result) for the builtin constraint ``c``, for the
+    same constraint as LTL text, and for the compact-Safra reference."""
+    return (
+        ("builtin", synthesize(p, c)),
+        ("ltl text", synthesize(p, ltl_text_constraint(c, p))),
+        ("safra", safra_synthesize(p, c)),
+    )
 
 
 def test_synthesize_builtin_and_ltl_text_agree():
-    """The builtin counter constraint (letter-class automata) and the same
-    constraint as LTL text (the generic route) give the same verdict and
-    the same reachable policy behavior on the counter.  Either game lets
-    the controller win exactly the words of the record automaton for
-    ``qnp(X) -> eventually goal``."""
+    """The builtin counter constraint and the same constraint as LTL text
+    play the same letter-class automaton, and give the verdict and the
+    reachable policy behavior of the compact-Safra route on the counter.
+    Each game lets the controller win exactly the words of the record
+    automaton for ``qnp(X) -> eventually goal``."""
     p = counter_projection()
     cx = qnp_constraint("X")
     record = qnp_dpw_for_problem(p, ["X"])
-    for c in (cx, ltl_text_constraint(cx, p)):
-        res = synthesize(p, c)
-        assert res.realizable, c.name
+    for route, res in _routes(p, cx):
+        assert res.realizable, route
         actions = {o: a for (m, o), a in res.policy.output.items()}
-        assert actions == {"X>0": "Dec"}, c.name
-        assert synthesis_language_difference(res.dpws, p.goal_states, record) is None, c.name
+        assert actions == {"X>0": "Dec"}, route
+        assert synthesis_language_difference(res.dpws, p.goal_states, record) is None, route
 
 
 def test_synthesize_two_var_builtin_and_ltl_text_agree():
     proj = _twovar_projection()
     cv = conjoin(qnp_constraints(["X", "Y"]))
     record = qnp_dpw_for_problem(proj, ["X", "Y"])
-    for c in (cv, ltl_text_constraint(cv, proj)):
-        res = synthesize(proj, c)
-        assert res.realizable, c.name
-        assert synthesis_language_difference(res.dpws, proj.goal_states, record) is None, c.name
-        assert check_solution(proj, res.policy, Under(cv)).is_solution, c.name
+    for route, res in _routes(proj, cv):
+        assert res.realizable, route
+        assert synthesis_language_difference(res.dpws, proj.goal_states, record) is None, route
+        assert check_solution(proj, res.policy, Under(cv)).is_solution, route
+        assert nba_check(proj, res.policy, cv).is_solution, route
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_class_route_agrees_with_safra_on_random_fragment_formulas(data):
+    """Seeded sweep of random letter-class formulas (one or two conjuncts of
+    one to three G F / F G terms) on the two-variable projection: synthesis
+    on the class automata gives the verdict of synthesis on the
+    compact-Safra automata, and each policy the class route finds passes
+    both checks.  Under every memoryless policy and a random finite-memory
+    one, the Streett check finds a lasso iff the check through the
+    conjunct NBAs does, and its lasso avoids the goal, is generated by the
+    policy and satisfies the constraint."""
+    from genplan.constraints import _conjuncts, ltl_constraint, satisfies
+
+    from .helpers import finite_memory_policies, is_generated_by, rand_fragment_formula
+
+    p = _twovar_projection()
+    letters = sorted(set(p.observations) | set(p.actions))
+    c = ltl_constraint(rand_fragment_formula(random.Random(data.draw(st.integers(0, 2**30))), letters))
+    assert all(cls for _, cls in _conjuncts(c, p)), c.name
+    res = synthesize(p, c)
+    assert res.realizable == safra_synthesize(p, c).realizable, c.name
+    if res.realizable:
+        assert check_solution(p, res.policy, Under(c)).is_solution, c.name
+        assert nba_check(p, res.policy, c).is_solution, c.name
+    for mu in [*_memoryless_policies(p), data.draw(finite_memory_policies(p, max_memory=2))]:
+        verdict = check_solution(p, mu, Under(c))
+        assert verdict.kind == nba_check(p, mu, c).kind, (c.name, mu)
+        t = verdict.counterexample
+        if t is not None and hasattr(t, "cycle_states"):
+            assert not set(t.visited_states()) & p.goal_states
+            assert is_generated_by(p, mu, t) and satisfies(c, t, p), c.name
 
 
 def test_repeated_counter_constraint_gets_one_automaton():
@@ -586,9 +634,10 @@ def test_class_synthesis_agrees_with_record_automaton(p, variables):
 
 def test_synthesized_policies_declare_their_memory_and_are_minimal():
     """Moves whose outcomes are all goal states once updated to automaton
-    states the game never played.  Under the builtin counter constraints
-    and under the same constraints as LTL text, every memory state a
-    synthesized policy names is declared, and no two are Moore-equivalent."""
+    states the game never played.  On the letter-class automata of the
+    builtin counter constraints and on the compact-Safra ones of the same
+    constraints, every memory state a synthesized policy names is
+    declared, and no two are Moore-equivalent."""
     from genplan.qnp import parse_qnp, syntactic_projection
 
     from .helpers import moore_equivalent_pairs
@@ -608,13 +657,13 @@ def test_synthesized_policies_declare_their_memory_and_are_minimal():
         q = parse_qnp(text)
         proj = syntactic_projection(q).fondp
         cv = conjoin(qnp_constraints(q.variables))
-        for c in (cv, ltl_text_constraint(cv, proj)):
-            mu = synthesize(proj, c).policy
+        for route, res in (("class", synthesize(proj, cv)), ("safra", safra_synthesize(proj, cv))):
+            mu = res.policy
             memory = set(mu.memory_states)
-            assert mu.initial in memory and set(mu.update.values()) <= memory, (name, c.name)
-            assert {m for m, _ in (*mu.update, *mu.output)} <= memory, (name, c.name)
-            assert not moore_equivalent_pairs(mu, sorted(proj.observations)), (name, c.name)
-            assert check_solution(proj, mu, Under(cv)).is_solution, (name, c.name)
+            assert mu.initial in memory and set(mu.update.values()) <= memory, (name, route)
+            assert {m for m, _ in (*mu.update, *mu.output)} <= memory, (name, route)
+            assert not moore_equivalent_pairs(mu, sorted(proj.observations)), (name, route)
+            assert check_solution(proj, mu, Under(cv)).is_solution, (name, route)
 
 
 def test_pipeline_budget_smoke():
@@ -661,20 +710,21 @@ THREEVAR_CHAIN = (
 def test_solved_strategy_ignores_hash_seed():
     """Zielonka's attractors visit nodes in the game's order, so the solved
     strategy of `counter` and `threevar_chain`, with builtin counter
-    constraints and with the same constraints as LTL text, is the same under
-    hash seeds 0 and 1 (compared by sha1)."""
+    constraints on their letter-class automata and on the compact-Safra
+    automata of their conjunct NBAs, is the same under hash seeds 0 and 1
+    (compared by sha1)."""
     code = (
         "import hashlib, sys\n"
-        "from genplan.constraints import (\n"
-        "    conjoin, constraint_formula, ltl_constraint, qnp_constraints)\n"
-        "from genplan.omega import synthesize\n"
+        "from genplan.constraints import _conjunct_nbas, conjoin, qnp_constraints\n"
+        "from genplan.omega import LazyDpw, _synthesize_on, synthesize\n"
         "from genplan.qnp import parse_qnp, syntactic_projection\n"
         "for text in sys.argv[1:]:\n"
         "    q = parse_qnp(text)\n"
         "    p = syntactic_projection(q).fondp\n"
         "    c = conjoin(qnp_constraints(q.variables))\n"
-        "    for psi in (c, ltl_constraint(constraint_formula(c, p))):\n"
-        "        strategy = sorted(synthesize(p, psi).solution.strategy.items(), key=repr)\n"
+        "    safra = [LazyDpw(a, complement=True) for a in _conjunct_nbas(c, p, 10**6).values()]\n"
+        "    for res in (synthesize(p, c), _synthesize_on(p, safra, 10**6)):\n"
+        "        strategy = sorted(res.solution.strategy.items(), key=repr)\n"
         "        print(hashlib.sha1(repr(strategy).encode()).hexdigest())\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -717,10 +767,10 @@ def _memoryless_policies(p):
 
 def test_lazy_synthesis_agrees_with_full_dpw_game():
     """On the cross-engine suite (QNPs with at most two variables, counter
-    constraints as LTL text), synthesis on the on-the-fly automaton gives
-    the verdict of the game on the fully determinized one; realizable
-    policies pass the constraint check and unrealizable instances refute
-    every memoryless policy with a witness."""
+    constraints as LTL text), synthesis on the on-the-fly compact-Safra
+    automata gives the verdict of the game on the fully determinized one;
+    realizable policies pass the constraint check and unrealizable
+    instances refute every memoryless policy with a witness."""
     from genplan.constraints import satisfies
     from genplan.qnp import syntactic_projection
 
@@ -731,7 +781,7 @@ def test_lazy_synthesis_agrees_with_full_dpw_game():
             continue
         p = syntactic_projection(q).fondp
         c = ltl_text_constraint(conjoin(qnp_constraints(q.variables)), p)
-        res = synthesize(p, c)
+        res = safra_synthesize(p, c)
         sigma = frozenset(set(p.observations) | set(p.actions))
         goal = L.lor(*[Letter(g) for g in sorted(p.goal_states, key=str)])
         phi = L.implies(c.formula, eventually(goal))
@@ -751,16 +801,16 @@ def test_lazy_synthesis_agrees_with_full_dpw_game():
 
 
 def test_lazy_synthesis_builds_only_reached_states():
-    """Generic synthesis on the two-variable QNP determinizes only the
-    automaton states its game reaches (96; the full automaton has 20,109
-    before the quotient)."""
+    """Synthesis on the compact-Safra automata of the two-variable QNP's
+    counter constraints determinizes only the automaton states its game
+    reaches (96; the full automaton has 20,109 before the quotient)."""
     from genplan.qnp import parse_qnp, syntactic_projection
 
     from .test_acceptance import TWOVAR
 
     q = parse_qnp(TWOVAR)
     p = syntactic_projection(q).fondp
-    res = synthesize(p, ltl_text_constraint(conjoin(qnp_constraints(q.variables)), p))
+    res = safra_synthesize(p, conjoin(qnp_constraints(q.variables)))
     assert res.realizable
     assert sum(len(d.states) for d in res.dpws) <= 200
 
@@ -769,14 +819,15 @@ def test_budget_errors_name_their_stage():
     """A budget that the NBA constructions fit in but determinization does
     not is reported with the determinization stage and its size.  Synthesis
     determinizes each conjunct on its own, so the constraint is a single
-    conjunct whose automaton outgrows the budget."""
+    conjunct whose automaton outgrows the budget; its reachability
+    disjunct puts it outside the letter-class fragment."""
     from genplan.constraints import ltl_constraint
     from genplan.errors import SizeBudgetExceededError
 
     f = parse_ltl('F G ! Inc & G F Dec -> G F "X=0"', SIGMA)
     with pytest.raises(SizeBudgetExceededError, match="full determinization .* 2 states"):
         nba_to_dpw(ltl_to_nba(f, SIGMA), budget=2)
-    c = ltl_constraint(parse_ltl("G F Dec -> G F Inc", SIGMA))
+    c = ltl_constraint(parse_ltl("G F Dec -> G F Inc | F Inc", SIGMA))
     with pytest.raises(
         SizeBudgetExceededError, match="synthesis-game determinization .* 10 states"
     ):
