@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import graph, omega
+from . import graph
 from . import ltl as L
 from .errors import (
     AlphabetMismatchError,
@@ -23,7 +23,8 @@ from .errors import (
     UnknownVariableError,
 )
 from .model import (
-    FiniteTrajectory, Lasso, _by_str, _covering_lasso, _fair_counterexample, is_fair,
+    FiniteTrajectory, Lasso, _fair_counterexample, _fair_pairs, _nothing, _pair_fair_lasso,
+    _policy_streett_lasso, is_fair,
 )
 from .projection import lift_trajectory
 
@@ -95,21 +96,10 @@ def conjoin(constraints, name=None):
 # ---------------------------------------------------------------------------
 
 
-def _require_known(p, var):
-    known = set(p.annotations.get("variables", ()))
-    for eff in p.annotations.get("action_effects", {}).values():
-        known.update(eff)
-    for vs in p.annotations.get("obs_zero", {}).values():
-        known.update(vs)
-    if var not in known:
-        raise UnknownVariableError(
-            f"variable {var!r} has no effect tags or zero atoms in the problem"
-        )
-
-
-def constraint_formula(c, p):
+def constraint_formula(c, p, counter=None):
     """The concrete LTL formula of an LTL constraint over the alphabet of
-    ``p`` (observations and actions)."""
+    ``p`` (observations and actions).  The counter constraints of a
+    template are bound by one ``counter`` function (`_counter_formula`)."""
     if c.kind != "ltl":
         raise NotLtlExpressibleError(
             f"constraint {c.name!r} is not an LTL constraint: synthesis takes "
@@ -117,25 +107,39 @@ def constraint_formula(c, p):
         )
     if c.formula is not None:
         return c.formula
-    tag = c.template[0]
-    if tag == "and":
-        return L.land(*[constraint_formula(ci, p) for ci in c.template[1:]])
-    _, var, strong = c.template
-    _require_known(p, var)
+    counter = counter or _counter_formula(p)
+    if c.template[0] == "and":
+        return L.land(*[constraint_formula(ci, p, counter) for ci in c.template[1:]])
+    return counter(*c.template[1:])
+
+
+def _counter_formula(p):
+    """The function from (variable, strong) to the formula of its counter
+    constraint over ``p``.  The known variables and the sorted actions and
+    observations of ``p`` are read once, for all the variables it binds."""
     effects = p.annotations.get("action_effects", {})
     zero_obs = p.annotations.get("obs_zero", {})
+    known = set(p.annotations.get("variables", ())).union(*effects.values(), *zero_obs.values())
     actions, observations = sorted(p.actions, key=str), sorted(p.observations, key=str)
-    inc = L.lor(*[L.Letter(a) for a in actions if effects.get(a, {}).get(var) == "inc"])
-    dec = L.lor(*[L.Letter(a) for a in actions if effects.get(a, {}).get(var) == "dec"])
-    zeros = [o for o in observations if var in zero_obs.get(o, ())]
-    zero = L.lor(*[L.Letter(o) for o in zeros])
-    antecedent = L.And(L.eventually(L.always(L.lnot(inc))), L.always(L.eventually(dec)))
-    if strong:
-        nonzero = L.lor(*[L.Letter(o) for o in observations if o not in zeros])
-        consequent = L.eventually(L.always(L.lnot(nonzero)))
-    else:
-        consequent = L.always(L.eventually(zero))
-    return L.implies(antecedent, consequent)
+
+    def formula(var, strong):
+        if var not in known:
+            raise UnknownVariableError(
+                f"variable {var!r} has no effect tags or zero atoms in the problem"
+            )
+        inc = L.lor(*[L.Letter(a) for a in actions if effects.get(a, {}).get(var) == "inc"])
+        dec = L.lor(*[L.Letter(a) for a in actions if effects.get(a, {}).get(var) == "dec"])
+        zeros = [o for o in observations if var in zero_obs.get(o, ())]
+        zero = L.lor(*[L.Letter(o) for o in zeros])
+        antecedent = L.And(L.eventually(L.always(L.lnot(inc))), L.always(L.eventually(dec)))
+        if strong:
+            nonzero = L.lor(*[L.Letter(o) for o in observations if o not in zeros])
+            consequent = L.eventually(L.always(L.lnot(nonzero)))
+        else:
+            consequent = L.always(L.eventually(zero))
+        return L.implies(antecedent, consequent)
+
+    return formula
 
 
 def constraint_alphabet(c, p):
@@ -372,20 +376,6 @@ def _product_lasso(inits, edges, cycle, state_of):
     )
 
 
-def _accepting_lasso(inits, nodes, edges, nbas, state_of):
-    """The lasso of a cycle of a bilayer product with ``nbas`` (arguments
-    as `_bilayer_product` returns them, and as for `_product_lasso`) that
-    passes an accepting state of each of them, or None: generalized Büchi
-    emptiness (Couvreur, FM 1999), as a cycle whose maximum is even in
-    every entry when an accepting state has priority 2 and any other state
-    1; the Streett search behind it needs one pass over the strongly
-    connected components for that."""
-    accepting = [a.accepting for a in nbas]
-    prio = {x: tuple(2 if q in f else 1 for f, q in zip(accepting, x[-1])) for x in nodes}
-    cycle = omega.cycle_with_max_parity(nodes, edges.__getitem__, prio, 0)
-    return None if cycle is None else _product_lasso(inits, edges, cycle, state_of)
-
-
 # ---------------------------------------------------------------------------
 # Implication
 # ---------------------------------------------------------------------------
@@ -410,7 +400,9 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     antecedent asks for a component in which each move is followed by each
     of its outcomes (`_fair_pairs`), and a fair consequent for one that
     takes a move but never one of its outcomes (`_unfair_lasso`).  A False
-    result carries a witnessing lasso."""
+    result carries a witnessing lasso, whose cycle walks through one edge
+    answering each request of the component found
+    (`_streett_product_lasso`)."""
     if c == c_prime:
         return ImplicationResult(holds=True)
     automata = []
@@ -422,13 +414,13 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
         automata.append((nba, c_prime.level))
     triples = [(sorted(a.initial), a.successors, _letter(level, p)) for a, level in automata]
     product = _trajectory_product(p, triples, budget)
+    nbas = [a for a, _ in automata]
     if c_prime.kind == "fairness":
-        lasso = _unfair_lasso(p, product, automata)
+        lasso = _unfair_lasso(p, product, nbas)
     elif c.kind == "fairness":
-        pairs = _fair_pairs(product[2].__getitem__, _move)
-        lasso = _streett_product_lasso(product, automata, *pairs)
+        lasso = _streett_product_lasso(product, nbas, *_fair_pairs(product[2].__getitem__, _move))
     else:
-        lasso = _accepting_lasso(*product, [a for a, _ in automata], lambda s: s)
+        lasso = _streett_product_lasso(product, nbas)
     return ImplicationResult(holds=lasso is None, witness=lasso)
 
 
@@ -438,36 +430,40 @@ def _move(x, y):
     return (x[1], x[2], y[1]) if x[0] == "m" else None
 
 
-def _fair_pairs(succ, step):
-    """Fairness per (state, action) pair as Streett requests and answers:
-    node v requests the transition ``step(v, w)`` to each successor w, and
-    the edge from v to w answers it; a step of None is no transition."""
-    return (lambda v: {step(v, w) for w in succ(v)} - {None}), (lambda v, w: {step(v, w)})
-
-
-def _streett_product_lasso(product, automata, requests, answers, succ=None):
-    """The lasso of the bilayer ``product`` with ``automata`` whose cycle
-    covers the first component that `graph.streett_component` finds under
-    ``succ`` (the product's edges when None), or None.  Beyond
-    ``requests`` and ``answers``, each node requests, for each automaton,
-    a node that holds an accepting state of it."""
+def _streett_product_lasso(product, nbas, requests=_nothing, answers=_nothing, succ=None,
+                           state_of=lambda s: s):
+    """The lasso of the bilayer ``product`` with ``nbas`` whose cycle is
+    the `graph.streett_walk` of the first component that
+    `graph.streett_component` finds under ``succ`` (the product's edges
+    when None), or None; ``state_of`` maps a base node to its problem
+    state (`_product_lasso`).  Beyond ``requests`` and ``answers``, each
+    node requests, for each automaton, a node that holds an accepting
+    state of it: with no other requests, generalized Büchi emptiness
+    (Couvreur, FM 1999)."""
     inits, nodes, edges = product
     succ = succ or edges.__getitem__
-    every = set(range(len(automata)))
+    every = set(range(len(nbas)))
 
     def accepting(x):
-        return {i for i, ((a, _), q) in enumerate(zip(automata, x[-1])) if q in a.accepting}
+        return {i for i, (a, q) in enumerate(zip(nbas, x[-1])) if q in a.accepting}
 
-    comp = graph.streett_component(
-        nodes, succ, lambda x: every | requests(x), lambda x, y: accepting(x) | answers(x, y)
-    )
+    def wants(x):
+        return every | requests(x)
+
+    def gives(x, y):
+        return accepting(x) | answers(x, y)
+
+    comp = graph.streett_component(nodes, succ, wants, gives)
     if comp is None:
         return None
-    return _product_lasso(inits, edges, graph.covering_walk(comp, succ), lambda s: s)
+    # from the least node that holds an accepting state, one Büchi condition
+    # gets the shortest cycle through it, not a detour from a lesser node
+    walk = graph.streett_walk(comp, succ, wants, gives, key=lambda x: (not accepting(x), str(x)))
+    return _product_lasso(inits, edges, walk, state_of)
 
 
-def _unfair_lasso(p, product, automata):
-    """An unfair lasso of ``p`` accepted by ``automata``, or None: for some
+def _unfair_lasso(p, product, nbas):
+    """An unfair lasso of ``p`` accepted by ``nbas``, or None: for some
     nondeterministic (s, a, t), a component of their ``product`` that
     takes a move (s, a) once the edges from it to t are removed."""
     edges = product[2]
@@ -481,7 +477,7 @@ def _unfair_lasso(p, product, automata):
                 return {pair} if x[0] == "m" and x[1:3] == pair else set()
 
             lasso = _streett_product_lasso(
-                product, automata, lambda x, pair=(s, a): {pair}, answers, succ
+                product, nbas, lambda x, pair=(s, a): {pair}, answers, succ
             )
             if lasso is not None:
                 return lasso
@@ -511,27 +507,13 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None)
     as synthesis builds them); the search then takes them in any case.
     """
     if c.kind == "fairness":
-        nodes, act = prod.nodes, prod.act
-        pairs = _fair_pairs(prod.succ.__getitem__, lambda i, j: (nodes[i][0], act[i], nodes[j][0]))
-        return _fair_counterexample(prod, reach) or _policy_streett_lasso(prod, reach, *pairs)
+        return _fair_counterexample(prod, reach) or _pair_fair_lasso(prod, reach)
     if nbas is None:
         classes = [cls for _, cls in _conjuncts(c, p)]
         if None not in classes:
             return _class_lasso(p, c.level, classes, prod, reach)
         nbas = _conjunct_nbas(c, p, budget).values()
     return accepted_policy_lasso(p, c.level, nbas, prod, reach, budget)
-
-
-def _policy_streett_lasso(prod, reach, requests, answers):
-    """The lasso whose cycle covers the first component inside ``reach``
-    that `graph.streett_component` finds on the policy product, or None."""
-    succ = prod.succ
-
-    def inner(i):
-        return [j for j in succ[i] if j in reach]
-
-    comp = graph.streett_component(reach, inner, requests, answers, key=_by_str(prod))
-    return None if comp is None else _covering_lasso(prod, comp, inner, reach)
 
 
 def _class_lasso(p, level, classes, prod, reach):
@@ -560,8 +542,8 @@ def accepted_policy_lasso(p, level, nbas, prod, reach, budget=L.DEFAULT_BUDGET):
     `counterexample_search`) accepted by every automaton in ``nbas``, or
     None: a cycle of their bilayer product with the policy product
     (`_policy_bilayer_product`) that passes an accepting state of each
-    (`_accepting_lasso`).  ``budget`` caps its nodes."""
+    (`_streett_product_lasso`).  ``budget`` caps its nodes."""
     letter = _letter(level, p)
     automata = [(sorted(a.initial), a.successors, lambda v: letter(v[0])) for a in nbas]
     product = _policy_bilayer_product(prod, reach, automata, budget)
-    return _accepting_lasso(*product, nbas, lambda v: v[0])
+    return _streett_product_lasso(product, nbas, state_of=lambda v: v[0])

@@ -3,7 +3,8 @@ engines, their automata and their witnesses.
 
 One Streett search (`streett_component`) decides every acceptance cycle:
 parity, Büchi, counters, fairness, and any cycle at all (no requests).
-One builder (`closed_walk`) assembles every cycle and covering walk.
+One builder (`streett_walk`) turns the component it finds into a cycle
+that answers the same requests.
 
 A graph is given by its nodes and a successor function ``succ(v)`` that
 returns a list of nodes (``refine`` reads labelled edges instead).  Ties
@@ -16,7 +17,7 @@ problems, automata or games.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 
 
 def sccs(nodes, succ):
@@ -164,6 +165,43 @@ def streett_component(nodes, succ, requests, answers, key=str):
     return search(set(nodes))
 
 
+def streett_walk(comp, succ, requests, answers, key=str):
+    """A closed walk inside the strongly connected set ``comp`` whose
+    edges answer every request a member makes (`streett_component` finds
+    such sets), as a node list that closes back to its first node.
+
+    From the least node by ``key``, it goes by a shortest path to the
+    nearest node with an inner edge answering an open request, takes of
+    those edges the one whose end is nearest the start (the first in
+    ``succ`` order on a tie), and repeats until nothing is open; a
+    shortest path closes it.  Without requests, or when each edge of the
+    start answers all of them (as at an accepting node of one Büchi
+    condition), it is the shortest cycle through the start.  Each inner
+    edge's answers are computed once."""
+    members = set(comp)
+    out = {v: {w: answers(v, w) for w in succ(v) if w in members} for v in comp}
+    todo = set().union(*map(requests, comp))
+    offered = defaultdict(list)  # request -> the nodes with an inner edge answering it
+    for v, edges in out.items():
+        for r in set().union(*edges.values()) & todo:
+            offered[r].append(v)
+    left = Counter(v for vs in offered.values() for v in vs)  # the open requests each offers
+    walk = [min(comp, key=key)]
+    home = backward_reachable(comp, out.__getitem__, walk)
+    while todo:
+        path = shortest_path(walk[-1:], out.__getitem__, left)
+        w = min((w for w, a in out[path[-1]].items() if a & todo), key=home.__getitem__)
+        for r in out[path[-1]][w] & todo:
+            todo.remove(r)
+            for v in offered[r]:
+                left[v] -= 1
+                if not left[v]:
+                    del left[v]
+        walk += path[1:] + [w]
+    walk += shortest_path(walk[-1:], out.__getitem__, walk[:1], nonempty=len(walk) == 1)[1:]
+    return walk[:-1]
+
+
 def refine(nodes, label, succ):
     """The coarsest partition of ``nodes`` that refines ``label`` and is
     stable: members of a class have the same set of (edge label, class)
@@ -191,31 +229,7 @@ def refine(nodes, label, succ):
     return dict(zip(nodes, block))
 
 
-def closed_walk(legs, succ, allowed):
-    """A closed walk inside ``allowed`` that takes, for each leg ``(u, w)``
-    in turn, a shortest path of at least one edge from u to w, and joins
-    each leg to the next, and the last to the first, by a shortest path.
-    Returned as a node list that closes back to its first node, the first
-    leg's u."""
-    walk = [legs[0][0]]
-    for u, w in legs:
-        walk += shortest_path([walk[-1]], succ, (u,), allowed)[1:]
-        walk += shortest_path([u], succ, (w,), allowed, nonempty=True)[1:]
-    walk += shortest_path([walk[-1]], succ, walk[:1], allowed)[1:]
-    return walk[:-1]
-
-
 def period(walk):
     """The length of the shortest prefix that repeats into ``walk``."""
     n = len(walk)
     return next(d for d in range(1, n + 1) if n % d == 0 and walk[d:] == walk[:n - d])
-
-
-def covering_walk(nodes, succ, key=str):
-    """A closed walk through every edge inside the strongly connected set
-    ``nodes``, or None when it has no edge: the `closed_walk` whose legs
-    are those edges, in the order of their source node (by ``key``) and of
-    ``succ``.  It starts at the least node."""
-    nodes = set(nodes)
-    edges = [(u, w) for u in sorted(nodes, key=key) for w in succ(u) if w in nodes]
-    return closed_walk(edges, succ, nodes) if edges else None

@@ -729,6 +729,10 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
     Goal-free stops are counterexamples since finite trajectories satisfy
     every constraint.  ``budget`` caps the policy product nodes, the
     tableaux and the nodes of the product with the NBAs.
+    Every counterexample cycle is the `graph.streett_walk` of the
+    component its search found, under that search's requests: for STRONG,
+    which makes none, the shortest cycle through the component's least
+    node.
     """
     prod = _policy_product(p, mu, budget)
     if prod.invalid is not None:
@@ -739,68 +743,67 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
     if stop is not None:
         return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(prod, stop, reach))
 
+    name = None
     if mode == STRONG:
         # any cycle will do: a Streett search without requests
-        comp = graph.streett_component(
-            reach, prod.succ.__getitem__, lambda i: (), lambda i, j: (), key=_by_str(prod)
-        )
-        if comp is None:
-            return Verdict(kind="STRONG_SOLUTION")
-        v0 = min(comp, key=_by_str(prod))
-        cycle = graph.closed_walk([(v0, v0)], prod.succ.__getitem__, set(comp))
-        return Verdict(kind="NOT_A_SOLUTION", counterexample=_lasso_from_product(prod, cycle, reach))
-
-    if mode == FAIR:
-        lasso = _fair_counterexample(prod, reach)
-        if lasso is not None:
-            return Verdict(kind="NOT_A_SOLUTION", counterexample=lasso)
-        return Verdict(kind="FAIR_SOLUTION")
-
-    if isinstance(mode, Under):
+        lasso, kind = _policy_streett_lasso(prod, reach, _nothing, _nothing), "STRONG_SOLUTION"
+    elif mode == FAIR:
+        lasso, kind = _fair_counterexample(prod, reach), "FAIR_SOLUTION"
+    elif isinstance(mode, Under):
         from .constraints import counterexample_search
 
         lasso = counterexample_search(p, mode.constraint, prod, reach, budget, nbas)
-        if lasso is not None:
-            return Verdict(
-                kind="NOT_A_SOLUTION",
-                constraint=getattr(mode.constraint, "name", None),
-                counterexample=lasso,
-            )
-        return Verdict(
-            kind="SOLVES_UNDER_CONSTRAINT",
-            constraint=getattr(mode.constraint, "name", None),
-        )
-
-    raise ValueError(f"unknown mode {mode!r}")
+        kind, name = "SOLVES_UNDER_CONSTRAINT", getattr(mode.constraint, "name", None)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if lasso is not None:
+        return Verdict(kind="NOT_A_SOLUTION", constraint=name, counterexample=lasso)
+    return Verdict(kind=kind, constraint=name)
 
 
 def _fair_counterexample(prod, reach):
     """A fair lasso of the policy product that stays in the goal-free
     region ``reach`` forever, or None.  It exists iff some node of
-    ``reach`` cannot leave it; then it reaches a bottom strongly connected
-    component of those nodes and covers all its policy transitions in one
-    closed walk."""
+    ``reach`` cannot leave it.  Each such node has such a successor, and
+    Tarjan completes a component only after all it reaches, so the first
+    one among them is closed, hence fair (`_pair_fair_lasso`)."""
     succ = prod.succ
     exits = {j for i in reach for j in succ[i] if j not in reach}
     trapped = reach.difference(graph.backward_reachable(reach, succ.__getitem__, exits))
-    if not trapped:
+    return _pair_fair_lasso(prod, reach, trapped) if trapped else None
+
+
+def _pair_fair_lasso(prod, reach, region=None):
+    """A lasso of the policy product whose cycle lies in ``region``
+    (``reach`` when None) and is fair per (state, action) pair, or None."""
+    nodes, act = prod.nodes, prod.act
+    pairs = _fair_pairs(prod.succ.__getitem__, lambda i, j: (nodes[i][0], act[i], nodes[j][0]))
+    return _policy_streett_lasso(prod, reach, *pairs, region)
+
+
+def _nothing(*_):
+    """No Streett requests, or no answers."""
+    return frozenset()
+
+
+def _fair_pairs(succ, step):
+    """Fairness per (state, action) pair as Streett requests and answers:
+    node v requests the transition ``step(v, w)`` to each successor w, and
+    the edge from v to w answers it; a step of None is no transition."""
+    return (lambda v: {step(v, w) for w in succ(v)} - {None}), (lambda v, w: {step(v, w)})
+
+
+def _policy_streett_lasso(prod, reach, requests, answers, region=None):
+    """The lasso of the policy product whose cycle is the
+    `graph.streett_walk` of the first component inside ``region``
+    (``reach`` when None) that `graph.streett_component` finds, folded to
+    its shortest period of (state, memory) nodes, with a prefix inside
+    ``reach``; or None."""
+    succ, key, region = prod.succ.__getitem__, _by_str(prod), reach if region is None else region
+    comp = graph.streett_component(region, succ, requests, answers, key)
+    if comp is None:
         return None
-
-    def inner(i):
-        return [j for j in succ[i] if j in trapped]
-
-    # every trapped node has a trapped successor, and Tarjan completes a
-    # component only after all it reaches: the first one is closed
-    comp = next(graph.sccs(sorted(trapped, key=_by_str(prod)), inner))
-    return _covering_lasso(prod, comp, inner, reach)
-
-
-def _covering_lasso(prod, comp, inner, reach):
-    """The lasso of the policy product whose cycle is the covering walk of
-    the strongly connected id set ``comp`` under ``inner``, folded to its
-    shortest period of (state, memory) nodes, with a prefix inside
-    ``reach``."""
-    walk = graph.covering_walk(comp, inner, key=_by_str(prod))
+    walk = graph.streett_walk(comp, succ, requests, answers, key)
     return _lasso_from_product(prod, walk[:graph.period(walk)], reach)
 
 
@@ -885,9 +888,16 @@ def policy_to_json_dict(mu):
 
 def policy_from_json_dict(doc):
     """Decode a policy document.  Raises MalformedInputError when it is
-    malformed or names a memory state (its initial state, an update target,
-    or the memory of an update or output entry) outside ``memory_states``."""
+    malformed (``memory_states`` must be a list, and each ``update`` and
+    ``output`` entry a list of three names) or names a memory state (its
+    initial state, an update target, or the memory of an update or output
+    entry) outside ``memory_states``."""
     with decoding("policy JSON"):
+        entries = [*doc.get("update", []), *doc.get("output", [])]
+        if not isinstance(doc["memory_states"], list) or not all(
+            isinstance(e, list) and len(e) == 3 for e in entries
+        ):
+            raise TypeError("memory_states must be a list, and update and output lists of triples")
         mu = Policy(
             memory_states=tuple(doc["memory_states"]),
             initial=doc["initial"],

@@ -469,10 +469,9 @@ def cycle_with_max_parity(nodes, succ, priority, parity):
 
     Parity as a Streett condition: a node requests each of its entry
     values ``(i, p)`` of the wrong parity, and an edge out of v answers
-    every wrong-parity value below v's own entry.  The cycle runs through
-    the first component `graph.streett_component` finds: from the least
-    node (by ``str``) at the component's maximum of entry 0, through the
-    least node at the maximum of each further entry, by shortest paths."""
+    every wrong-parity value below v's own entry.  The cycle is the
+    `graph.streett_walk` of the first component `graph.streett_component`
+    finds, under the same requests."""
     prio = {v: _entries(priority[v]) for v in nodes}
     wrong = {(i, p) for pr in prio.values() for i, p in enumerate(pr) if p % 2 != parity}
 
@@ -483,14 +482,7 @@ def cycle_with_max_parity(nodes, succ, priority, parity):
         return {(i, q) for i, q in wrong if q < prio[v][i]}
 
     comp = graph.streett_component(prio, succ, requests, answers)
-    if comp is None:
-        return None
-    order = sorted(comp, key=str)
-    tops = map(max, zip(*(prio[v] for v in comp)))
-    stops = [next(v for v in order if prio[v][i] == top) for i, top in enumerate(tops)]
-    # one leg to each next stop at another node; a single stop is a cycle
-    legs = [(v, w) for v, w in zip(stops, stops[1:] + stops[:1]) if v != w] or [(stops[0],) * 2]
-    return graph.closed_walk(legs, succ, set(comp))
+    return None if comp is None else graph.streett_walk(comp, succ, requests, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -768,34 +760,6 @@ def _uniform_actions(game, strategy):
                 strategy = trial
                 break
     return strategy
-
-
-def refute_policy(result, p, policy):
-    """A trajectory of ``policy`` on ``p`` that loses the game of a
-    synthesis ``result``: a finite goal-free trajectory on which the
-    policy stops, or else a lasso whose cycle has an odd maximum in every
-    entry; None when the policy wins the game.
-
-    The policy is fixed inside the game: the bilayer product of its
-    product with ``p`` (goal-free part) with the game's automata, in which
-    every environment choice is searched, so any finite-memory policy that
-    does not win is refuted.  (With more than one automaton the
-    environment may need memory, so ``counterstrategy`` is not
-    replayed.)"""
-    from .constraints import _policy_bilayer_product, _product_lasso
-    from .model import _by_str, _finite_trace, _goal_free_region, _policy_product
-
-    prod = _policy_product(p, policy)
-    reach = _goal_free_region(p, prod)
-    stop = min((i for i in reach if not prod.succ[i]), key=_by_str(prod), default=None)
-    if stop is not None:
-        return _finite_trace(prod, stop, reach)
-    dpws = result.dpws
-    automata = [_reading(d, lambda v: v[0]) for d in dpws]
-    inits, nodes, edges = _policy_bilayer_product(prod, reach, automata)
-    priority = {x: _priority(dpws, x[-1]) for x in nodes}
-    cycle = cycle_with_max_parity(nodes, edges.__getitem__, priority, 1)
-    return None if cycle is None else _product_lasso(inits, edges, cycle, lambda v: v[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Builds each workload of ``perfbench/workloads.py`` (all three by default)
 in a temporary directory and runs its requests in this process, each
 with its own output directory.  Prints one line per request: workload,
 request id, exit code, the sha1 of its stdout (directory names replaced
-by placeholders), ``name=sha1`` for each file it wrote, followed by
+by placeholders), ``cx=N`` when stdout is a JSON report with a
+counterexample of N steps (actions, prefix and cycle together for a
+lasso), ``name=sha1`` for each file it wrote, followed by
 ``memory=N`` after a policy file with N memory states, ``nba=sha1`` for
 each automaton ``ltl.ltl_to_nba`` returned, in call order, and a
 behaviour entry for each ``omega.synthesize`` call: ``synth=0`` when it
@@ -17,10 +19,10 @@ order), as ``{observation: action}`` when it is memoryless and as
 for the N nodes of its parity game and ``dpw=S/P`` for each of its
 automata, in conjunct order: the S states it built and the P distinct
 priorities among them.  Diffing the output of two checkouts shows which
-artifacts and automata a change touched, how the size of each written
-policy, each synthesis game and each game automaton moved, and which
-policies behave differently rather than only name their memory
-differently.
+artifacts and automata a change touched, how the size of each
+counterexample, each written policy, each synthesis game and each game
+automaton moved, and which policies behave differently rather than only
+name their memory differently.
 Standard library only; no test collects this file.
 """
 
@@ -96,6 +98,18 @@ def recorded_synthesize(p, *args, **kwargs):
 synthesize, omega.synthesize = omega.synthesize, recorded_synthesize
 
 
+def counterexample_steps(text):
+    """``["cx=N"]`` for the N steps of the counterexample in the JSON
+    report ``text``, or ``[]`` when it has none."""
+    if not text.startswith("{"):
+        return []
+    cx = json.loads(text).get("counterexample")
+    if cx is None:
+        return []
+    steps = cx["actions"] if cx["kind"] == "finite" else cx["prefix_actions"] + cx["cycle_actions"]
+    return [f"cx={len(steps)}"]
+
+
 def digest(workload, seed, root):
     plan = workloads.plan_workload(workload, seed)
     work = os.path.join(root, workload, "work")
@@ -116,7 +130,8 @@ def digest(workload, seed, root):
             files.append(f"{name}={sha1(data)}")
             if name.endswith((".policy.json", ".plan.json")):
                 files.append(f"memory={len(json.loads(data)['memory_states'])}")
-        print(workload, req.id, code, sha1(text.encode()), *files, *RECORDS)
+        print(workload, req.id, code, sha1(text.encode()), *counterexample_steps(text), *files,
+              *RECORDS)
 
 
 if __name__ == "__main__":

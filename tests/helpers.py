@@ -11,7 +11,8 @@ earlier tuple-keyed policy product, its STRONG and FAIR checks and its
 planner, and the dict-walking problem validation, kept as references for
 the numbered ones.  The index-appearance-record DPW for
 counter constraints is the reference for synthesis on letter classes.
-The QNP printer and the two-valued variant of a QNP serve the QNP tests.
+The QNP printer and the two-valued variant of a QNP serve the QNP tests,
+and `refute_policy` replays a policy inside a synthesis game.
 """
 
 import itertools
@@ -32,16 +33,20 @@ from genplan.model import (
     Pondp,
     Under,
     Verdict,
+    _by_str,
+    _finite_trace,
+    _goal_free_region,
     _policy_product,
     check_solution,
     infer_class,
 )
 from genplan.errors import AlphabetMismatchError, GenplanError, decoding
 from genplan.constraints import (
-    _conjunct_nbas, _product_lasso, constraint_formula, ltl_constraint,
+    _conjunct_nbas, _policy_bilayer_product, _product_lasso, constraint_formula, ltl_constraint,
 )
 from genplan.omega import (
-    CONTROLLER, Dpw, LazyDpw, _synthesize_on, cycle_with_max_parity, normalize_priorities,
+    CONTROLLER, Dpw, LazyDpw, _priority, _reading, _synthesize_on, cycle_with_max_parity,
+    normalize_priorities,
 )
 from genplan.projection import as_fondp
 from genplan.qnp import ConcreteSemantics, InitDescriptor, Qnp, _literal_text
@@ -505,6 +510,31 @@ def dpw_counterexample_search(p, c, prod, reach):
     one on-the-fly determinized automaton per conjunct."""
     dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET).values()]
     return dpw_policy_lasso(p, c.level, dpws, prod, reach)
+
+
+def refute_policy(result, p, policy):
+    """A trajectory of ``policy`` on ``p`` that loses the game of a
+    synthesis ``result``: a finite goal-free trajectory on which the
+    policy stops, or else a lasso whose cycle has an odd maximum in every
+    entry; None when the policy wins the game.
+
+    The policy is fixed inside the game: the bilayer product of its
+    product with ``p`` (goal-free part) with the game's automata, in which
+    every environment choice is searched, so any finite-memory policy that
+    does not win is refuted.  (With more than one automaton the
+    environment may need memory, so ``counterstrategy`` is not
+    replayed.)"""
+    prod = _policy_product(p, policy)
+    reach = _goal_free_region(p, prod)
+    stop = min((i for i in reach if not prod.succ[i]), key=_by_str(prod), default=None)
+    if stop is not None:
+        return _finite_trace(prod, stop, reach)
+    dpws = result.dpws
+    automata = [_reading(d, lambda v: v[0]) for d in dpws]
+    inits, nodes, edges = _policy_bilayer_product(prod, reach, automata)
+    priority = {x: _priority(dpws, x[-1]) for x in nodes}
+    cycle = cycle_with_max_parity(nodes, edges.__getitem__, priority, 1)
+    return None if cycle is None else _product_lasso(inits, edges, cycle, lambda v: v[0])
 
 
 def fairness_to_ltl(p):
@@ -1294,6 +1324,18 @@ def _reference_lasso(start, edges, cycle, within):
     )
 
 
+def _reference_fair_walk(comp, succ, edges):
+    """`graph.streett_walk` of ``comp`` under fairness per (state, action)
+    pair: a node requests the transition (state, action, successor state)
+    of each of its edges, and an edge answers the one it takes."""
+    return graph.streett_walk(
+        comp,
+        succ,
+        lambda n: {(n[0], a, m[0]) for a, m in edges[n]},
+        lambda n, m: {(n[0], a, m[0]) for a, m2 in edges[n] if m2 == m},
+    )
+
+
 def _reference_fair_lasso(start, edges, reach):
     trapped = reach.difference(
         graph.backward_reachable(reach, _reference_successors(edges), edges.keys() - reach)
@@ -1305,7 +1347,7 @@ def _reference_fair_lasso(start, edges, reach):
     for comp in graph.sccs(sorted(trapped, key=str), succ):
         comp = set(comp)
         if all(m in comp for n in comp for m in succ(n)):
-            return _reference_lasso(start, edges, graph.covering_walk(comp, succ), reach)
+            return _reference_lasso(start, edges, _reference_fair_walk(comp, succ, edges), reach)
     return None
 
 
@@ -1314,7 +1356,7 @@ def _reference_pair_fair_lasso(start, edges, reach):
     (state, action) pair, or None.  Each cyclic strongly connected part of
     ``reach``, in turn, drops the nodes whose (state, action) pair misses
     one of its outcomes on the edges inside it and is split again; the
-    first part that drops nothing is covered by the lasso's cycle."""
+    lasso's cycle walks the first part that drops nothing."""
 
     def search(region):
         def succ(n):
@@ -1328,7 +1370,8 @@ def _reference_pair_fair_lasso(start, edges, reach):
                 (n[0], a) for n in comp for a, m in edges[n] if (n[0], a, m[0]) not in seen
             }
             if not unfair:
-                return _reference_lasso(start, edges, graph.covering_walk(set(comp), succ), reach)
+                cycle = _reference_fair_walk(comp, succ, edges)
+                return _reference_lasso(start, edges, cycle, reach)
             kept = {n for n in comp if not any((n[0], a) in unfair for a, _ in edges[n])}
             lasso = search(kept)
             if lasso is not None:

@@ -549,9 +549,9 @@ def test_letter_class_constraints_build_no_automaton(tmp_path, capsys, monkeypat
 def test_counter_witness_cycle_is_its_shortest_period(tmp_path, capsys):
     """The commitment route's plan for this QNP loops: it sets q_X,
     decrements X to 0, unsets q_X and increments X again.  The counter
-    check's witness is that 4-step loop, once: the covering walk of the
-    component, folded to the shortest period of its (state, memory)
-    nodes."""
+    check's witness is that 4-step loop, once: the walk of the component
+    (`graph.streett_walk`), folded to the shortest period of its (state,
+    memory) nodes."""
     qnp_file = tmp_path / "loop.qnp"
     qnp_file.write_text(
         "fluents p\nvars X\ninit_values X in {1, 4}\n"
@@ -738,6 +738,22 @@ def test_undeclared_memory_is_malformed_input(tmp_path, capsys):
         assert code == 2, name
         assert doc["error"] == "MalformedInputError"
         assert doc["message"] == "malformed policy JSON: memory states not in memory_states: ['m1']"
+
+
+@pytest.mark.parametrize("doc", [
+    {"memory_states": "m", "initial": "m", "update": [], "output": []},
+    {"memory_states": ["m"], "initial": "m", "update": [], "output": ["mob"]},
+])
+def test_policy_strings_in_place_of_lists_are_malformed_input(tmp_path, capsys, doc):
+    """A string where a policy has a list (``memory_states``, or an update
+    or output entry, which would unpack letter by letter) is malformed
+    input, not a policy that stops and so fails to be a solution."""
+    policy = tmp_path / "policy.json"
+    save_json(doc, str(policy))
+    code, out = run_cli(capsys, "verify", "--mode", "strong", COUNTER_FONDP, str(policy))
+    assert code == 2
+    assert out["error"] == "MalformedInputError"
+    assert out["message"].startswith("malformed policy JSON: ")
 
 
 def test_ltl2dpw_tableau_budget_is_malformed_input(capsys):

@@ -259,6 +259,24 @@ def test_qnp_does_not_imply_fairness():
     assert satisfies(qnp_constraint("X"), res.witness, po)
 
 
+def test_implication_witnesses_walk_one_edge_per_request():
+    """A witness cycle of `implies` takes one edge answering each request
+    of the component found, not every edge of it.  Fairness does not imply
+    ``F G Dec`` on the counter projection: the fair lasso takes 7 steps
+    (13 when the walk covered the component).  The unfair decrement loop
+    of ``true`` against fairness takes 1 (2 before)."""
+    po = counter_projection()
+    fg_dec = ltl_constraint(parse_ltl("F G Dec"))
+    w = implies(fairness_constraint(), fg_dec, po).witness
+    assert w.prefix_states == ()
+    assert w.cycle_states == (POS, ZERO, ZERO, POS, ZERO, POS, POS)
+    assert w.cycle_actions == ("Dec", "Dec", "Inc", "Dec", "Inc", "Dec", "Inc")
+    assert satisfies(fairness_constraint(), w, po) and not satisfies(fg_dec, w, po)
+    w = implies(ALL_TRAJECTORIES, fairness_constraint(), po).witness
+    assert w.prefix_states == () and (w.cycle_states, w.cycle_actions) == ((POS,), ("Dec",))
+    assert not satisfies(fairness_constraint(), w, po)
+
+
 def test_implies_monotone_verdicts():
     """If c implies c' and a policy solves under c', it solves under c."""
     po = counter_projection()

@@ -128,47 +128,6 @@ def distances(comp, succ):
     return dist
 
 
-@settings(max_examples=300, deadline=None)
-@given(digraphs(), st.data())
-def test_closed_walk_takes_each_leg_by_shortest_paths(g, data):
-    """Inside a strongly connected set with a cycle, the walk starts at the
-    first leg's source, takes each leg by a shortest path of at least one
-    edge, joins the legs by shortest paths, and closes."""
-    nodes, succ, _ = g
-    for comp in graph.sccs(nodes, succ.__getitem__):
-        if not graph.has_cycle(comp, succ.__getitem__):
-            continue
-        legs = data.draw(st.lists(st.tuples(*[st.sampled_from(comp)] * 2), min_size=1, max_size=4))
-        comp = set(comp)
-        walk = graph.closed_walk(legs, succ.__getitem__, comp)
-        assert set(walk) <= comp and is_closed_walk(walk, succ)
-        dist = distances(comp, succ)
-        full, at, end = walk + walk[:1], 0, legs[0][0]
-        for u, w in legs:
-            at += dist[end, u]
-            assert full[at] == u
-            at += 1 + min(dist[x, w] for x in succ[u] if x in comp)
-            assert full[at] == w
-            end = w
-        assert at + dist[end, legs[0][0]] == len(walk)
-
-
-@settings(max_examples=300, deadline=None)
-@given(digraphs())
-def test_covering_walk_covers_every_edge(g):
-    nodes, succ, _ = g
-    for comp in graph.sccs(nodes, succ.__getitem__):
-        walk = graph.covering_walk(comp, succ.__getitem__, key=lambda v: -v)
-        comp = set(comp)
-        inside = {(v, w) for v in comp for w in succ[v] if w in comp}
-        if not inside:
-            assert walk is None
-            continue
-        assert walk[0] == max(comp) and set(walk) <= comp
-        assert is_closed_walk(walk, succ)
-        assert {(v, walk[(i + 1) % len(walk)]) for i, v in enumerate(walk)} == inside
-
-
 @st.composite
 def streett_graphs(draw, max_nodes=7):
     """(nodes, successor lists, node requests, edge answers) with nodes
@@ -208,6 +167,45 @@ def test_streett_component_matches_brute_force(g):
     assert (comp is not None) == exists
     if comp is not None:
         assert streett_good(set(comp), succ, requests, answers)
+
+
+@settings(max_examples=400, deadline=None)
+@given(streett_graphs(), st.booleans())
+def test_streett_walk_answers_every_request_of_its_component(g, ask):
+    """On every strongly connected set with a cycle that answers its own
+    requests, the walk starts at the least node by ``key``, stays inside
+    and closes, its edges answer every request of a member, and it is no
+    longer than a shortest path and an edge per request.  When each edge
+    of the start answers every request, it is a shortest cycle through
+    the start; without requests, the STRONG check's cycle."""
+    nodes, succ, requests, answers = g
+    if not ask:
+        requests = [frozenset()] * len(nodes)
+    found = graph.streett_component(
+        nodes, succ.__getitem__, requests.__getitem__, lambda v, w: answers[v, w]
+    )
+    for comp in [*graph.sccs(nodes, succ.__getitem__), *([found] if found else [])]:
+        members = set(comp)
+        if not streett_good(members, succ, requests, answers):
+            continue
+        walk = graph.streett_walk(
+            comp, succ.__getitem__, requests.__getitem__, lambda v, w: answers[v, w],
+            key=lambda v: -v,
+        )
+        assert walk[0] == max(comp) and set(walk) <= members
+        assert is_closed_walk(walk, succ)
+        taken = set().union(*(answers[v, walk[(i + 1) % len(walk)]] for i, v in enumerate(walk)))
+        asked = set().union(*(requests[v] for v in comp))
+        assert asked <= taken
+        # a shortest path and one edge per answered request, and a way back
+        assert len(walk) <= (len(asked) + 1) * len(members)
+        first = [w for w in succ[walk[0]] if w in members]
+        if all(asked <= answers[walk[0], w] for w in first):
+            dist = distances(members, succ)
+            assert len(walk) == 1 + min(dist[w, walk[0]] for w in first)
+        if not ask:
+            cycle = graph.shortest_path(walk[:1], succ.__getitem__, walk[:1], members, True)
+            assert walk == cycle[:-1]
 
 
 @st.composite

@@ -23,7 +23,6 @@ from genplan.omega import (
     cycle_with_max_parity,
     dpw_from_json_dict,
     nba_to_dpw,
-    refute_policy,
     solve_parity,
     synthesize,
 )
@@ -48,6 +47,7 @@ from .helpers import (
     rand_formula,
     rand_game,
     rand_word,
+    refute_policy,
     safra_synthesize,
     synthesis_language_difference,
     verify_strategy,
