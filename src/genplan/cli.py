@@ -168,7 +168,9 @@ def _cmd_synthesize(args):
             }
         )
         return 1
-    verdict = check_solution(p, result.policy, Under(constraint), args.budget, result.nbas)
+    verdict = check_solution(
+        p, result.policy, Under(constraint), args.budget, result.nbas, result.conjuncts
+    )
     doc = {
         "command": "synthesize",
         "realizable": True,

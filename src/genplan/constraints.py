@@ -489,7 +489,7 @@ def _unfair_lasso(p, product, nbas):
 # ---------------------------------------------------------------------------
 
 
-def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None):
+def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None, conjuncts=None):
     """Find a goal-avoiding lasso of the policy product ``prod`` (a
     `model.PolicyProduct`) that satisfies the constraint, or None.
     ``reach`` is the set of ids of its goal-free reachable region.
@@ -505,11 +505,14 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None)
     automaton is determinized.  ``nbas`` are those NBAs when the caller
     has them already (the values of `_conjunct_nbas` of ``c`` and ``p``,
     as synthesis builds them); the search then takes them in any case.
+    ``conjuncts`` are the bound conjuncts (`_conjuncts` of ``c`` and
+    ``p``) when the caller has them already, as a synthesis result does.
     """
     if c.kind == "fairness":
         return _fair_counterexample(prod, reach) or _pair_fair_lasso(prod, reach)
     if nbas is None:
-        classes = [cls for _, cls in _conjuncts(c, p)]
+        conjuncts = _conjuncts(c, p) if conjuncts is None else conjuncts
+        classes = [cls for _, cls in conjuncts]
         if None not in classes:
             return _class_lasso(p, c.level, classes, prod, reach)
         nbas = _conjunct_nbas(c, p, budget).values()

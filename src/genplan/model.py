@@ -15,6 +15,8 @@ import json
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import ge, itemgetter
 
 from . import graph
 from .errors import (
@@ -34,6 +36,8 @@ from .ltl import DEFAULT_BUDGET
 
 _MISSING = object()
 _PARTS = ("states", "init", "observations", "actions", "goal_states", "avail", "obs_fn")
+# the fields of a problem document: _PARTS in order, with obs for obs_fn, then succ
+_FIELDS = ("states", "init", "observations", "actions", "goal_states", "avail", "obs", "succ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,15 +81,18 @@ class Pondp:
     @functools.cached_property
     def _form(self):
         """(`Numbered` form or None, diagnostics), from the fields."""
-        return _number(**{f: getattr(self, f) for f in _PARTS}, succ=self.succ.items())
+        return _formed(*(getattr(self, f) for f in _PARTS), self.succ, _pair_key, tuple)
 
 
 Numbered = namedtuple("Numbered", "states actions observations obs avail succ goal init")
 Numbered.__doc__ = """A valid problem numbered in the ``str`` order of its names
 (``states[i]`` names state i): ``obs[i]`` is the observation id of state i,
 ``avail[i]`` its available action ids and ``succ[i]`` one tuple of successor
-ids per available action, all increasing, and ``goal[i]`` whether it is a
-goal; ``init`` lists the initial ids in increasing order."""
+ids per available action, all increasing and distinct, and ``goal[i]``
+whether it is a goal; ``init`` lists the initial ids in increasing order.
+One pull pass over the states builds it (`_number`), from a decoded
+document or from a problem's fields alike; the diagnostic sweep
+(`_sweep`) runs only for a problem that the pass rejects."""
 
 # the name-keyed fields of a Pondp, from its numbered form
 _NAMED = {
@@ -129,80 +136,145 @@ def _by_names(found):
     return [d for _, d in sorted(found, key=lambda nd: [str(x) for x in nd[0]])]
 
 
-def _number(states, init, observations, actions, goal_states, avail, obs_fn, succ):
-    """Number a problem given by its name-keyed parts (``succ`` as (key,
-    targets) pairs, a key being an (action, state) pair or the text
-    "action|state", split at its first bar) and validate it on the way: the
-    `Numbered` form (None unless valid) and the diagnostics, (code, message,
-    witness) triples by section (init, goals, undeclared states, states,
-    successors), each in ``str`` order of the names they give.  A list or an
-    object where a name belongs raises TypeError."""
-    sid, aid, oid = ({x: i for i, x in enumerate(sorted(dict.fromkeys(xs), key=str))}
-                     for xs in (states, actions, observations))
-    names, acts = tuple(sid), tuple(aid)
-    init, goals = set(init), set(goal_states)
+def _ids(names):
+    """The id of each distinct name, numbered in ``str`` order."""
+    order = dict.fromkeys(names)
+    order = sorted(order) if set(map(type, order)) <= {str} else sorted(order, key=str)
+    return dict(zip(order, range(len(order))))
+
+
+def _formed(states, init, observations, actions, goal_states, avail, obs_fn, succ, key, split):
+    """The `Numbered` form (None unless valid) and the diagnostics of a
+    problem given by its name-keyed parts, ``succ`` keyed by
+    ``key(action)(state)``: `_number`, and for a problem it rejects the
+    diagnostics of `_sweep`, with each key read back by ``split``."""
+    n = _number(states, init, observations, actions, goal_states, avail, obs_fn, succ, key)
+    if n is not None:
+        return n, []
+    pairs = [(split(k), targets) for k, targets in succ.items()]
+    return None, _sweep(states, init, observations, actions, goal_states, avail, obs_fn, pairs)
+
+
+def _number(states, init, observations, actions, goal_states, avail, obs_fn, succ, key):
+    """The `Numbered` form of a problem given by its name-keyed parts, or
+    None unless it is valid; ``succ`` maps ``key(a)(s)`` to the successors
+    of action a at state s.
+
+    One pull pass over the states in ``str`` order reads each state's
+    observation and available actions (states with the same ``avail``
+    list share their action ids), fetches the successor list of each
+    available action by its key and numbers the targets.  The problem is
+    valid exactly when the pass finds nothing missing, unknown or empty,
+    reads every ``obs``, ``avail`` and ``succ`` entry (it reads each at
+    most once, so counting them suffices), and the initial and goal states
+    are states.  A name the pass cannot read (an unhashable one, or a
+    state ``key`` cannot write a key for) rejects the problem too; the
+    sweep then raises TypeError for an unhashable one."""
+    sid, aid, oid = _ids(states), _ids(actions), _ids(observations)
+    names, acts, number = tuple(sid), tuple(aid), sid.__getitem__
+    keys = [key(a) for a in acts]
+    avail_ids, succ_ids, shared, pulled = [], [], {}, 0
+    try:
+        obs = list(map(oid.get, map(obs_fn.__getitem__, names)))
+        for s in names:
+            av = tuple(avail.get(s, ()))
+            group = shared.get(av)
+            if group is None:
+                ks = tuple(sorted({aid[a] for a in av}))
+                group = shared[av] = ks, [keys[k] for k in ks]
+            avail_ids.append(group[0])
+            succ_ids.append(tuple([tuple(map(number, succ[at(s)])) for at in group[1]]))
+            pulled += len(group[0])
+        init = tuple(sorted(set(map(number, init))))
+        goal = [False] * len(names)
+        for s in goal_states:
+            goal[number(s)] = True
+    except (KeyError, TypeError):
+        return None
+    cells = list(chain.from_iterable(succ_ids))
+    if (None in obs or len(obs_fn) != len(names) or pulled != len(succ) or not init
+            or len(avail) != sum(map(avail.__contains__, names)) or not all(cells)):
+        return None
+    if not _increasing(cells):
+        succ_ids = [tuple(tuple(sorted(set(ids))) for ids in row) for row in succ_ids]
+    return Numbered(names, acts, tuple(oid), obs, avail_ids, succ_ids, goal, init)
+
+
+def _pair_key(a):
+    """The ``succ`` key of action ``a`` at a state in a problem built from
+    fields, as a function of the state."""
+    return lambda s: (a, s)
+
+
+def _text_key(a):
+    """The key "a|s" of action ``a`` at state s in a problem document, as a
+    function of s.  A document splits a key at its first bar, so the key of
+    an action that is not text or holds a bar would be read back as another
+    pair: such an action gets keys that no document holds."""
+    return (a + "|").__add__ if type(a) is str and "|" not in a else _no_key
+
+
+def _no_key(s):
+    """A key that no document holds."""
+    return _MISSING
+
+
+def _text_split(key):
+    """The (action, state) pair of a problem document's ``succ`` key."""
+    return key.partition("|")[::2]
+
+
+def _increasing(cells):
+    """Whether each of the nonempty tuples ``cells`` is strictly increasing:
+    in their concatenation, every neighbour that is not larger than the one
+    before it starts a new tuple."""
+    flat = list(chain.from_iterable(cells))
+    seams = map(ge, map(itemgetter(-1), cells), map(itemgetter(0), islice(cells, 1, None)))
+    return sum(map(ge, flat, islice(flat, 1, None))) == sum(seams)
+
+
+def _sweep(states, init, observations, actions, goal_states, avail, obs_fn, succ):
+    """The diagnostics of a problem that `_number` rejects, ``succ`` given
+    as ((action, state), targets) pairs: (code, message, witness) triples
+    by section (init, goals, undeclared states, states, successors), each
+    in ``str`` order of the names they give.  A list or an object where a
+    name belongs raises TypeError."""
+    states, actions, observations = dict.fromkeys(states), set(actions), set(observations)
+    init, goals, succ = set(init), set(goal_states), dict(succ)
     out = [] if init else [("empty init", "no initial state", None)]
     out += [("init not a state", f"initial state {s!r} not in states", s)
-            for s in sorted(init - sid.keys(), key=str)]
+            for s in sorted(init - states.keys(), key=str)]
     out += [("goal not a state", f"goal state {s!r} not in states", s)
-            for s in sorted(goals - sid.keys(), key=str)]
-    # successor ids by (action id, state id), or by names when one is unknown
-    rows, odd, late, number = {}, {}, [], sid.__getitem__
-    for key, targets in succ:
-        a, s = key.partition("|")[::2] if isinstance(key, str) else key
-        try:
-            ids = tuple(sorted(set(map(number, targets))))
-        except KeyError:
-            ids = tuple(targets)  # as empty as the entry
-            late += [((a, s, t), ("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
-                     for t in set(targets) - sid.keys()]
-        k, i = aid.get(a), sid.get(s)
-        if k is None or i is None:
-            odd[(a, s)] = ids
-        else:
-            rows[k, i] = ids
-    for s in sorted({s for _, s in odd}.union(obs_fn, avail) - sid.keys(), key=str):
+            for s in sorted(goals - states.keys(), key=str)]
+    for s in sorted({s for _, s in succ}.union(obs_fn, avail) - states.keys(), key=str):
         hash(obs_fn.get(s)), set(avail.get(s, ()))  # a list in them is malformed too
         out.append(("undeclared state", f"entries for state {s!r}, which is not in states", s))
-    found, obs, avail_ids, succ_ids, shared = [], [], [], [], {}
-    for i, s in enumerate(names):
-        obs.append(oid.get(obs_fn.get(s, _MISSING)))
-        if obs[i] is None:
-            found.append(((s,), ("missing observation", f"state {s!r} has no observation", s)
-                          if s not in obs_fn else
-                          ("unknown observation", f"obs({s!r}) not in observations", s)))
-        # states with the same available actions share their action ids
-        av = tuple(avail.get(s, ()))
-        if av not in shared:
-            shared[av] = tuple(sorted({aid[a] for a in av if a in aid})), set(av) - aid.keys()
-        ks, unknown = shared[av]
-        avail_ids.append(ks)
-        succ_ids.append(tuple([rows.pop((k, i), None) for k in ks]))
-        if unknown or not all(succ_ids[i]):
-            found += [((s, a), ("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
-                      for a in unknown]
-            pairs = [(a, odd.get((a, s))) for a in unknown] + [
-                (acts[k], ids) for k, ids in zip(ks, succ_ids[i])]
-            found += [((s, a), ("empty successor set", f"succ({a!r}, {s!r}) empty or missing",
-                                (s, a))) for a, ids in pairs if not ids]
-    # the entries left in rows are for actions that their states lack
-    unavailable = [(a, s) for a, s in odd if a not in set(avail.get(s, ()))]
-    unavailable += [(acts[k], names[i]) for k, i in rows]
-    late += [((a, s), ("successor for unavailable action", f"succ({a!r}, {s!r}) defined", (s, a)))
-             for a, s in unavailable]
-    out += _by_names(found) + _by_names(late)
-    if out:
-        return None, out
-    init = tuple(sorted(map(number, init)))
-    goal = [s in goals for s in names]
-    return Numbered(names, acts, tuple(oid), obs, avail_ids, succ_ids, goal, init), out
+    found, late = [], []
+    for s in states:
+        if s not in obs_fn:
+            found.append(((s,), ("missing observation", f"state {s!r} has no observation", s)))
+        elif obs_fn[s] not in observations:
+            found.append(((s,), ("unknown observation", f"obs({s!r}) not in observations", s)))
+        av = dict.fromkeys(avail.get(s, ()))
+        found += [((s, a), ("unknown action", f"avail({s!r}) lists {a!r}", (s, a)))
+                  for a in av if a not in actions]
+        found += [((s, a), ("empty successor set", f"succ({a!r}, {s!r}) empty or missing", (s, a)))
+                  for a in av if not succ.get((a, s))]
+    for (a, s), targets in succ.items():
+        late += [((a, s, t), ("unknown successor", f"succ({a!r}, {s!r}) contains {t!r}", t))
+                 for t in dict.fromkeys(targets) if t not in states]
+        if a not in set(avail.get(s, ())):
+            late.append(((a, s), ("successor for unavailable action", f"succ({a!r}, {s!r}) defined",
+                                  (s, a))))
+    return out + _by_names(found) + _by_names(late)
 
 
 def validate(p, cls=None):
     """Check the structural invariants; returns a list of diagnostics,
     empty iff the problem (and its class fit, when given) is valid: its own
-    (`_number`, run when a decoded problem was numbered), then, for a valid
-    problem, its class fit in the ``str`` order of the states."""
+    (`_sweep`'s, found when the problem was numbered and only for one the
+    pull pass rejects), then, for a valid problem, its class fit in the
+    ``str`` order of the states."""
     n, out = p._form[0], list(p._form[1])
     if cls is None or n is None:
         return out
@@ -640,6 +712,8 @@ def _policy_product(p, mu, budget=DEFAULT_BUDGET):
     stops = []
     invalid = None
     queue = list(start)
+    # memory -> observation id -> (action, its id, next memory), read on first use
+    rules = {}
     while queue:
         if len(nodes) > budget:
             raise SizeBudgetExceededError(
@@ -647,18 +721,22 @@ def _policy_product(p, mu, budget=DEFAULT_BUDGET):
             )
         i = queue.pop()
         s, m = state[i], nodes[i][1]
-        obs = n.observations[obs_of[s]]
-        a = mu.output.get((m, obs))
+        o = obs_of[s]
+        try:
+            a, k, m2 = rules[m][o]
+        except KeyError:
+            obs = n.observations[o]
+            a = mu.output.get((m, obs))
+            k, m2 = aid.get(a, -1), mu.update.get((m, obs), m)
+            rules.setdefault(m, {})[o] = a, k, m2
         if a is None:
             stops.append(i)
             continue
-        k = aid.get(a, -1)
         if k not in avail[s]:
             if invalid is None:
                 invalid = i
             continue
         act[i] = a
-        m2 = mu.update.get((m, obs), m)
         out = succ[i] = []
         for s2 in p_succ[s][avail[s].index(k)]:
             node = (names[s2], m2)
@@ -713,7 +791,7 @@ def _goal_free_region(p, prod):
     )
 
 
-def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
+def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None, conjuncts=None):
     """Decide whether ``mu`` solves ``p`` in the requested mode.
 
     STRONG: no reachable goal-free cycle and no goal-free stop.
@@ -725,7 +803,8 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
     constraint) is a Streett condition on the policy product, any other
     LTL constraint is Büchi emptiness of the policy product with the NBAs
     of its conjuncts, and nothing is determinized.  ``nbas`` are those
-    NBAs when the caller has them already (a synthesis result's).
+    NBAs and ``conjuncts`` the bound conjuncts when the caller has them
+    already (a synthesis result's).
     Goal-free stops are counterexamples since finite trajectories satisfy
     every constraint.  ``budget`` caps the policy product nodes, the
     tableaux and the nodes of the product with the NBAs.
@@ -752,7 +831,7 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None):
     elif isinstance(mode, Under):
         from .constraints import counterexample_search
 
-        lasso = counterexample_search(p, mode.constraint, prod, reach, budget, nbas)
+        lasso = counterexample_search(p, mode.constraint, prod, reach, budget, nbas, conjuncts)
         kind, name = "SOLVES_UNDER_CONSTRAINT", getattr(mode.constraint, "name", None)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -844,17 +923,32 @@ def pondp_to_json_dict(p, cls=None):
 
 
 def pondp_from_json_dict(doc):
-    """Decode a problem document, numbering and validating it on the way
-    (`_number`); the problem keeps only its numbered form and diagnostics,
-    so the document can go."""
+    """Decode a problem document, numbering and validating it on the way:
+    one pull pass (`_number`), and the diagnostic sweep (`_sweep`) only
+    for a document that the pass rejects.  The problem keeps only its
+    numbered form and diagnostics, so the document can go.  A field of the
+    wrong shape raises MalformedInputError (`_shaped_fields`)."""
     with decoding("problem JSON"):
         annotations = doc.get("annotations", {})
         _check_annotations(annotations)
-        parts = {f: doc[f] for f in _PARTS[:6]}
         p = object.__new__(Pondp)
         p.__dict__.update(annotations=annotations,
-                          _form=_number(**parts, obs_fn=dict(doc["obs"]), succ=doc["succ"].items()))
+                          _form=_formed(*_shaped_fields(doc), _text_key, _text_split))
         return p
+
+
+def _shaped_fields(doc):
+    """The fields of a problem document, in `_FIELDS` order.  Raises
+    TypeError unless states, init, observations, actions and goal_states
+    are lists, obs, avail and succ objects, and every value of avail and
+    succ a list (one pass over the types of the values, in C)."""
+    fields = list(map(doc.__getitem__, _FIELDS))
+    if {*map(type, fields[:5])} != {list} or {*map(type, fields[5:])} != {dict}:
+        raise TypeError("states, init, observations, actions and goal_states must be lists, "
+                        "and obs, avail and succ objects")
+    if not {*map(type, fields[5].values()), *map(type, fields[7].values())} <= {list}:
+        raise TypeError("every value of avail and succ must be a list")
+    return fields
 
 
 def _check_annotations(doc):

@@ -563,6 +563,7 @@ class SynthesisResult:
     solution: GameSolution = None
     dpws: tuple = None  # the game's automata: one class Dpw or LazyDpw per conjunct
     nbas: tuple = None  # every conjunct's NBA, when some conjunct needs a LazyDpw
+    conjuncts: list = None  # the constraint's bound conjuncts (`constraints._conjuncts`)
 
 
 def synthesize(p, psi, budget=DEFAULT_BUDGET):
@@ -578,8 +579,9 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET):
     conjunct gets an NBA (`constraints._conjunct_nbas`), which the result
     keeps as ``nbas`` for the constraint check of its policy, and each
     conjunct without letter classes plays the complement of its NBA,
-    determinized on the fly as a `LazyDpw`.  The policy comes from
-    `_synthesize_on`.
+    determinized on the fly as a `LazyDpw`.  The result also keeps the
+    bound conjuncts as ``conjuncts``, so the check of its policy binds the
+    constraint no second time.  The policy comes from `_synthesize_on`.
     """
     from .constraints import _conjunct_nbas, _conjuncts, constraint_alphabet
 
@@ -591,11 +593,12 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET):
         LazyDpw(nbas[f], budget, stage="synthesis-game determinization", complement=True)
         for f, cls in conjuncts
     )
-    return _synthesize_on(p, dpws, budget, tuple(nbas.values()) or None)
+    return _synthesize_on(p, dpws, budget, tuple(nbas.values()) or None, conjuncts)
 
 
-def _synthesize_on(p, dpws, budget, nbas=None):
-    """Play the game of ``p`` with ``dpws`` and keep ``nbas`` in the result.
+def _synthesize_on(p, dpws, budget, nbas=None, conjuncts=None):
+    """Play the game of ``p`` with ``dpws`` and keep ``nbas`` and
+    ``conjuncts`` in the result.
     A winning strategy becomes a transducer policy whose memory is the
     played tuples of automaton states (the states themselves when there is
     one automaton) plus a ``halt`` state, minimized over the (memory,
@@ -616,7 +619,7 @@ def _synthesize_on(p, dpws, budget, nbas=None):
         }
         return SynthesisResult(
             realizable=False, counterstrategy=counter, game=game, solution=sol, dpws=dpws,
-            nbas=nbas,
+            nbas=nbas, conjuncts=conjuncts,
         )
     strategy = _uniform_actions(game, _improve_strategy(game, sol))
     played = _played_region(game, strategy)
@@ -652,7 +655,8 @@ def _synthesize_on(p, dpws, budget, nbas=None):
     care = {(m, p.obs_fn[s]) for s, m in prod.nodes}
     policy = policy.minimized(observations, care)
     return SynthesisResult(
-        realizable=True, policy=policy, game=game, solution=sol, dpws=dpws, nbas=nbas
+        realizable=True, policy=policy, game=game, solution=sol, dpws=dpws, nbas=nbas,
+        conjuncts=conjuncts,
     )
 
 

@@ -9,8 +9,10 @@ request id, exit code, the sha1 of its stdout (directory names replaced
 by placeholders), ``cx=N`` when stdout is a JSON report with a
 counterexample of N steps (actions, prefix and cycle together for a
 lasso), ``name=sha1`` for each file it wrote, followed by
-``memory=N`` after a policy file with N memory states, ``nba=sha1`` for
-each automaton ``ltl.ltl_to_nba`` returned, in call order, and a
+``memory=N`` after a policy file with N memory states, ``form=sha1`` for
+each problem ``model.pondp_from_json_dict`` decoded (its `Numbered` form
+and its diagnostics), ``nba=sha1`` for each automaton
+``ltl.ltl_to_nba`` returned, these two in call order, and a
 behaviour entry for each ``omega.synthesize`` call: ``synth=0`` when it
 found no policy, otherwise ``synth=1`` and the policy with its memory
 states renamed m0, m1, ... in first-visit order (observations in ``str``
@@ -21,8 +23,9 @@ automata, in conjunct order: the S states it built and the P distinct
 priorities among them.  Diffing the output of two checkouts shows which
 artifacts and automata a change touched, how the size of each
 counterexample, each written policy, each synthesis game and each game
-automaton moved, and which policies behave differently rather than only
-name their memory differently.
+automaton moved, which decoded problems number or diagnose differently,
+and which policies behave differently rather than only name their memory
+differently.
 Standard library only; no test collects this file.
 """
 
@@ -38,7 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import workloads  # noqa: E402
 
-from genplan import ltl, omega  # noqa: E402
+from genplan import cli, ltl, model, omega  # noqa: E402
 from genplan.cli import main  # noqa: E402
 
 RECORDS = []
@@ -60,6 +63,18 @@ def recorded_ltl_to_nba(*args, **kwargs):
 
 
 translate, ltl.ltl_to_nba = ltl.ltl_to_nba, recorded_ltl_to_nba
+
+
+def recorded_pondp_from_json_dict(doc):
+    """``model.pondp_from_json_dict``, appending the sha1 of the decoded
+    problem's numbered form and diagnostics to RECORDS."""
+    p = decode(doc)
+    RECORDS.append(f"form={sha1(repr(p._form).encode())}")
+    return p
+
+
+decode = model.pondp_from_json_dict
+model.pondp_from_json_dict = cli.pondp_from_json_dict = recorded_pondp_from_json_dict
 
 
 def behaviour(policy, observations):

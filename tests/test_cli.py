@@ -546,6 +546,28 @@ def test_letter_class_constraints_build_no_automaton(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+def test_synthesize_binds_a_letter_class_constraint_once(tmp_path, capsys, monkeypatch):
+    """A synthesize request under a letter-class constraint, a builtin name
+    or LTL text, hands its bound conjuncts to its own constraint check:
+    it binds the constraint (`constraints._conjuncts`) once, and the
+    policy is still checked."""
+    from genplan import constraints
+
+    fondp = tmp_path / "twovar.json"
+    assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
+    capsys.readouterr()
+    c = conjoin(qnp_constraints(["X", "Y"]))
+    text = ltl.pretty(constraint_formula(c, load_pondp(str(fondp))))
+    calls = []
+    bind = constraints._conjuncts
+    monkeypatch.setattr(constraints, "_conjuncts", lambda *a: calls.append(a) or bind(*a))
+    for spec in (c.name, text):
+        calls.clear()
+        code, doc = run_cli(capsys, "synthesize", str(fondp), "--constraint", spec)
+        assert code == 0 and doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
+        assert len(calls) == 1, spec
+
+
 def test_counter_witness_cycle_is_its_shortest_period(tmp_path, capsys):
     """The commitment route's plan for this QNP loops: it sets q_X,
     decrements X to 0, unsets q_X and increments X again.  The counter
@@ -701,6 +723,32 @@ def test_unhashable_problem_value_is_malformed_input(tmp_path, capsys):
         assert code == 2, name
         assert doc["error"] == "MalformedInputError"
         assert doc["message"].startswith("malformed problem JSON: ")
+
+
+def test_wrong_shaped_problem_fields_are_malformed_input(tmp_path, capsys):
+    """A string where the format has a list (read letter by letter it
+    would name one-letter states) and a list of pairs where it has an
+    object are malformed input for every command that loads a problem,
+    not an answer."""
+    letters = {
+        "states": "ab", "init": "a", "observations": "ab", "actions": ["go"], "goal_states": "b",
+        "obs": {"a": "a", "b": "b"}, "avail": {"a": ["go"], "b": []}, "succ": {"go|a": "b"},
+    }
+    pairs = _edited_problem(tmp_path, "pairs", lambda d: d.update(obs=[*d["obs"].items()]))
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps(letters))
+    for problem in (str(path), pairs):
+        for argv in (
+            ["plan", problem],
+            ["verify", "--mode", "fair", problem, CANONICAL],
+            ["simulate", problem, "--policy", CANONICAL],
+            ["synthesize", problem],
+            ["show", problem],
+        ):
+            code, doc = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert doc["error"] == "MalformedInputError"
+            assert doc["message"].startswith("malformed problem JSON: "), argv
 
 
 def test_misshapen_annotations_are_malformed_input(tmp_path, capsys):

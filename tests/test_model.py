@@ -1,6 +1,7 @@
 """Tests for the problem model, trajectories, policies, and solution checking."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -176,6 +177,61 @@ def test_validate_matches_reference_on_mutated_documents(doc):
         expected = _diagnostics(reference_validate, reference_pondp, doc, *args)
         assert _diagnostics(validate, pondp_from_json_dict, doc, *args) == expected
         assert _diagnostics(validate, reference_pondp, doc, *args) == expected
+
+
+@st.composite
+def _reordered_documents(draw):
+    """A concrete counter and its document written another way: every list
+    shuffled, the keys of obs, avail and succ in another order, some target
+    lists reversed and one target repeated.  Some counters name their
+    increment "In|c", which a document's "action|state" keys, split at
+    their first bar, read as another action; the counter is None then."""
+    p = concrete_counter(draw(st.integers(0, 3)), bound=draw(st.integers(3, 6)),
+                         dec_steps=draw(st.sampled_from([(1,), (1, 2), (0, 1, 2)])))
+    doc = pondp_to_json_dict(p)
+    if draw(st.booleans()):
+        doc = json.loads(json.dumps(doc).replace('"Inc', '"In|c'))
+        p = None
+    rng = draw(st.randoms(use_true_random=False))
+    for name in ("obs", "avail", "succ"):
+        items = list(doc[name].items())
+        rng.shuffle(items)
+        doc[name] = dict(items)
+    lists = [doc[name] for name in ("states", "init", "observations", "actions", "goal_states")]
+    for entries in lists + [*doc["avail"].values(), *doc["succ"].values()]:
+        rng.shuffle(entries)
+    targets = list(doc["succ"].values())
+    for entries in rng.sample(targets, draw(st.integers(0, len(targets)))):
+        entries.reverse()
+    entries = rng.choice(targets)
+    entries.insert(rng.randrange(len(entries) + 1), rng.choice(entries))
+    return doc, p
+
+
+BAR_DOCUMENT = {
+    "states": ["a", "b"], "init": ["a"], "observations": ["o"], "actions": ["go|fast"],
+    "goal_states": ["b"], "obs": {"a": "o", "b": "o"}, "avail": {"a": ["go|fast"], "b": []},
+    "succ": {"go|fast|a": ["b"]},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reordered_documents())
+@example((BAR_DOCUMENT, None))
+def test_decoding_ignores_order(case):
+    """A document decodes to the `Numbered` form and the `validate` output
+    of the problem built from its fields (`reference_pondp`) whatever the
+    order of its lists and keys, and with repeated or unsorted targets:
+    for a counter, its own form.  An action whose name holds a bar has its
+    keys read as another action's, so the document is not valid."""
+    doc, p = case
+    decoded, built = pondp_from_json_dict(doc), reference_pondp(doc)
+    assert decoded._form[0] == built._form[0]
+    assert validate(decoded) == validate(built)
+    if p is None:
+        assert validate(decoded)
+    else:
+        assert numbered(decoded) == numbered(p)
 
 
 def test_decoded_problem_plans_and_checks_on_its_numbered_form(tmp_path):
