@@ -23,7 +23,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .model import (
-    FiniteTrajectory, Lasso, _fair_counterexample, _fair_pairs, _nothing, _pair_fair_lasso,
+    FiniteTrajectory, _fair_counterexample, _fair_pairs, _lasso, _nothing, _pair_fair_lasso,
     _policy_streett_lasso, is_fair,
 )
 from .projection import lift_trajectory
@@ -347,33 +347,14 @@ def _policy_bilayer_product(prod, reach, automata, budget=None):
 
 
 def _product_lasso(inits, edges, cycle, state_of):
-    """Turn a bilayer product cycle into a state-level Lasso with a
-    shortest prefix from an initial node; ``state_of`` maps a base node to
-    its problem state.
-
-    The lasso is then shortened without changing its word: while the
-    prefix ends with the cycle's last (state, action) step, that step
-    moves into the cycle, and a cycle made of k copies of a shorter one
-    keeps one copy."""
+    """The lasso (`model._lasso`) of a bilayer product cycle, with a
+    shortest prefix from an initial node: each "m" node ("m", v, a, qs)
+    is the step (v, a), and ``state_of`` maps a base node v to its problem
+    state."""
     if cycle[0][0] != "n":
         cycle = cycle[1:] + cycle[:1]
     prefix = graph.shortest_path(inits, edges.__getitem__, {cycle[0]})[:-1]
-
-    def steps(seq):
-        states = [state_of(x[1]) for x in seq if x[0] == "n"]
-        return list(zip(states, (x[2] for x in seq if x[0] == "m")))
-
-    pre, cyc = steps(prefix), steps(cycle)
-    while pre and pre[-1] == cyc[-1]:
-        cyc.insert(0, cyc.pop())
-        pre.pop()
-    cyc = cyc[:graph.period(cyc)]
-    return Lasso(
-        prefix_states=tuple(s for s, _ in pre),
-        prefix_actions=tuple(a for _, a in pre),
-        cycle_states=tuple(s for s, _ in cyc),
-        cycle_actions=tuple(a for _, a in cyc),
-    )
+    return _lasso(*([x[1:3] for x in seq if x[0] == "m"] for seq in (prefix, cycle)), state_of)
 
 
 # ---------------------------------------------------------------------------

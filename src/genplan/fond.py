@@ -6,6 +6,13 @@ from which the goal is unreachable using only actions whose outcomes all
 stay inside the surviving set.  Auditability beats speed at this scale, so
 no heuristic search is involved, and the output is made deterministic by
 distance-minimizing, lowest-named action choice.
+
+It keeps its own layered search over state ids, not
+`graph.backward_reachable`, because it picks each state's action during
+the search: a version on `graph.backward_reachable` that chose in a
+forward pass took 25.6 ms against 17.4–19.1 ms on the `plan-concrete`
+problem `c0_chain3_18`, and 74–80 ms against 48–50 ms over all of them
+(seed 1, in one process, best of 7).
 """
 
 from __future__ import annotations

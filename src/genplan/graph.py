@@ -4,7 +4,10 @@ engines, their automata and their witnesses.
 One Streett search (`streett_component`) decides every acceptance cycle:
 parity, Büchi, counters, fairness, and any cycle at all (no requests).
 One builder (`streett_walk`) turns the component it finds into a cycle
-that answers the same requests.
+that answers the same requests, and `model._lasso` folds every such
+cycle into a lasso by `period`.  One backward search
+(`backward_reachable`) ranks the nodes that reach a set, and with
+universal nodes it is Zielonka's attractor.
 
 A graph is given by its nodes and a successor function ``succ(v)`` that
 returns a list of nodes (``refine`` reads labelled edges instead).  Ties
@@ -73,38 +76,53 @@ def has_cycle(comp, succ):
     return len(comp) > 1 or comp[0] in succ(comp[0])
 
 
-def reachable(sources, succ):
-    """The set of nodes reachable from ``sources``, sources included."""
-    seen = set(sources)
+def reachable(sources, succ, blocked=()):
+    """The set of nodes reachable from ``sources`` without entering a node
+    of ``blocked``: such a node, even a source, is neither expanded nor
+    returned."""
+    seen = {v for v in sources if v not in blocked}
     stack = list(seen)
     while stack:
         for w in succ(stack.pop()):
-            if w not in seen:
+            if w not in seen and w not in blocked:
                 seen.add(w)
                 stack.append(w)
     return seen
 
 
-def backward_reachable(nodes, succ, targets):
-    """``targets`` together with the members of ``nodes`` that have a path
-    to a target through members of ``nodes``, as a dict from each of them
-    to the length of its shortest path to a target (0 for a target).
+def backward_reachable(nodes, succ, targets, universal=None):
+    """``targets`` together with the members of ``nodes`` that reach them
+    through members of ``nodes``, as a dict from each to its rank: 0 at a
+    target, else one more than the least rank of its successors.  A node
+    where ``universal(v)`` holds joins only once every successor ``succ(v)``
+    lists has joined, one step after the last: with none listed, it never
+    joins unless it is a target.  With the opponent's nodes universal, this
+    is a player's attractor (Zielonka, TCS 1998).
 
     Only edges leaving ``nodes`` are read.  The predecessor lists are
     built once and searched breadth first, so the cost is linear in those
     edges."""
     pred = defaultdict(list)
+    left = {}  # universal node -> the number of its listed successors yet to join
     for v in nodes:
-        for w in succ(v):
+        out = succ(v)
+        for w in out:
             pred[w].append(v)
+        if universal is not None and universal(v):
+            left[v] = len(out)
     dist = dict.fromkeys(targets, 0)
     queue = deque(dist)
     while queue:
         w = queue.popleft()
         for v in pred.get(w, ()):
-            if v not in dist:
-                dist[v] = dist[w] + 1
-                queue.append(v)
+            if v in dist:
+                continue
+            if v in left:
+                left[v] -= 1
+                if left[v]:
+                    continue
+            dist[v] = dist[w] + 1
+            queue.append(v)
     return dist
 
 

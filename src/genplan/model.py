@@ -769,25 +769,30 @@ def _finite_trace(prod, target, within=None):
     )
 
 
-def _lasso_from_product(prod, cycle, reach):
-    """Build a Lasso from a product cycle (list of ids, closing implicitly)
-    with a prefix inside the goal-free region ``reach``."""
-    prefix = _finite_trace(prod, cycle[0], reach)
+def _lasso(prefix, cycle, state_of):
+    """The Lasso of a product run given as ``prefix`` and ``cycle`` lists
+    of (base node, action) steps; ``state_of`` maps a base node to its
+    state.  Without changing the word: while the prefix ends with the
+    cycle's last step, that step moves into the cycle, and the cycle keeps
+    its shortest period (`graph.period`).  Steps compare by base node, so
+    a cycle on a policy's product still closes in the policy's memory."""
+    while prefix and prefix[-1] == cycle[-1]:
+        cycle.insert(0, cycle.pop())
+        prefix.pop()
+    cycle = cycle[:graph.period(cycle)]
     return Lasso(
-        prefix_states=prefix.states[:-1],
-        prefix_actions=prefix.actions,
-        cycle_states=tuple(prod.nodes[i][0] for i in cycle),
-        cycle_actions=tuple(prod.act[i] for i in cycle),
+        prefix_states=tuple(state_of(v) for v, _ in prefix),
+        prefix_actions=tuple(a for _, a in prefix),
+        cycle_states=tuple(state_of(v) for v, _ in cycle),
+        cycle_actions=tuple(a for _, a in cycle),
     )
 
 
 def _goal_free_region(p, prod):
     """The ids reachable from the initial nodes without passing a goal."""
     goal = numbered(p).goal
-    free = [not goal[s] for s in prod.state]
-    succ = prod.succ
     return graph.reachable(
-        [i for i in prod.start if free[i]], lambda i: [j for j in succ[i] if free[j]]
+        prod.start, prod.succ.__getitem__, {i for i, s in enumerate(prod.state) if goal[s]}
     )
 
 
@@ -873,17 +878,18 @@ def _fair_pairs(succ, step):
 
 
 def _policy_streett_lasso(prod, reach, requests, answers, region=None):
-    """The lasso of the policy product whose cycle is the
+    """The lasso (`_lasso`) of the policy product whose cycle is the
     `graph.streett_walk` of the first component inside ``region``
-    (``reach`` when None) that `graph.streett_component` finds, folded to
-    its shortest period of (state, memory) nodes, with a prefix inside
-    ``reach``; or None."""
+    (``reach`` when None) that `graph.streett_component` finds, with a
+    shortest prefix inside ``reach``; or None."""
     succ, key, region = prod.succ.__getitem__, _by_str(prod), reach if region is None else region
     comp = graph.streett_component(region, succ, requests, answers, key)
     if comp is None:
         return None
     walk = graph.streett_walk(comp, succ, requests, answers, key)
-    return _lasso_from_product(prod, walk[:graph.period(walk)], reach)
+    path = graph.shortest_path([i for i in prod.start if i in reach], succ, {walk[0]}, reach)
+    steps = ([(prod.nodes[i], prod.act[i]) for i in ids] for ids in (path[:-1], walk))
+    return _lasso(*steps, itemgetter(0))
 
 
 # ---------------------------------------------------------------------------

@@ -367,36 +367,20 @@ def _entries(priority):
 
 def _attractor(g, nodes, player, target):
     """Player-``player`` attractor to ``target`` (a subset of ``nodes``) in
-    the subgame of ``g`` on ``nodes``; returns (set, strategy).  Nodes are
-    visited in the order of ``g.nodes``, so the strategy does not depend on
-    string hashing."""
-    owner = g.owner
-    order = [v for v in g.nodes if v in nodes]
-    preds = {v: [] for v in order}
-    out_deg = {}
-    for v in order:
-        inside = [w for w in g.edges[v] if w in nodes]
-        out_deg[v] = len(inside)
-        for w in inside:
-            preds[w].append(v)
-    strategy = {}
-    queue = [v for v in order if v in target]
-    attr = set(queue)
-    while queue:
-        w = queue.pop()
-        for v in preds[w]:
-            if v in attr:
-                continue
-            if owner[v] == player:
-                attr.add(v)
-                strategy[v] = w
-                queue.append(v)
-            else:
-                out_deg[v] -= 1
-                if out_deg[v] == 0:
-                    attr.add(v)
-                    queue.append(v)
-    return attr, strategy
+    the subgame of ``g`` on ``nodes``, the other player's nodes universal
+    (`graph.backward_reachable`); returns (set, strategy).  A player node
+    outside ``target`` moves to its first successor in edge order whose
+    rank is one lower, so the strategy does not depend on string hashing."""
+
+    def inside(v):
+        return [w for w in g.edges[v] if w in nodes]
+
+    rank = graph.backward_reachable(nodes, inside, target, lambda v: g.owner[v] != player)
+    strategy = {
+        v: next(w for w in g.edges[v] if rank.get(w) == r - 1)
+        for v, r in rank.items() if r and g.owner[v] == player
+    }
+    return set(rank), strategy
 
 
 def solve_parity(g):

@@ -18,14 +18,16 @@ found no policy, otherwise ``synth=1`` and the policy with its memory
 states renamed m0, m1, ... in first-visit order (observations in ``str``
 order), as ``{observation: action}`` when it is memoryless and as
 ``memory|observation>action>memory`` entries when not, then ``game=N``
-for the N nodes of its parity game and ``dpw=S/P`` for each of its
-automata, in conjunct order: the S states it built and the P distinct
-priorities among them.  Diffing the output of two checkouts shows which
-artifacts and automata a change touched, how the size of each
-counterexample, each written policy, each synthesis game and each game
-automaton moved, which decoded problems number or diagnose differently,
-and which policies behave differently rather than only name their memory
-differently.
+for the N nodes of its parity game, ``region=sha1`` of its winning
+regions (the (node, player) pairs sorted by ``repr``), and ``dpw=S/P``
+for each of its automata, in conjunct order: the S states it built and
+the P distinct priorities among them.  Diffing the output of two
+checkouts shows which artifacts and automata a change touched, how the
+size of each counterexample, each written policy, each synthesis game
+and each game automaton moved, which decoded problems number or diagnose
+differently, which policies behave differently rather than only name
+their memory differently, and whether a solver change that moves raw
+strategies left the winning regions alone.
 Standard library only; no test collects this file.
 """
 
@@ -98,14 +100,16 @@ def behaviour(policy, observations):
 
 
 def recorded_synthesize(p, *args, **kwargs):
-    """``omega.synthesize``, appending its verdict, behaviour, game size and
-    automaton sizes to RECORDS."""
+    """``omega.synthesize``, appending its verdict, behaviour, game size,
+    winning regions and automaton sizes to RECORDS."""
     result = synthesize(p, *args, **kwargs)
     if result.realizable:
         RECORDS.append(f"synth=1 {behaviour(result.policy, p.observations)}")
     else:
         RECORDS.append("synth=0")
     RECORDS.append(f"game={len(result.game.nodes)}")
+    regions = sorted(result.solution.region.items(), key=repr)
+    RECORDS.append(f"region={sha1(repr(regions).encode())}")
     RECORDS.extend(f"dpw={len(d.states)}/{len(set(d.priority.values()))}" for d in result.dpws)
     return result
 

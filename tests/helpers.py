@@ -1312,15 +1312,23 @@ def _reference_trace(start, edges, target, within=None):
 
 def _reference_lasso(start, edges, cycle, within):
     """The lasso of the node ``cycle``, cut to its shortest repeating
-    part."""
+    part, then turned back along its prefix: while the prefix's last
+    (node, action) step is the cycle's last, the cycle starts there."""
     n = len(cycle)
     cycle = next(cycle[:d] for d in range(1, n + 1) if cycle == cycle[:d] * (n // d))
-    prefix = _reference_trace(start, edges, cycle[0], within)
+    path = graph.shortest_path(
+        [v for v in start if v in within], _reference_successors(edges), {cycle[0]}, within
+    )[:-1]
+    prefix = list(zip(path, _reference_actions_along(edges, path + cycle[:1])))
+    steps = list(zip(cycle, _reference_actions_along(edges, cycle + cycle[:1])))
+    while prefix and prefix[-1] == steps[-1]:
+        prefix.pop()
+        steps = steps[-1:] + steps[:-1]
     return Lasso(
-        prefix_states=prefix.states[:-1],
-        prefix_actions=prefix.actions,
-        cycle_states=tuple(n[0] for n in cycle),
-        cycle_actions=_reference_actions_along(edges, cycle + cycle[:1]),
+        prefix_states=tuple(v[0] for v, _ in prefix),
+        prefix_actions=tuple(a for _, a in prefix),
+        cycle_states=tuple(v[0] for v, _ in steps),
+        cycle_actions=tuple(a for _, a in steps),
     )
 
 

@@ -595,6 +595,42 @@ def test_counter_witness_cycle_is_its_shortest_period(tmp_path, capsys):
     assert cx["cycle_states"] == ["X>0", "q_X,X>0", "p,q_X,X=0", "p,X=0"]
 
 
+TOGGLE_PROBLEM = {
+    "states": ["s", "g"], "init": ["s"], "observations": ["o", "og"], "actions": ["a", "b"],
+    "goal_states": ["g"], "obs": {"s": "o", "g": "og"}, "avail": {"s": ["a", "b"], "g": []},
+    "succ": {"a|s": ["s"], "b|s": ["g"]},
+}
+TOGGLE_POLICY = {
+    "memory_states": ["m0", "m1"], "initial": "m0",
+    "update": [["m0", "o", "m1"], ["m1", "o", "m0"]],
+    "output": [["m0", "o", "a"], ["m1", "o", "a"]],
+}
+
+
+@pytest.mark.parametrize("spec", ["G (o -> X a)", "G (a -> X o)", "G F a & G (o -> X a)"])
+def test_constraint_witness_closes_in_policy_memory(tmp_path, capsys, spec):
+    """A policy that takes a at s from either of two memory states,
+    toggling between them, loops on s forever, and the loop satisfies
+    each constraint.  The constraint check's witness is the STRONG one,
+    whose cycle visits s once per memory state: its lasso is folded by
+    (state, memory) nodes, so it closes in the policy's memory, where the
+    one-step cycle ``s a`` would leave the policy in the other one."""
+    problem, policy = tmp_path / "toggle.json", tmp_path / "toggle.policy.json"
+    save_json(TOGGLE_PROBLEM, str(problem))
+    save_json(TOGGLE_POLICY, str(policy))
+    _, strong = run_cli(capsys, "verify", "--mode", "strong", str(problem), str(policy))
+    code, doc = run_cli(capsys, "verify", "--mode", "constraint", str(problem), str(policy), spec)
+    assert code == 1 and doc["counterexample"] == strong["counterexample"]
+    cx, mu = doc["counterexample"], policy_from_json_dict(TOGGLE_POLICY)
+    m = mu.initial
+    for s in cx["prefix_states"]:
+        m = mu.next_memory(m, TOGGLE_PROBLEM["obs"][s])
+    start = m
+    for s in cx["cycle_states"]:
+        m = mu.next_memory(m, TOGGLE_PROBLEM["obs"][s])
+    assert m == start
+
+
 def test_verify_constraint_honours_budget(tmp_path, capsys, monkeypatch):
     """The constraint check counts the automaton states it builds against
     --budget and GENPLAN_BUDGET; overflowing is malformed input (exit 2)."""

@@ -54,19 +54,47 @@ def test_sccs_are_mutual_reachability_classes(g):
         assert graph.has_cycle(comp, succ.__getitem__) == (comp[0] in reach[comp[0]])
 
 
+def attractor(nodes, succ, targets, universal):
+    """The least set holding ``targets``, every node with a successor in
+    it, and every node of ``universal`` with successors, all in it."""
+    out = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for v in nodes:
+            join = all if v in universal else any
+            if v not in out and succ[v] and join(w in out for w in succ[v]):
+                out.add(v)
+                changed = True
+    return out
+
+
 @settings(max_examples=300, deadline=None)
-@given(digraphs(), st.sets(st.integers(0, 7)))
-def test_backward_reachable_matches_oracle(g, targets):
+@given(digraphs(), st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)))
+def test_backward_reachable_matches_oracle(g, targets, universal):
+    """Without universal nodes, the members are the nodes that reach a
+    target, ranked by their distance to one; with some, the members are
+    the attractor, and a universal node ranks one after its last
+    successor."""
     nodes, succ, _ = g
     targets = {t for t in targets if t < len(nodes)}
     dist = graph.backward_reachable(nodes, succ.__getitem__, targets)
     assert set(dist) == _can_reach(set(nodes), succ.__getitem__, targets)
-    for v, d in dist.items():
-        if v in targets:
-            assert d == 0
-        else:
-            assert d == 1 + min(dist[w] for w in succ[v] if w in dist)
+    rank = graph.backward_reachable(nodes, succ.__getitem__, targets, universal.__contains__)
+    assert set(rank) == attractor(nodes, succ, targets, universal)
+    for ranks, every in ((dist, set()), (rank, universal)):
+        for v, d in ranks.items():
+            if v in targets:
+                assert d == 0
+            elif v in every:
+                assert d == 1 + max(ranks[w] for w in succ[v])
+            else:
+                assert d == 1 + min(ranks[w] for w in succ[v] if w in ranks)
     assert graph.reachable([0], succ.__getitem__) == {0} | closure(nodes, succ)[0]
+    # targets as blocked nodes: a blocked source is neither expanded nor returned
+    kept = {v: [w for w in succ[v] if w not in targets] for v in nodes}
+    free = set() if 0 in targets else {0} | closure(nodes, kept)[0]
+    assert graph.reachable([0], succ.__getitem__, targets) == free
 
 
 @settings(max_examples=300, deadline=None)

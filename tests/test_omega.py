@@ -708,8 +708,8 @@ THREEVAR_CHAIN = (
 
 
 def test_solved_strategy_ignores_hash_seed():
-    """Zielonka's attractors visit nodes in the game's order, so the solved
-    strategy of `counter` and `threevar_chain`, with builtin counter
+    """Zielonka's attractor strategies move to the first successor in edge
+    order one rank closer to the target, so the solved strategy of `counter` and `threevar_chain`, with builtin counter
     constraints on their letter-class automata and on the compact-Safra
     automata of their conjunct NBAs, is the same under hash seeds 0 and 1
     (compared by sha1)."""
