@@ -183,7 +183,12 @@ def _cmd_synthesize(args):
 def _cmd_qnp2fond(args):
     with open(args.input) as fh:
         q = qnp.parse_qnp(fh.read())
-    diagnostics = qnp.closure_diagnostics(q)
+    diagnostics = [{"action": a, "message": m} for a, m in qnp.closure_diagnostics(q)]
+    if args.close and diagnostics:
+        # well formed, but outside what the commitment closure takes: a negative answer
+        _emit({"command": "qnp2fond", "closed": False, "reason": "NOT_CLOSURE_ELIGIBLE",
+               "closure_diagnostics": diagnostics})
+        return 1
     if args.close:
         q = qnp.close_qnp(q)
     proj = qnp.syntactic_projection(q)
@@ -195,9 +200,7 @@ def _cmd_qnp2fond(args):
             "closed": bool(args.close),
             "states": len(proj.fondp.states),
             "description": proj.description,
-            "closure_diagnostics": [
-                {"action": a, "message": m} for a, m in diagnostics
-            ],
+            "closure_diagnostics": diagnostics,
             "output": args.output,
         }
     )

@@ -335,15 +335,13 @@ def _policy_bilayer_product(prod, reach, automata, budget=None):
     """Bilayer product of the policy product ``prod`` (a
     `model.PolicyProduct`), inside its region ``reach``, with ``automata``
     (triples as `_bilayer_product` takes them).  Its base nodes are the
-    (state, memory) pairs, because the cycle searches on it break ties by
-    their ``str``; ``budget`` caps its "n" nodes."""
-    nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
+    policy product's ids; ``budget`` caps its "n" nodes."""
+    succ, act = prod.succ, prod.act
 
-    def moves(v):
-        i = index[v]
-        return [(act[i], [nodes[j] for j in succ[i] if j in reach])] if succ[i] else []
+    def moves(i):
+        return [(act[i], [j for j in succ[i] if j in reach])] if succ[i] else []
 
-    return _bilayer_product([nodes[i] for i in prod.start if i in reach], automata, moves, budget)
+    return _bilayer_product([i for i in prod.start if i in reach], automata, moves, budget)
 
 
 def _product_lasso(inits, edges, cycle, state_of):
@@ -420,7 +418,9 @@ def _streett_product_lasso(product, nbas, requests=_nothing, answers=_nothing, s
     state (`_product_lasso`).  Beyond ``requests`` and ``answers``, each
     node requests, for each automaton, a node that holds an accepting
     state of it: with no other requests, generalized Büchi emptiness
-    (Couvreur, FM 1999)."""
+    (Couvreur, FM 1999).  Ties go to the node the product found first,
+    and the walk starts at the first member that holds an accepting
+    state."""
     inits, nodes, edges = product
     succ = succ or edges.__getitem__
     every = set(range(len(nbas)))
@@ -437,9 +437,9 @@ def _streett_product_lasso(product, nbas, requests=_nothing, answers=_nothing, s
     comp = graph.streett_component(nodes, succ, wants, gives)
     if comp is None:
         return None
-    # from the least node that holds an accepting state, one Büchi condition
-    # gets the shortest cycle through it, not a detour from a lesser node
-    walk = graph.streett_walk(comp, succ, wants, gives, key=lambda x: (not accepting(x), str(x)))
+    # from an accepting member, one Büchi condition gets the shortest cycle
+    # through it, not a detour from an earlier node
+    walk = graph.streett_walk(sorted(comp, key=lambda x: not accepting(x)), succ, wants, gives)
     return _product_lasso(inits, edges, walk, state_of)
 
 
@@ -527,7 +527,7 @@ def accepted_policy_lasso(p, level, nbas, prod, reach, budget=L.DEFAULT_BUDGET):
     None: a cycle of their bilayer product with the policy product
     (`_policy_bilayer_product`) that passes an accepting state of each
     (`_streett_product_lasso`).  ``budget`` caps its nodes."""
-    letter = _letter(level, p)
-    automata = [(sorted(a.initial), a.successors, lambda v: letter(v[0])) for a in nbas]
+    letter, nodes = _letter(level, p), prod.nodes
+    automata = [(sorted(a.initial), a.successors, lambda i: letter(nodes[i][0])) for a in nbas]
     product = _policy_bilayer_product(prod, reach, automata, budget)
-    return _streett_product_lasso(product, nbas, state_of=lambda v: v[0])
+    return _streett_product_lasso(product, nbas, state_of=lambda i: nodes[i][0])

@@ -11,11 +11,12 @@ universal nodes it is Zielonka's attractor.
 
 A graph is given by its nodes and a successor function ``succ(v)`` that
 returns a list of nodes (``refine`` reads labelled edges instead).  Ties
-are broken by list order: sources in the order given, successors in the
-order ``succ`` returns them, and node sets sorted by ``str``.  So every
-search is deterministic, and witnesses built from it are reproducible
-byte for byte.  Standard library only; nothing here knows about
-problems, automata or games.
+are broken by list order: nodes and sources in the order the caller gives
+them, successors in the order ``succ`` returns them.  Callers list a
+product's nodes in the order it found them, so every search is
+deterministic, no witness depends on what the nodes are called, and
+witnesses are reproducible byte for byte.  Standard library only;
+nothing here knows about problems, automata or games.
 """
 
 from __future__ import annotations
@@ -155,47 +156,48 @@ def shortest_path(sources, succ, targets, allowed=None, nonempty=False):
     return None
 
 
-def streett_component(nodes, succ, requests, answers, key=str):
+def streett_component(nodes, succ, requests, answers):
     """The first strongly connected set inside ``nodes`` that has a cycle
-    and answers every request its members make, as a list, or None:
-    Streett emptiness by SCC refinement (Emerson & Lei, 1987).  Node v
-    makes the requests ``requests(v)``, the edge from v to w answers
-    ``answers(v, w)``.  A cyclic component with a request that none of its
-    inner edges answers loses the nodes that make one, and the rest is
-    split again, depth first, in Tarjan's order over nodes sorted by ``key``."""
+    and answers every request its members make, as a list in the order of
+    ``nodes``, or None: Streett emptiness by SCC refinement (Emerson & Lei,
+    1987).  Node v makes the requests ``requests(v)``, the edge from v to w
+    answers ``answers(v, w)``.  A cyclic component with a request that none
+    of its inner edges answers loses the nodes that make one, and the rest
+    is split again, depth first, in Tarjan's order over ``nodes``."""
+    rank = {v: k for k, v in enumerate(nodes)}
 
     def search(region):
         def inner(v):
             return [w for w in succ(v) if w in region]
 
-        for comp in sccs(sorted(region, key=key), inner):
+        for comp in sccs(region, inner):
             if has_cycle(comp, inner):
+                comp.sort(key=rank.__getitem__)
                 members = set(comp)
                 answered = [answers(v, w) for v in comp for w in inner(v) if w in members]
                 bad = set().union(*map(requests, comp)).difference(*answered)
                 if not bad:
                     return comp
-                found = search({v for v in comp if not requests(v) & bad})
+                found = search(dict.fromkeys(v for v in comp if not requests(v) & bad))
                 if found is not None:
                     return found
         return None
 
-    return search(set(nodes))
+    return search(rank)
 
 
-def streett_walk(comp, succ, requests, answers, key=str):
+def streett_walk(comp, succ, requests, answers):
     """A closed walk inside the strongly connected set ``comp`` whose
     edges answer every request a member makes (`streett_component` finds
     such sets), as a node list that closes back to its first node.
 
-    From the least node by ``key``, it goes by a shortest path to the
-    nearest node with an inner edge answering an open request, takes of
-    those edges the one whose end is nearest the start (the first in
-    ``succ`` order on a tie), and repeats until nothing is open; a
-    shortest path closes it.  Without requests, or when each edge of the
-    start answers all of them (as at an accepting node of one Büchi
-    condition), it is the shortest cycle through the start.  Each inner
-    edge's answers are computed once."""
+    From ``comp[0]``, it goes by a shortest path to the nearest node with
+    an inner edge answering an open request, takes of those edges the one
+    whose end is nearest the start (the first in ``succ`` order on a tie),
+    and repeats until nothing is open; a shortest path closes it.  Without
+    requests, or when each edge of the start answers all of them (as at an
+    accepting node of one Büchi condition), it is the shortest cycle
+    through the start.  Each inner edge's answers are computed once."""
     members = set(comp)
     out = {v: {w: answers(v, w) for w in succ(v) if w in members} for v in comp}
     todo = set().union(*map(requests, comp))
@@ -204,7 +206,7 @@ def streett_walk(comp, succ, requests, answers, key=str):
         for r in set().union(*edges.values()) & todo:
             offered[r].append(v)
     left = Counter(v for vs in offered.values() for v in vs)  # the open requests each offers
-    walk = [min(comp, key=key)]
+    walk = [comp[0]]
     home = backward_reachable(comp, out.__getitem__, walk)
     while todo:
         path = shortest_path(walk[-1:], out.__getitem__, left)

@@ -676,17 +676,16 @@ class PolicyProduct:
     """The product of a problem with a policy, reachable from the initial
     states, with nodes numbered in the order they are found.
 
-    ``nodes[i]`` is the (state, memory) pair of node i and ``index`` its
-    inverse; ``succ[i]`` lists the successor ids in the ``str`` order of
-    their states and ``act[i]`` is the action the policy takes at node i
-    (None where it stops or picks an unavailable action).  ``start`` holds
-    the initial ids, ``stops`` the ids whose output is undefined, and
-    ``invalid`` the first id found whose action is unavailable, or None.
-    ``state[i]`` is the problem's `Numbered` id of node i's state.
+    ``nodes[i]`` is the (state, memory) pair of node i; ``succ[i]`` lists
+    the successor ids in the ``str`` order of their states and ``act[i]``
+    is the action the policy takes at node i (None where it stops or picks
+    an unavailable action).  ``start`` holds the initial ids, ``stops`` the
+    ids whose output is undefined, and ``invalid`` the first id found whose
+    action is unavailable, or None.  ``state[i]`` is the problem's
+    `Numbered` id of node i's state.
     """
 
     nodes: list
-    index: dict
     succ: list
     act: list
     start: list
@@ -749,13 +748,7 @@ def _policy_product(p, mu, budget=DEFAULT_BUDGET):
                 act.append(None)
                 queue.append(j)
             out.append(j)
-    return PolicyProduct(nodes, index, succ, act, start, stops, invalid, state)
-
-
-def _by_str(prod):
-    """Sort key ordering node ids by the ``str`` of their (state, memory)
-    pairs."""
-    return lambda i: str(prod.nodes[i])
+    return PolicyProduct(nodes, succ, act, start, stops, invalid, state)
 
 
 def _finite_trace(prod, target, within=None):
@@ -813,17 +806,19 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None, conjuncts=None
     Goal-free stops are counterexamples since finite trajectories satisfy
     every constraint.  ``budget`` caps the policy product nodes, the
     tableaux and the nodes of the product with the NBAs.
-    Every counterexample cycle is the `graph.streett_walk` of the
-    component its search found, under that search's requests: for STRONG,
-    which makes none, the shortest cycle through the component's least
-    node.
+    Ties go to the node the product found first: a goal-free stop is
+    the earliest found, and every counterexample cycle is the
+    `graph.streett_walk` of the component its search found, under that
+    search's requests (for STRONG, which makes none, the shortest cycle
+    through the component's earliest node).  So renaming memory states
+    changes no witness.
     """
     prod = _policy_product(p, mu, budget)
     if prod.invalid is not None:
         return Verdict(kind="INVALID_POLICY", witness=_finite_trace(prod, prod.invalid))
 
     reach = _goal_free_region(p, prod)
-    stop = min((i for i in prod.stops if i in reach), key=_by_str(prod), default=None)
+    stop = min((i for i in prod.stops if i in reach), default=None)
     if stop is not None:
         return Verdict(kind="NOT_A_SOLUTION", counterexample=_finite_trace(prod, stop, reach))
 
@@ -882,11 +877,11 @@ def _policy_streett_lasso(prod, reach, requests, answers, region=None):
     `graph.streett_walk` of the first component inside ``region``
     (``reach`` when None) that `graph.streett_component` finds, with a
     shortest prefix inside ``reach``; or None."""
-    succ, key, region = prod.succ.__getitem__, _by_str(prod), reach if region is None else region
-    comp = graph.streett_component(region, succ, requests, answers, key)
+    succ, region = prod.succ.__getitem__, sorted(reach if region is None else region)
+    comp = graph.streett_component(region, succ, requests, answers)
     if comp is None:
         return None
-    walk = graph.streett_walk(comp, succ, requests, answers, key)
+    walk = graph.streett_walk(comp, succ, requests, answers)
     path = graph.shortest_path([i for i in prod.start if i in reach], succ, {walk[0]}, reach)
     steps = ([(prod.nodes[i], prod.act[i]) for i in ids] for ids in (path[:-1], walk))
     return _lasso(*steps, itemgetter(0))
@@ -1054,23 +1049,21 @@ def trajectory_to_json_dict(t):
 
 
 def product_to_dot(p, mu, name="product", highlight=(), budget=DEFAULT_BUDGET):
-    """DOT export of the policy product graph; ``highlight`` marks the
-    states of a counterexample."""
+    """DOT export of the policy product graph, its nodes numbered in the
+    order the product found them; ``highlight`` marks the states of a
+    counterexample."""
     hi = set(highlight)
     prod = _policy_product(p, mu, budget)
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    order = sorted(range(len(prod.nodes)), key=_by_str(prod))
-    ids = {i: k for k, i in enumerate(order)}
-    for i in order:
-        s, m = prod.nodes[i]
+    for i, (s, m) in enumerate(prod.nodes):
         shape = "doublecircle" if s in p.goal_states else "circle"
         color = ',style=filled,fillcolor="#ffdddd"' if s in hi else ""
-        lines.append(f'  n{ids[i]} [shape={shape},label="{s}\\n{m}"{color}];')
+        lines.append(f'  n{i} [shape={shape},label="{s}\\n{m}"{color}];')
     for i in prod.start:
-        lines.append(f"  init_{ids[i]} [shape=point]; init_{ids[i]} -> n{ids[i]};")
-    for i in order:
-        for j in prod.succ[i]:
-            lines.append(f'  n{ids[i]} -> n{ids[j]} [label="{prod.act[i]}"];')
+        lines.append(f"  init_{i} [shape=point]; init_{i} -> n{i};")
+    for i, out in enumerate(prod.succ):
+        for j in out:
+            lines.append(f'  n{i} -> n{j} [label="{prod.act[i]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -455,7 +455,8 @@ def cycle_with_max_parity(nodes, succ, priority, parity):
     values ``(i, p)`` of the wrong parity, and an edge out of v answers
     every wrong-parity value below v's own entry.  The cycle is the
     `graph.streett_walk` of the first component `graph.streett_component`
-    finds, under the same requests."""
+    finds, under the same requests, with ties broken by the order of
+    ``nodes``."""
     prio = {v: _entries(priority[v]) for v in nodes}
     wrong = {(i, p) for pr in prio.values() for i, p in enumerate(pr) if p % 2 != parity}
 

@@ -625,20 +625,13 @@ def close_qnp(q):
     the observable precondition X>0.  Adds a commitment fluent per variable
     with set/unset actions; decrements then require the commitment and
     increments its absence, so an unfair decrement loop would have to
-    observe X=0 to release the commitment.
+    observe X=0 to release the commitment.  Raises NotClosureEligibleError
+    on the first of the QNP's `closure_diagnostics`.
     """
-    for a in q.actions:
-        decs = [v for v, e in a.numeric.items() if e == "dec"]
-        if len(decs) > 1:
-            raise NotClosureEligibleError(
-                f"action {a.name!r} decrements more than one variable", action=a.name
-            )
-        for v in decs:
-            if ("var", v, "pos") not in a.pre:
-                raise NotClosureEligibleError(
-                    f"action {a.name!r} decrements {v!r} without precondition {v}>0",
-                    action=a.name,
-                )
+    diagnostics = closure_diagnostics(q)
+    if diagnostics:
+        name, message = diagnostics[0]
+        raise NotClosureEligibleError(f"action {name!r} {message}", action=name)
 
     def qflag(v):
         return f"q_{v}"

@@ -33,7 +33,6 @@ from genplan.model import (
     Pondp,
     Under,
     Verdict,
-    _by_str,
     _finite_trace,
     _goal_free_region,
     _policy_product,
@@ -476,33 +475,32 @@ def dpw_policy_lasso(p, level, dpws, prod, reach):
     every DPW of ``dpws``, or None: the constraint check's reading through
     determinized conjuncts, kept as the reference for its Büchi reading.
     The automata run deterministically along the bilayer product (nodes
-    ("n", (state, memory), qs) before the letter of the state is read and
-    ("m", (state, memory), action, qs) after it), which is searched for a
+    ("n", i, qs) before the letter of the state of policy product node i
+    is read and ("m", i, action, qs) after it), which is searched for a
     cycle whose maximum priority is even in every automaton."""
-    nodes, index, succ, act = prod.nodes, prod.index, prod.succ, prod.act
-    letter = (lambda v: v[0]) if level == "state" else (lambda v: p.obs_fn[v[0]])
-    start = [("n", nodes[i], tuple(d.initial for d in dpws)) for i in prod.start if i in reach]
+    nodes, succ, act = prod.nodes, prod.succ, prod.act
+    letter = (lambda s: s) if level == "state" else p.obs_fn.__getitem__
+    start = [("n", i, tuple(d.initial for d in dpws)) for i in prod.start if i in reach]
     seen = set(start)
     edges = {}
     stack = list(start)
     while stack:
         x = stack.pop()
         if x[0] == "n":
-            _, v, qs = x
-            i = index[v]
-            qs1 = tuple(d.delta[(q, letter(v))] for d, q in zip(dpws, qs))
-            edges[x] = [("m", v, act[i], qs1)] if succ[i] else []
+            _, i, qs = x
+            qs1 = tuple(d.delta[(q, letter(nodes[i][0]))] for d, q in zip(dpws, qs))
+            edges[x] = [("m", i, act[i], qs1)] if succ[i] else []
         else:
-            _, v, a, qs1 = x
+            _, i, a, qs1 = x
             qs2 = tuple(d.delta[(q, a)] for d, q in zip(dpws, qs1))
-            edges[x] = [("n", nodes[j], qs2) for j in succ[index[v]] if j in reach]
+            edges[x] = [("n", j, qs2) for j in succ[i] if j in reach]
         for y in edges[x]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
     priority = {x: tuple(d.priority[q] for d, q in zip(dpws, x[-1])) for x in edges}
     cycle = cycle_with_max_parity(edges, edges.__getitem__, priority, 0)
-    return None if cycle is None else _product_lasso(start, edges, cycle, lambda v: v[0])
+    return None if cycle is None else _product_lasso(start, edges, cycle, lambda i: nodes[i][0])
 
 
 def dpw_counterexample_search(p, c, prod, reach):
@@ -526,15 +524,15 @@ def refute_policy(result, p, policy):
     replayed.)"""
     prod = _policy_product(p, policy)
     reach = _goal_free_region(p, prod)
-    stop = min((i for i in reach if not prod.succ[i]), key=_by_str(prod), default=None)
+    stop = min((i for i in reach if not prod.succ[i]), default=None)
     if stop is not None:
         return _finite_trace(prod, stop, reach)
-    dpws = result.dpws
-    automata = [_reading(d, lambda v: v[0]) for d in dpws]
+    dpws, state_of = result.dpws, lambda i: prod.nodes[i][0]
+    automata = [_reading(d, state_of) for d in dpws]
     inits, nodes, edges = _policy_bilayer_product(prod, reach, automata)
     priority = {x: _priority(dpws, x[-1]) for x in nodes}
     cycle = cycle_with_max_parity(nodes, edges.__getitem__, priority, 1)
-    return None if cycle is None else _product_lasso(inits, edges, cycle, lambda v: v[0])
+    return None if cycle is None else _product_lasso(inits, edges, cycle, state_of)
 
 
 def fairness_to_ltl(p):
@@ -1258,11 +1256,12 @@ def reference_validate(p, cls=None):
 
 def reference_policy_product(p, mu):
     """The policy product keyed by (state, memory) pairs: (start, nodes,
-    edges, stops, invalid), where edges map a node to (action, node) pairs
-    and invalid is the first (node, action) found with an unavailable
-    action.  Explored last found first."""
+    edges, stops, invalid), where nodes map each node to its rank in the
+    order found, edges map a node to (action, node) pairs and invalid is
+    the first (node, action) found with an unavailable action.  Explored
+    last found first."""
     start = [(s, mu.initial) for s in sorted(p.init, key=str)]
-    nodes = set(start)
+    nodes = {node: k for k, node in enumerate(start)}
     edges = {}
     stops = set()
     invalid = None
@@ -1287,7 +1286,7 @@ def reference_policy_product(p, mu):
             node2 = (s2, m2)
             outs.append((a, node2))
             if node2 not in nodes:
-                nodes.add(node2)
+                nodes[node2] = len(nodes)
                 queue.append(node2)
         edges[node] = outs
     return start, nodes, edges, stops, invalid
@@ -1332,19 +1331,20 @@ def _reference_lasso(start, edges, cycle, within):
     )
 
 
-def _reference_fair_walk(comp, succ, edges):
-    """`graph.streett_walk` of ``comp`` under fairness per (state, action)
-    pair: a node requests the transition (state, action, successor state)
-    of each of its edges, and an edge answers the one it takes."""
+def _reference_fair_walk(comp, succ, edges, rank):
+    """`graph.streett_walk` of ``comp``, from its first node by ``rank``,
+    under fairness per (state, action) pair: a node requests the
+    transition (state, action, successor state) of each of its edges, and
+    an edge answers the one it takes."""
     return graph.streett_walk(
-        comp,
+        sorted(comp, key=rank),
         succ,
         lambda n: {(n[0], a, m[0]) for a, m in edges[n]},
         lambda n, m: {(n[0], a, m[0]) for a, m2 in edges[n] if m2 == m},
     )
 
 
-def _reference_fair_lasso(start, edges, reach):
+def _reference_fair_lasso(start, edges, reach, rank):
     trapped = reach.difference(
         graph.backward_reachable(reach, _reference_successors(edges), edges.keys() - reach)
     )
@@ -1352,25 +1352,26 @@ def _reference_fair_lasso(start, edges, reach):
     def succ(n):
         return [m for _, m in edges[n] if m in trapped]
 
-    for comp in graph.sccs(sorted(trapped, key=str), succ):
-        comp = set(comp)
+    for comp in graph.sccs(sorted(trapped, key=rank), succ):
         if all(m in comp for n in comp for m in succ(n)):
-            return _reference_lasso(start, edges, _reference_fair_walk(comp, succ, edges), reach)
+            cycle = _reference_fair_walk(comp, succ, edges, rank)
+            return _reference_lasso(start, edges, cycle, reach)
     return None
 
 
-def _reference_pair_fair_lasso(start, edges, reach):
+def _reference_pair_fair_lasso(start, edges, reach, rank):
     """A goal-free lasso of the tuple-keyed product that is fair per
     (state, action) pair, or None.  Each cyclic strongly connected part of
-    ``reach``, in turn, drops the nodes whose (state, action) pair misses
-    one of its outcomes on the edges inside it and is split again; the
-    lasso's cycle walks the first part that drops nothing."""
+    ``reach``, in turn (in Tarjan's order over ``rank``), drops the nodes
+    whose (state, action) pair misses one of its outcomes on the edges
+    inside it and is split again; the lasso's cycle walks the first part
+    that drops nothing."""
 
     def search(region):
         def succ(n):
             return [m for _, m in edges[n] if m in region]
 
-        for comp in graph.sccs(sorted(region, key=str), succ):
+        for comp in graph.sccs(sorted(region, key=rank), succ):
             if not graph.has_cycle(comp, succ):
                 continue
             seen = {(n[0], a, m[0]) for n in comp for a, m in edges[n] if m in comp}
@@ -1378,7 +1379,7 @@ def _reference_pair_fair_lasso(start, edges, reach):
                 (n[0], a) for n in comp for a, m in edges[n] if (n[0], a, m[0]) not in seen
             }
             if not unfair:
-                cycle = _reference_fair_walk(comp, succ, edges)
+                cycle = _reference_fair_walk(comp, succ, edges, rank)
                 return _reference_lasso(start, edges, cycle, reach)
             kept = {n for n in comp if not any((n[0], a) in unfair for a, _ in edges[n])}
             lasso = search(kept)
@@ -1392,15 +1393,17 @@ def _reference_pair_fair_lasso(start, edges, reach):
 def reference_check(p, mu, mode):
     """`model.check_solution` over the tuple-keyed product, for STRONG,
     FAIR and Under(fairness); the last falls back to a search that is fair
-    per (state, action) pair when no trapped component is found."""
+    per (state, action) pair when no trapped component is found.  Ties go
+    to the node found first."""
     start, nodes, edges, stops, invalid = reference_policy_product(p, mu)
+    rank = nodes.__getitem__
     if invalid is not None:
         return Verdict(kind="INVALID_POLICY", witness=_reference_trace(start, edges, invalid[0]))
     reach = graph.reachable(
         [n for n in start if n[0] not in p.goal_states],
         lambda n: [m for _, m in edges[n] if m[0] not in p.goal_states],
     )
-    for node in sorted(stops & reach, key=str):
+    for node in sorted(stops & reach, key=rank):
         return Verdict(
             kind="NOT_A_SOLUTION", counterexample=_reference_trace(start, edges, node, reach)
         )
@@ -1409,22 +1412,22 @@ def reference_check(p, mu, mode):
         return [m for _, m in edges[n] if m in reach]
 
     if mode == STRONG:
-        for comp in graph.sccs(sorted(reach, key=str), succ_gf):
+        for comp in graph.sccs(sorted(reach, key=rank), succ_gf):
             if graph.has_cycle(comp, succ_gf):
-                v0 = min(comp, key=str)
+                v0 = min(comp, key=rank)
                 cycle = graph.shortest_path([v0], succ_gf, {v0}, set(comp), nonempty=True)
                 return Verdict(
                     kind="NOT_A_SOLUTION",
                     counterexample=_reference_lasso(start, edges, cycle[:-1], reach),
                 )
         return Verdict(kind="STRONG_SOLUTION")
-    lasso = _reference_fair_lasso(start, edges, reach)
+    lasso = _reference_fair_lasso(start, edges, reach, rank)
     if mode == FAIR:
         if lasso is not None:
             return Verdict(kind="NOT_A_SOLUTION", counterexample=lasso)
         return Verdict(kind="FAIR_SOLUTION")
     assert isinstance(mode, Under) and mode.constraint.kind == "fairness"
-    lasso = lasso or _reference_pair_fair_lasso(start, edges, reach)
+    lasso = lasso or _reference_pair_fair_lasso(start, edges, reach, rank)
     if lasso is not None:
         return Verdict(kind="NOT_A_SOLUTION", constraint="fairness", counterexample=lasso)
     return Verdict(kind="SOLVES_UNDER_CONSTRAINT", constraint="fairness")

@@ -60,6 +60,23 @@ def test_qnp2fond_close(tmp_path, capsys):
     assert doc["states"] == 4
 
 
+def test_qnp2fond_close_of_ineligible_qnp_is_negative(tmp_path, capsys):
+    """A well-formed QNP that the commitment closure cannot take is a
+    negative answer, not malformed input: exit 1 with its diagnostics and
+    no ``-o`` file.  Without ``--close`` it translates as before."""
+    src = tmp_path / "dec.qnp"
+    src.write_text("vars X\ninit_values X in {1}\naction Dec\n  dec X\ngoal X=0\n")
+    out = tmp_path / "closed.json"
+    code, doc = run_cli(capsys, "qnp2fond", str(src), "--close", "-o", str(out))
+    assert code == 1 and doc["reason"] == "NOT_CLOSURE_ELIGIBLE"
+    assert doc["closure_diagnostics"] == [
+        {"action": "Dec", "message": "decrements 'X' without precondition X>0"}
+    ]
+    assert not out.exists()
+    code, doc = run_cli(capsys, "qnp2fond", str(src), "-o", str(out))
+    assert code == 0 and out.exists() and not doc["closed"]
+
+
 def test_project(tmp_path, capsys):
     out = tmp_path / "proj.json"
     dot = tmp_path / "proj.dot"

@@ -158,13 +158,14 @@ def distances(comp, succ):
 
 @st.composite
 def streett_graphs(draw, max_nodes=7):
-    """(nodes, successor lists, node requests, edge answers) with nodes
-    0..n-1, at most one request per node and answers drawn from {0, 1}."""
+    """(nodes in a drawn order, successor lists, node requests, edge
+    answers) with nodes 0..n-1, at most one request per node and answers
+    drawn from {0, 1}."""
     n = draw(st.integers(1, max_nodes))
     succ = [sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=3)))) for _ in range(n)]
     requests = [draw(st.frozensets(st.integers(0, 1), max_size=1)) for _ in range(n)]
     answers = {(v, w): draw(st.frozensets(st.integers(0, 1))) for v in range(n) for w in succ[v]}
-    return list(range(n)), succ, requests, answers
+    return draw(st.permutations(range(n))), succ, requests, answers
 
 
 def streett_good(subset, succ, requests, answers):
@@ -182,7 +183,9 @@ def streett_good(subset, succ, requests, answers):
 @given(streett_graphs())
 def test_streett_component_matches_brute_force(g):
     """A Streett component exists iff some subset of the nodes is one (all
-    subsets tried), and the one returned is one."""
+    subsets tried), and the one returned is one, its members listed in the
+    order of ``nodes``.  Without requests it is the first cyclic component
+    that Tarjan's search over ``nodes`` completes."""
     nodes, succ, requests, answers = g
     comp = graph.streett_component(
         nodes, succ.__getitem__, requests.__getitem__, lambda v, w: answers[v, w]
@@ -195,13 +198,20 @@ def test_streett_component_matches_brute_force(g):
     assert (comp is not None) == exists
     if comp is not None:
         assert streett_good(set(comp), succ, requests, answers)
+        assert comp == [v for v in nodes if v in comp]
+    plain = graph.streett_component(nodes, succ.__getitem__, lambda v: (), lambda v, w: ())
+    comps = graph.sccs(nodes, succ.__getitem__)
+    cyclic = [c for c in comps if graph.has_cycle(c, succ.__getitem__)]
+    assert (plain is None) == (not cyclic)
+    if cyclic:
+        assert set(plain) == set(cyclic[0])
 
 
 @settings(max_examples=400, deadline=None)
 @given(streett_graphs(), st.booleans())
 def test_streett_walk_answers_every_request_of_its_component(g, ask):
     """On every strongly connected set with a cycle that answers its own
-    requests, the walk starts at the least node by ``key``, stays inside
+    requests, the walk starts at the component's first node, stays inside
     and closes, its edges answer every request of a member, and it is no
     longer than a shortest path and an edge per request.  When each edge
     of the start answers every request, it is a shortest cycle through
@@ -216,11 +226,11 @@ def test_streett_walk_answers_every_request_of_its_component(g, ask):
         members = set(comp)
         if not streett_good(members, succ, requests, answers):
             continue
+        comp = comp[::-1]
         walk = graph.streett_walk(
-            comp, succ.__getitem__, requests.__getitem__, lambda v, w: answers[v, w],
-            key=lambda v: -v,
+            comp, succ.__getitem__, requests.__getitem__, lambda v, w: answers[v, w]
         )
-        assert walk[0] == max(comp) and set(walk) <= members
+        assert walk[0] == comp[0] and set(walk) <= members
         assert is_closed_walk(walk, succ)
         taken = set().union(*(answers[v, walk[(i + 1) % len(walk)]] for i, v in enumerate(walk)))
         asked = set().union(*(requests[v] for v in comp))

@@ -15,6 +15,7 @@ from genplan.constraints import (
     ALL_TRAJECTORIES,
     conjoin,
     fairness_constraint,
+    ltl_constraint,
     qnp_constraint,
     qnp_constraints,
     satisfies,
@@ -26,6 +27,7 @@ from genplan.errors import (
     UnavailableActionError,
 )
 from genplan.fond import strong_cyclic_plan
+from genplan.ltl import parse_ltl
 from genplan.model import (
     FAIR,
     STRONG,
@@ -673,9 +675,10 @@ def test_verdict_soundness_random_sweep():
                 assert is_fair(p, cx), trial
 
 
-def test_stop_counterexample_is_least_by_str():
-    """Of several goal-free stops, the counterexample ends at the least by
-    ``str``, not at the first one the product numbers."""
+def test_stop_counterexample_is_first_found():
+    """Of several goal-free stops, the counterexample ends at the one the
+    product found first: x, found together with z, before b, which z
+    leads to; not at b, the least by ``str``."""
     p = Pondp(
         states={"s", "x", "z", "b"},
         init={"s"},
@@ -689,7 +692,7 @@ def test_stop_counterexample_is_least_by_str():
     mu = Policy.memoryless({"s": "a", "z": "a"})
     for mode in (STRONG, FAIR, Under(fairness_constraint())):
         cx = check_solution(p, mu, mode).counterexample
-        assert cx.states == ("s", "z", "b"), mode
+        assert cx.states == ("s", "x"), mode
 
 
 @settings(max_examples=300, deadline=None)
@@ -697,12 +700,25 @@ def test_stop_counterexample_is_least_by_str():
 def test_checks_match_tuple_keyed_reference(data):
     """On random partially observable problems and finite-memory policies,
     the STRONG, FAIR and Under(fairness) verdicts, witnesses included, equal
-    those of the tuple-keyed reference product."""
+    those of the tuple-keyed reference product.  Renaming the memory
+    states, in reverse ``str`` order, changes no verdict and no witness in
+    those modes, nor under a constraint outside the letter-class fragment,
+    which the product with its NBA decides."""
     p = data.draw(coarse_problems())
     mu = data.draw(finite_memory_policies(p))
-    for mode in (STRONG, FAIR, Under(fairness_constraint())):
+    names = dict(zip(mu.memory_states, [f"n{k}" for k in range(len(mu.memory_states))][::-1]))
+    renamed = Policy(
+        memory_states=tuple(names.values()),
+        initial=names[mu.initial],
+        update={(names[m], o): names[m2] for (m, o), m2 in mu.update.items()},
+        output={(names[m], o): a for (m, o), a in mu.output.items()},
+    )
+    away = Under(ltl_constraint(parse_ltl("G (a -> X F !a)")))
+    for mode in (STRONG, FAIR, Under(fairness_constraint()), away):
         got = check_solution(p, mu, mode).to_json_dict()
-        assert got == reference_check(p, mu, mode).to_json_dict(), mode
+        if mode is not away:
+            assert got == reference_check(p, mu, mode).to_json_dict(), mode
+        assert check_solution(p, renamed, mode).to_json_dict() == got, mode
 
 
 @settings(max_examples=300, deadline=None)

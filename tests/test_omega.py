@@ -709,13 +709,20 @@ THREEVAR_CHAIN = (
 
 def test_solved_strategy_ignores_hash_seed():
     """Zielonka's attractor strategies move to the first successor in edge
-    order one rank closer to the target, so the solved strategy of `counter` and `threevar_chain`, with builtin counter
-    constraints on their letter-class automata and on the compact-Safra
-    automata of their conjunct NBAs, is the same under hash seeds 0 and 1
-    (compared by sha1)."""
+    order one rank closer to the target, so the solved strategy of
+    `counter` and `threevar_chain`, with builtin counter constraints on
+    their letter-class automata and on the compact-Safra automata of their
+    conjunct NBAs, is the same under hash seeds 0 and 1 (compared by sha1).
+    So are the witnesses of searches that break ties by the order a
+    product found its nodes: an `implies` witness on each problem, the
+    fair one of `counter`, and the Büchi-product witness of a two-memory
+    policy of `counter`."""
     code = (
         "import hashlib, sys\n"
-        "from genplan.constraints import _conjunct_nbas, conjoin, qnp_constraints\n"
+        "from genplan.constraints import ALL_TRAJECTORIES, _conjunct_nbas, conjoin, implies\n"
+        "from genplan.constraints import fairness_constraint, ltl_constraint, qnp_constraints\n"
+        "from genplan.ltl import parse_ltl\n"
+        "from genplan.model import Policy, Under, check_solution\n"
         "from genplan.omega import LazyDpw, _synthesize_on, synthesize\n"
         "from genplan.qnp import parse_qnp, syntactic_projection\n"
         "for text in sys.argv[1:]:\n"
@@ -726,6 +733,14 @@ def test_solved_strategy_ignores_hash_seed():
         "    for res in (synthesize(p, c), _synthesize_on(p, safra, 10**6)):\n"
         "        strategy = sorted(res.solution.strategy.items(), key=repr)\n"
         "        print(hashlib.sha1(repr(strategy).encode()).hexdigest())\n"
+        "    gf = ltl_constraint(parse_ltl('G F ' + max(p.actions)))\n"
+        "    print(implies(ALL_TRAJECTORIES, gf, p).witness)\n"
+        "p = syntactic_projection(parse_qnp(sys.argv[1])).fondp\n"
+        "print(implies(fairness_constraint(), ltl_constraint(parse_ltl('F G Dec')), p).witness)\n"
+        "toggle = {('m0', 'X>0'): 'm1', ('m1', 'X>0'): 'm0'}\n"
+        "mu = Policy(('m0', 'm1'), 'm0', toggle, {('m0', 'X>0'): 'Dec', ('m1', 'X>0'): 'Inc'})\n"
+        "c = ltl_constraint(parse_ltl('G (Dec -> X F Inc)'))\n"
+        "print(check_solution(p, mu, Under(c)).to_json_dict())\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "problems", "counter.qnp")) as f:
@@ -740,7 +755,8 @@ def test_solved_strategy_ignores_hash_seed():
         ).stdout
         for seed in ("0", "1")
     ]
-    assert outs[0] == outs[1] and outs[0].count("\n") == 4
+    assert outs[0] == outs[1] and outs[0].count("\n") == 8
+    assert outs[0].count("Lasso(") == 3 and "NOT_A_SOLUTION" in outs[0]
 
 
 def test_parity_cycle_search():
