@@ -24,6 +24,7 @@ from .constraints import (
     fairness_constraint,
     ltl_constraint,
     qnp_constraint,
+    qnp_constraints,
 )
 from .errors import GenplanError, UnknownVariableError, decoding
 from .model import (
@@ -214,6 +215,12 @@ def _cmd_plan(args):
         _emit({"command": "plan", "reason": "UNSOLVABLE"})
         return 1
     verdict = check_solution(p, mu, FAIR, budget=args.budget)
+    variables = p.annotations.get("variables")
+    if verdict.is_solution and variables:
+        # a fair plan may still loop on the counters the problem names
+        # (generate and test, as in SIEVE): it must also meet each qnp(V)
+        counters = check_solution(p, mu, Under(conjoin(qnp_constraints(variables))), args.budget)
+        verdict = verdict if counters.is_solution else counters
     doc = {"command": "plan", "policy": mu.as_memoryless_mapping()}
     return _emit_verified(doc, mu, verdict, args.output)
 

@@ -399,7 +399,10 @@ def solve_parity(g):
     positionally.  With one entry this is Zielonka's algorithm, and the
     environment's moves are a positional winning strategy too; with more,
     the environment may need memory, and its moves are those of the first
-    entry's round."""
+    entry's round.  Every node a player wins and owns gets a move: an
+    attractor move, a top-node move or one from a recursive call, whose
+    subgame is the complement of an attractor, so each of its nodes keeps
+    an edge inside."""
     prio = {v: _entries(g.priority[v]) for v in g.nodes}
     k = len(next(iter(prio.values()), ()))
 
@@ -437,13 +440,7 @@ def solve_parity(g):
 
     win, strat = rec(set(g.nodes))
     region = {v: player for player in (CONTROLLER, ENVIRONMENT) for v in win[player]}
-    strategy = {**strat[CONTROLLER], **strat[ENVIRONMENT]}
-    # ensure every winning node of its owner has a move recorded
-    for v in g.nodes:
-        if g.owner[v] == region[v] and v not in strategy:
-            same = [w for w in g.edges[v] if region[w] == region[v]]
-            strategy[v] = same[0] if same else g.edges[v][0]
-    return GameSolution(region=region, strategy=strategy)
+    return GameSolution(region=region, strategy={**strat[CONTROLLER], **strat[ENVIRONMENT]})
 
 
 def cycle_with_max_parity(nodes, succ, priority, parity):
@@ -606,8 +603,8 @@ def _synthesize_on(p, dpws, budget, nbas=None, conjuncts=None):
             realizable=False, counterstrategy=counter, game=game, solution=sol, dpws=dpws,
             nbas=nbas, conjuncts=conjuncts,
         )
-    strategy = _uniform_actions(game, _improve_strategy(game, sol))
-    played = _played_region(game, strategy)
+    strategy = _uniform_actions(game, sol.strategy)  # the play reads only controller moves
+    played, _ = _played_region(game, strategy)
     name = (lambda qs: qs[0]) if len(dpws) == 1 else (lambda qs: qs)
     initial = tuple(d.initial for d in dpws)
     memory = sorted(
@@ -676,59 +673,21 @@ def _class_dpw(sigma, s, ts):
 
 def _played_region(game, strategy):
     """Nodes reachable from the initial nodes when the controller follows
-    ``strategy`` and the environment moves freely."""
+    ``strategy`` and the environment moves freely, and the successor
+    function of that play; the region is closed under it."""
 
     def succ(v):
         if game.owner[v] == CONTROLLER and v in strategy:
             return [strategy[v]]
         return game.edges[v]
 
-    return graph.reachable(game.initial, succ)
+    return graph.reachable(game.initial, succ), succ
 
 
 def _play_is_winning(game, strategy):
     """Whether no played cycle has an odd maximum in every entry."""
-    reach = _played_region(game, strategy)
-
-    def succ(v):
-        if game.owner[v] == CONTROLLER and v in strategy:
-            return [strategy[v]] if strategy[v] in reach else []
-        return [w for w in game.edges[v] if w in reach]
-
+    reach, succ = _played_region(game, strategy)
     return cycle_with_max_parity(reach, succ, game.priority, 1) is None
-
-
-def _improve_strategy(game, sol):
-    """Deterministic tie-breaking: greedily lower each reachable controller
-    node's move to the least-indexed alternative that keeps the played game
-    winning.  Edge order encodes action order, so this prefers the
-    lowest-indexed winning action."""
-    strategy = {
-        v: w for v, w in sol.strategy.items()
-        if game.owner[v] == CONTROLLER and sol.region[v] == CONTROLLER
-    }
-    rank = {v: {w: i for i, w in enumerate(game.edges[v])} for v in game.nodes}
-    while True:
-        changed = False
-        for v in sorted(_played_region(game, strategy), key=str):
-            if game.owner[v] != CONTROLLER or v not in strategy:
-                continue
-            current = rank[v][strategy[v]]
-            for w in game.edges[v]:
-                if rank[v][w] >= current:
-                    break
-                if sol.region.get(w) != CONTROLLER:
-                    continue
-                trial = dict(strategy)
-                trial[v] = w
-                if _play_is_winning(game, trial):
-                    strategy = trial
-                    changed = True
-                    break
-            if changed:
-                break
-        if not changed:
-            return strategy
 
 
 def _uniform_actions(game, strategy):
@@ -738,7 +697,8 @@ def _uniform_actions(game, strategy):
     them, and keep the first under which the play still wins.  Nodes that
     agree on their action need no memory to tell them apart."""
     for obs in sorted({v[1] for v in game.nodes if v[0] == "n"}, key=str):
-        nodes = [v for v in _played_region(game, strategy) if v[0] == "n" and v[1] == obs]
+        played, _ = _played_region(game, strategy)
+        nodes = [v for v in played if v[0] == "n" and v[1] == obs]
         actions = sorted({strategy[v][2] for v in nodes}, key=str)
         if len(actions) < 2:
             continue

@@ -402,7 +402,9 @@ def test_criterion_5_generalized_parity_oracle():
     conjunct automata: the controller wins where some entry's maximum is
     even.  Its region matches the enumeration of its positional
     strategies, and its strategy wins there.  (The environment may need
-    memory, so its region is checked as the complement.)"""
+    memory, so its region is checked as the complement.)  Each node the
+    environment owns and wins has a move that stays in its region: the
+    moves a counterstrategy reads."""
     rng = random.Random(4242)
     for trial in range(200):
         g = rand_game(rng, max_nodes=8, max_priority=3, entries=2)
@@ -411,6 +413,10 @@ def test_criterion_5_generalized_parity_oracle():
         assert z0 == brute_force_winning(g, CONTROLLER), f"game {trial}: regions differ"
         assert set(sol.region) == set(g.nodes), trial
         assert verify_strategy(g, sol, CONTROLLER), trial
+        for v in set(g.nodes) - z0:
+            if g.owner[v] == ENVIRONMENT:
+                w = sol.strategy[v]
+                assert w in g.edges[v] and sol.region[w] == ENVIRONMENT, (trial, v)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,10 @@ from genplan.model import (
     save_json,
     validate,
 )
-from genplan.qnp import parse_qnp, syntactic_projection
+from genplan.omega import synthesize
+from genplan.qnp import close_qnp, closure_diagnostics, parse_qnp, syntactic_projection
+
+from .test_qnp import random_qnp
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -586,11 +590,12 @@ def test_synthesize_binds_a_letter_class_constraint_once(tmp_path, capsys, monke
 
 
 def test_counter_witness_cycle_is_its_shortest_period(tmp_path, capsys):
-    """The commitment route's plan for this QNP loops: it sets q_X,
-    decrements X to 0, unsets q_X and increments X again.  The counter
-    check's witness is that 4-step loop, once: the walk of the component
-    (`graph.streett_walk`), folded to the shortest period of its (state,
-    memory) nodes."""
+    """The commitment route's fair plan for this QNP loops: it sets q_X,
+    decrements X to 0, unsets q_X and increments X again.  So `plan`
+    checks it under qnp(X) too, answers no and writes no plan.  The
+    counter check's witness is that 4-step loop, once: the walk of the
+    component (`graph.streett_walk`), folded to the shortest period of its
+    (state, memory) nodes."""
     qnp_file = tmp_path / "loop.qnp"
     qnp_file.write_text(
         "fluents p\nvars X\ninit_values X in {1, 4}\n"
@@ -602,14 +607,37 @@ def test_counter_witness_cycle_is_its_shortest_period(tmp_path, capsys):
     )
     closed, plan = tmp_path / "closed.json", tmp_path / "plan.json"
     assert main(["qnp2fond", str(qnp_file), "--close", "-o", str(closed)]) == 0
-    assert main(["plan", str(closed), "-o", str(plan)]) == 0
     capsys.readouterr()
-    code, doc = run_cli(capsys, "verify", "--mode", "constraint", str(closed), str(plan), "qnp(X)")
-    assert code == 1 and doc["verdict"] == "NOT_A_SOLUTION"
-    cx = doc["counterexample"]
+    code, doc = run_cli(capsys, "plan", str(closed), "-o", str(plan))
+    assert code == 1 and doc["reason"] == "NOT_A_SOLUTION" and not plan.exists()
+    assert doc["verification"]["constraint"] == "qnp(X)"
+    cx = doc["verification"]["counterexample"]
     assert cx["prefix_actions"] == []
     assert cx["cycle_actions"] == ["set(X)", "a1", "unset(X)", "a2"]
     assert cx["cycle_states"] == ["X>0", "q_X,X>0", "p,q_X,X=0", "p,X=0"]
+
+
+def test_plan_agrees_with_synthesis_on_random_qnps(tmp_path, capsys):
+    """On every closure-eligible QNP among the first 5,000 draws of
+    `random_qnp` at seed 2, `plan` on the closed projection answers yes
+    exactly when `synthesize` finds a policy for the open projection under
+    qnp(V) for every variable.  Draws 885 and 4997 are QNPs whose fair plan
+    loops on its counter, as in the test above."""
+    rng = random.Random(2)
+    closed = tmp_path / "closed.json"
+    eligible = 0
+    for draw in range(5000):
+        q = random_qnp(rng)
+        if closure_diagnostics(q):
+            continue
+        eligible += 1
+        save_json(pondp_to_json_dict(syntactic_projection(close_qnp(q)).fondp), str(closed))
+        planned = main(["plan", str(closed)]) == 0
+        capsys.readouterr()
+        p = syntactic_projection(q).fondp
+        realizable = synthesize(p, conjoin(qnp_constraints(q.variables))).realizable
+        assert planned == realizable, draw
+    assert eligible == 1491
 
 
 TOGGLE_PROBLEM = {

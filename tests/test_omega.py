@@ -712,7 +712,8 @@ def test_solved_strategy_ignores_hash_seed():
     order one rank closer to the target, so the solved strategy of
     `counter` and `threevar_chain`, with builtin counter constraints on
     their letter-class automata and on the compact-Safra automata of their
-    conjunct NBAs, is the same under hash seeds 0 and 1 (compared by sha1).
+    conjunct NBAs, is the same under hash seeds 0 and 1 (compared by sha1),
+    and so is the policy synthesized from it.
     So are the witnesses of searches that break ties by the order a
     product found its nodes: an `implies` witness on each problem, the
     fair one of `counter`, and the Büchi-product witness of a two-memory
@@ -722,7 +723,7 @@ def test_solved_strategy_ignores_hash_seed():
         "from genplan.constraints import ALL_TRAJECTORIES, _conjunct_nbas, conjoin, implies\n"
         "from genplan.constraints import fairness_constraint, ltl_constraint, qnp_constraints\n"
         "from genplan.ltl import parse_ltl\n"
-        "from genplan.model import Policy, Under, check_solution\n"
+        "from genplan.model import Policy, Under, check_solution, policy_to_json_dict\n"
         "from genplan.omega import LazyDpw, _synthesize_on, synthesize\n"
         "from genplan.qnp import parse_qnp, syntactic_projection\n"
         "for text in sys.argv[1:]:\n"
@@ -733,6 +734,7 @@ def test_solved_strategy_ignores_hash_seed():
         "    for res in (synthesize(p, c), _synthesize_on(p, safra, 10**6)):\n"
         "        strategy = sorted(res.solution.strategy.items(), key=repr)\n"
         "        print(hashlib.sha1(repr(strategy).encode()).hexdigest())\n"
+        "        print(policy_to_json_dict(res.policy))\n"
         "    gf = ltl_constraint(parse_ltl('G F ' + max(p.actions)))\n"
         "    print(implies(ALL_TRAJECTORIES, gf, p).witness)\n"
         "p = syntactic_projection(parse_qnp(sys.argv[1])).fondp\n"
@@ -755,7 +757,7 @@ def test_solved_strategy_ignores_hash_seed():
         ).stdout
         for seed in ("0", "1")
     ]
-    assert outs[0] == outs[1] and outs[0].count("\n") == 8
+    assert outs[0] == outs[1] and outs[0].count("\n") == 12
     assert outs[0].count("Lasso(") == 3 and "NOT_A_SOLUTION" in outs[0]
 
 
