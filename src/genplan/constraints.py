@@ -54,7 +54,7 @@ def ltl_constraint(formula, name=None, level="observation"):
 ALL_TRAJECTORIES = ltl_constraint(L.TRUE, name="all")
 
 
-def fairness_constraint(p=None):
+def fairness_constraint():
     """The structural fairness constraint: infinitely recurring transitions
     see all their sibling outcomes infinitely often."""
     return TrajectoryConstraint(kind="fairness", name="fairness", level="state")

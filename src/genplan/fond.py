@@ -5,7 +5,9 @@ The planner is the standard pruning fixpoint: repeatedly discard states
 from which the goal is unreachable using only actions whose outcomes all
 stay inside the surviving set.  Auditability beats speed at this scale, so
 no heuristic search is involved, and the output is made deterministic by
-distance-minimizing, lowest-named action choice.
+distance-minimizing, lowest-named action choice.  The final walk is
+`graph.reachable` from the initial states, goals blocked, and each
+observation it meets gets the least action chosen at its states.
 
 It keeps its own layered search over state ids, not
 `graph.backward_reachable`, because it picks each state's action during
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import graph
 from .model import Policy, numbered
 
 UNSOLVABLE = "UNSOLVABLE"
@@ -65,17 +68,10 @@ def strong_cyclic_plan(p):
     if not safe.issuperset(n.init):
         return UNSOLVABLE
 
-    queue = [s for s in n.init if not goal[s]]
-    reachable = set(queue)
+    goals = {s for s in safe if goal[s]}
     best = {}
-    while queue:
-        s = queue.pop()
+    for s in graph.reachable(n.init, lambda s: succ[s][avail[s].index(choice[s])], goals):
         k, o = choice[s], n.obs[s]
-        # an observation gets the least action of its states
         best[o] = min(k, best.get(o, k))
-        for t in succ[s][avail[s].index(k)]:
-            if t not in reachable and not goal[t]:
-                reachable.add(t)
-                queue.append(t)
     return Policy.memoryless({n.observations[o]: n.actions[best[o]] for o in sorted(best)})
 

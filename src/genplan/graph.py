@@ -5,9 +5,11 @@ One Streett search (`streett_component`) decides every acceptance cycle:
 parity, Büchi, counters, fairness, and any cycle at all (no requests).
 One builder (`streett_walk`) turns the component it finds into a cycle
 that answers the same requests, and `model._lasso` folds every such
-cycle into a lasso by `period`.  One backward search
-(`backward_reachable`) ranks the nodes that reach a set, and with
-universal nodes it is Zielonka's attractor.
+cycle into a lasso by `period`.  One forward search (`reachable`) walks
+the planner's policy and explores the tableau, the NBA product, the
+on-the-fly DPW and the QNP grounding, which number their states as it
+finds them.  One backward search (`backward_reachable`) ranks the nodes
+that reach a set, and with universal nodes it is Zielonka's attractor.
 
 A graph is given by its nodes and a successor function ``succ(v)`` that
 returns a list of nodes (``refine`` reads labelled edges instead).  Ties
@@ -80,9 +82,11 @@ def has_cycle(comp, succ):
 def reachable(sources, succ, blocked=()):
     """The set of nodes reachable from ``sources`` without entering a node
     of ``blocked``: such a node, even a source, is neither expanded nor
-    returned."""
-    seen = {v for v in sources if v not in blocked}
-    stack = list(seen)
+    returned.  Depth first: ``succ`` is called once per node returned, the
+    sources in the order given, last first, then the last node found first,
+    so a ``succ`` that numbers nodes as it lists them numbers them as found."""
+    stack = [v for v in dict.fromkeys(sources) if v not in blocked]
+    seen = set(stack)
     while stack:
         for w in succ(stack.pop()):
             if w not in seen and w not in blocked:

@@ -531,11 +531,6 @@ def _nba_for(f, alphabet, budget):
 def _product_nba(a, b, alphabet, budget):
     """Synchronized product with a two-phase counter: accepting iff both
     components accept."""
-    if not a.initial or not b.initial:
-        return Nba(
-            states=(), alphabet=alphabet, transitions={},
-            initial=frozenset(), accepting=frozenset(),
-        )
     states = []
     index = {}
 
@@ -551,13 +546,11 @@ def _product_nba(a, b, alphabet, budget):
             states.append(key)
         return index[key]
 
-    initial = frozenset(sid(qa, qb, 0) for qa in a.initial for qb in b.initial)
+    initial = [sid(qa, qb, 0) for qa in a.initial for qb in b.initial]
     letters = sorted(alphabet)
     transitions = {}
-    queue = list(initial)
-    seen = set(queue)
-    while queue:
-        s = queue.pop()
+
+    def expand(s):
         qa, qb, i = states[s]
         if i == 0 and qa in a.accepting:
             i2 = 1
@@ -565,17 +558,16 @@ def _product_nba(a, b, alphabet, budget):
             i2 = 0
         else:
             i2 = i
+        found = []
         for sym in letters:
-            tgts = []
-            for ra in a.successors(qa, sym):
-                for rb in b.successors(qb, sym):
-                    t = sid(ra, rb, i2)
-                    tgts.append(t)
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
+            tgts = [sid(ra, rb, i2) for ra in a.successors(qa, sym)
+                    for rb in b.successors(qb, sym)]
             if tgts:
                 transitions[(s, sym)] = tuple(sorted(tgts))
+                found += tgts
+        return found
+
+    graph.reachable(initial, expand)
     accepting = frozenset(
         s for s, (qa, qb, i) in enumerate(states) if i == 0 and qa in a.accepting
     )
@@ -583,7 +575,7 @@ def _product_nba(a, b, alphabet, budget):
         states=tuple(range(len(states))),
         alphabet=alphabet,
         transitions=transitions,
-        initial=initial,
+        initial=frozenset(initial),
         accepting=accepting,
     )
 
@@ -675,7 +667,10 @@ def _tableau_nba(f, alphabet, budget):
                     f"budget {budget}"
                 )
 
-    def must(m):
+    succs = {}  # reached atom -> the atoms that meet its X and U obligations
+
+    def atom_succ(i):
+        m = masks[i]
         one = zero = 0
         for x, operand in nexts:
             if m & x:
@@ -687,22 +682,11 @@ def _tableau_nba(f, alphabet, budget):
                 one |= u
             elif not m & u and m & l:
                 zero |= u
-        return one, zero
+        succs[i] = [j for j, n in enumerate(masks) if n & one == one and not n & zero]
+        return succs[i]
 
-    # reachable tableau exploration
     initial_atoms = [i for i, m in enumerate(masks) if m & bit(f)]
-    reach = set(initial_atoms)
-    frontier = list(initial_atoms)
-    succs = {}
-    while frontier:
-        i = frontier.pop()
-        one, zero = must(masks[i])
-        nxt = tuple(j for j, m in enumerate(masks) if m & one == one and not m & zero)
-        succs[i] = nxt
-        for j in nxt:
-            if j not in reach:
-                reach.add(j)
-                frontier.append(j)
+    graph.reachable(initial_atoms, atom_succ)
 
     def acc_ok(i, idx):
         if not untils:
@@ -721,23 +705,18 @@ def _tableau_nba(f, alphabet, budget):
         return number[key]
 
     transitions = {}
-    initial = frozenset(sid(i, 0) for i in initial_atoms)
-    pending = list(initial)
-    seen = set(pending)
-    while pending:
-        s = pending.pop()
+
+    def state_succ(s):
         i, c = states[s]
         c2 = (c + 1) % k if acc_ok(i, c) else c
-        for sym in letters[i]:
-            tgts = []
-            for j in succs[i]:
-                t = sid(j, c2)
-                tgts.append(t)
-                if t not in seen:
-                    seen.add(t)
-                    pending.append(t)
-            if tgts:
+        tgts = [sid(j, c2) for j in succs[i]]
+        if tgts:
+            for sym in letters[i]:
                 transitions[(s, sym)] = tuple(sorted(tgts))
+        return tgts
+
+    initial = [sid(i, 0) for i in initial_atoms]
+    graph.reachable(initial, state_succ)
     accepting = frozenset(
         s for s, (i, c) in enumerate(states) if c == 0 and acc_ok(i, 0)
     )
@@ -745,7 +724,7 @@ def _tableau_nba(f, alphabet, budget):
         states=tuple(range(len(states))),
         alphabet=alphabet,
         transitions=transitions,
-        initial=initial,
+        initial=frozenset(initial),
         accepting=accepting,
     )
 

@@ -270,16 +270,10 @@ class LazyDpw:
         return self._number(nxt)
 
     def explore(self):
-        """Build every reachable state (depth first, letters in sorted
-        order) and return the complete automaton as a `Dpw`."""
+        """Build every reachable state (`graph.reachable`, letters in
+        sorted order) and return the complete automaton as a `Dpw`."""
         letters = sorted(self.alphabet)
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            for sigma in letters:
-                built = len(self._pairs)
-                self.delta[(q, sigma)]  # numbers the successor if it is new
-                stack.extend(range(built, len(self._pairs)))
+        graph.reachable([self.initial], lambda q: [self.delta[(q, sigma)] for sigma in letters])
         return Dpw(
             states=tuple(self.states),
             alphabet=self.alphabet,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from . import graph
 from .errors import (
     BoundTooSmallError,
     InvalidPolicyError,
@@ -426,15 +427,15 @@ def _explore(q, starts, sems, name, cls, bound=None):
     booleans.  Values above ``bound`` are capped, which the annotations
     record since capping can cut behaviors."""
     states = {st: name(q, *st) for st in starts}
-    queue = list(states)
     succ = {}
     avail = {}
     capped = False
-    while queue:
-        st = queue.pop()
+
+    def expand(st):
+        nonlocal capped
         fl, vals = st
         sid = states[st]
-        acts = []
+        acts, found = [], []
         for a in q.actions:
             if not _holds(q, a.pre, fl, vals):
                 continue
@@ -444,15 +445,16 @@ def _explore(q, starts, sems, name, cls, bound=None):
                 capped = capped or any(o > bound for opts in options for o in opts)
                 options = [sorted({min(o, bound) for o in opts}) for opts in options]
             fl2 = _strips_apply(a, fl)
-            ids = set()
-            for new_vals in product(*options):
-                t = (fl2, new_vals)
+            targets = [(fl2, new_vals) for new_vals in product(*options)]
+            for t in targets:
                 if t not in states:
                     states[t] = name(q, *t)
-                    queue.append(t)
-                ids.add(states[t])
-            succ[(a.name, sid)] = frozenset(ids)
+            succ[(a.name, sid)] = frozenset(states[t] for t in targets)
+            found += targets
         avail[sid] = frozenset(acts)
+        return found
+
+    graph.reachable(list(states), expand)
 
     obs_fn = {}
     obs_zero = {}

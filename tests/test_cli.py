@@ -2,6 +2,7 @@
 codes, and reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -890,6 +891,23 @@ def test_ltl2dpw_tableau_budget_is_malformed_input(capsys):
     assert code == 2
     assert doc["error"] == "SizeBudgetExceededError"
     assert doc["message"].startswith("tableau") and "budget 1000" in doc["message"]
+
+
+@pytest.mark.parametrize("formula, states, digest", [
+    ("(G F a & G F b) | F c", 32, "8d8cb4bee8406c31195ba27f4f26b36f0b9746cb"),
+    ("a U (b U c) | G F a", 51, "00c6def92b6a44d20acde10222a7a8783d0cf2c6"),
+    ("X X X a", 7, "08a98b538a817a33439d302413b9c357de751830"),
+])
+def test_ltl2dpw_reports_are_pinned(capsys, formula, states, digest):
+    """The closure tableau (its atoms and its counter), the NBA conjunction
+    product and the determinization number their states in the order
+    their forward search finds them, so each report, DPW included, keeps
+    its bytes: a conjunction under a disjunction, nested Untils and an X
+    chain."""
+    assert main(["ltl2dpw", formula, "--alphabet", "a,b,c"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["dpw"]["states"]) == states
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
 
 
 DEC_POLICY = {

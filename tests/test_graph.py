@@ -3,7 +3,7 @@ random small digraphs."""
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genplan import graph
@@ -95,6 +95,56 @@ def test_backward_reachable_matches_oracle(g, targets, universal):
     kept = {v: [w for w in succ[v] if w not in targets] for v in nodes}
     free = set() if 0 in targets else {0} | closure(nodes, kept)[0]
     assert graph.reachable([0], succ.__getitem__, targets) == free
+
+
+def reference_dfs_order(sources, succ, blocked):
+    """The nodes in the order a stack search expands them: the unblocked
+    sources pushed in the order given, then each popped node's unblocked
+    successors pushed, in list order, when first seen."""
+    stack, order = [], []
+    for v in sources:
+        if v not in blocked and v not in stack:
+            stack.append(v)
+    pushed = set(stack)
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in succ[v]:
+            if w not in blocked and w not in pushed:
+                pushed.add(w)
+                stack.append(w)
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(max_nodes=10), st.lists(st.integers(0, 9), max_size=5), st.sets(st.integers(0, 9)))
+@example(g=(list(range(10)), [[]] * 3 + [[1]] + [[]] * 5 + [[2]], [0] * 10), sources=[3, 9], blocked=set())
+def test_reachable_numbers_nodes_in_the_order_it_finds_them(g, sources, blocked):
+    """A ``succ`` that numbers the nodes it lists, in the order it lists
+    them, numbers them exactly as a reference depth-first search finds
+    them: the sources in the order given, the last source expanded first,
+    then the last node found first."""
+    nodes, succ, _ = g
+    sources = [v for v in sources if v < len(nodes)]
+    order = reference_dfs_order(sources, succ, blocked)
+    number, calls = {}, []
+
+    def listing(v):
+        calls.append(v)
+        for w in succ[v]:
+            number.setdefault(w, len(number))
+        return succ[v]
+
+    for v in sources:
+        if v not in blocked:
+            number.setdefault(v, len(number))
+    assert graph.reachable(sources, listing, blocked) == set(order)
+    assert calls == order
+    expected = {v: i for i, v in enumerate(dict.fromkeys(v for v in sources if v not in blocked))}
+    for v in order:
+        for w in succ[v]:
+            expected.setdefault(w, len(expected))
+    assert number == expected
 
 
 @settings(max_examples=300, deadline=None)
