@@ -169,9 +169,7 @@ def _cmd_synthesize(args):
             }
         )
         return 1
-    verdict = check_solution(
-        p, result.policy, Under(constraint), args.budget, result.nbas, result.conjuncts
-    )
+    verdict = check_solution(p, result.policy, Under(constraint), args.budget, result.conjuncts)
     doc = {
         "command": "synthesize",
         "realizable": True,

@@ -11,6 +11,7 @@ a decrement effect on that variable occurs".
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from dataclasses import dataclass
 
 from . import graph
@@ -23,7 +24,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .model import (
-    FiniteTrajectory, _fair_counterexample, _fair_pairs, _lasso, _nothing, _pair_fair_lasso,
+    FiniteTrajectory, _fair_counterexample, _fair_pairs, _lasso, _pair_fair_lasso,
     _policy_streett_lasso, is_fair,
 )
 from .projection import lift_trajectory
@@ -189,25 +190,30 @@ def _conjunct_formulas(f):
     return [f]
 
 
-def _conjuncts(c, p):
-    """The top-level conjuncts of ``c`` bound to ``p``, in order, each with
-    its letter classes (`_letter_classes`), None outside the fragment.  A
-    conjunct repeats an earlier one when both have the same letter classes
-    (or, outside the fragment, are the same formula), and is left out."""
+def _conjuncts(c, p, budget):
+    """The top-level conjuncts of ``c`` bound to ``p``, in order, as
+    (formula, letter classes, NBA) triples: the one place a conjunct's
+    route is decided.  A conjunct with letter classes (`_letter_classes`)
+    gets no automaton; any other gets None for classes and its NBA
+    (`ltl.ltl_to_nba`, whose tableau ``budget`` caps).  A conjunct repeats
+    an earlier one when both have the same letter classes (or, outside the
+    fragment, are the same formula), and is left out."""
     sigma = constraint_alphabet(c, p)
     out = {}
     for f in _conjunct_formulas(constraint_formula(c, p)):
         cls = _letter_classes(f, sigma)
         out.setdefault(cls or f, (f, cls))
-    return list(out.values())
+    return [(f, cls, None if cls else L.ltl_to_nba(f, sigma, budget=budget))
+            for f, cls in out.values()]
 
 
 def _letter_classes(f, sigma):
     """The pair (S, Ts) when the conjunct ``f``, read as a disjunction
     (`ltl._disjuncts`), is ``G F S | F G T_1 | ... | F G T_b`` over
     letter sets (`_letter_set`), else None.  The ``G F`` sets are joined
-    into S, a disjunct that folds to false is left out, and a conjunct
-    with one that folds to true is ``G F sigma``."""
+    into S, and a disjunct that folds to false is left out.  A conjunct
+    with a disjunct of any other shape is ``G F sigma`` when it folds to
+    true (`ltl.constant`), wherever that disjunct stands, else None."""
     s, ts = frozenset(), []
     for g in L._disjuncts(f):
         match g:
@@ -218,11 +224,8 @@ def _letter_classes(f, sigma):
             case _:
                 letters = None
         if letters is None:
-            value = L.constant(g)
-            if value is None:
-                return None
-            if value:
-                return sigma, ()
+            if L.constant(g) is not False:
+                return (sigma, ()) if L.constant(f) else None
         elif gf:
             s |= letters
         else:
@@ -247,18 +250,6 @@ def _letter_set(f, sigma):
             x, y = _letter_set(x, sigma), _letter_set(y, sigma)
             return None if x is None or y is None else x & y
     return None
-
-
-def _conjunct_nbas(c, p, budget):
-    """One NBA per distinct top-level conjunct of the bound formula, keyed
-    by the conjunct; a word satisfies the constraint iff every conjunct
-    automaton accepts it.  Keeps the tableaux, and synthesis's
-    determinizations, small for conjunctions of per-variable constraints.
-    Conjuncts that fold to true are left out, unless all of them do."""
-    sigma = constraint_alphabet(c, p)
-    conjuncts = list(dict.fromkeys(_conjunct_formulas(constraint_formula(c, p))))
-    conjuncts = [f for f in conjuncts if L.constant(f) is not True] or conjuncts[:1]
-    return {f: L.ltl_to_nba(f, sigma, budget=budget) for f in conjuncts}
 
 
 def _bilayer_product(inits, automata, moves, budget=None, stage="constraint-check product",
@@ -372,10 +363,12 @@ class ImplicationResult:
 def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     """Whether every infinite trajectory of ``p`` satisfying ``c`` satisfies
     ``c_prime``; decided as emptiness of the product of the problem's
-    transition structure with the conjunct NBAs of ``c`` and the NBA of
-    the negation of ``c_prime``, without determinizing any of them.
-    Fairness, on either side, is judged per (state, action) pair of ``p``,
-    as `satisfies` judges it, by a Streett search of that product: a fair
+    transition structure with the NBA of the negation of ``c_prime`` and
+    those of the conjuncts of ``c`` (`_conjuncts`), without determinizing
+    any of them.  A conjunct of ``c`` with letter classes has no NBA: it
+    is a Streett condition on that product (`_class_lasso`).  Fairness, on
+    either side, is judged per (state, action) pair of ``p``, as
+    `satisfies` judges it, by a Streett search of that product: a fair
     antecedent asks for a component in which each move is followed by each
     of its outcomes (`_fair_pairs`), and a fair consequent for one that
     takes a move but never one of its outcomes (`_unfair_lasso`).  A False
@@ -384,9 +377,8 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     (`_streett_product_lasso`)."""
     if c == c_prime:
         return ImplicationResult(holds=True)
-    automata = []
-    if c.kind != "fairness":
-        automata = [(a, c.level) for a in _conjunct_nbas(c, p, budget).values()]
+    conjuncts = [] if c.kind == "fairness" else _conjuncts(c, p, budget)
+    automata = [(a, c.level) for _, _, a in conjuncts if a]
     if c_prime.kind != "fairness":
         f_neg = L.lnot(constraint_formula(c_prime, p))
         nba = L.ltl_to_nba(f_neg, constraint_alphabet(c_prime, p), budget=budget)
@@ -394,12 +386,12 @@ def implies(c, c_prime, p, budget=L.DEFAULT_BUDGET):
     triples = [(sorted(a.initial), a.successors, _letter(level, p)) for a, level in automata]
     product = _trajectory_product(p, triples, budget)
     nbas = [a for a, _ in automata]
-    if c_prime.kind == "fairness":
-        lasso = _unfair_lasso(p, product, nbas)
-    elif c.kind == "fairness":
+    if c.kind == "fairness":  # then c_prime is LTL, and no conjunct has letter classes
         lasso = _streett_product_lasso(product, nbas, *_fair_pairs(product[2].__getitem__, _move))
     else:
-        lasso = _streett_product_lasso(product, nbas)
+        search = partial(_unfair_lasso, p) if c_prime.kind == "fairness" else _streett_product_lasso
+        reads = _bilayer_reads(product, _letter(c.level, p))
+        lasso = _class_lasso(conjuncts, reads, partial(search, product, nbas))
     return ImplicationResult(holds=lasso is None, witness=lasso)
 
 
@@ -409,8 +401,7 @@ def _move(x, y):
     return (x[1], x[2], y[1]) if x[0] == "m" else None
 
 
-def _streett_product_lasso(product, nbas, requests=_nothing, answers=_nothing, succ=None,
-                           state_of=lambda s: s):
+def _streett_product_lasso(product, nbas, requests, answers, succ=None, state_of=lambda s: s):
     """The lasso of the bilayer ``product`` with ``nbas`` whose cycle is
     the `graph.streett_walk` of the first component that
     `graph.streett_component` finds under ``succ`` (the product's edges
@@ -443,8 +434,9 @@ def _streett_product_lasso(product, nbas, requests=_nothing, answers=_nothing, s
     return _product_lasso(inits, edges, walk, state_of)
 
 
-def _unfair_lasso(p, product, nbas):
-    """An unfair lasso of ``p`` accepted by ``nbas``, or None: for some
+def _unfair_lasso(p, product, nbas, requests, answers):
+    """An unfair lasso of ``p`` accepted by ``nbas`` that answers
+    ``requests`` (`_streett_product_lasso`), or None: for some
     nondeterministic (s, a, t), a component of their ``product`` that
     takes a move (s, a) once the edges from it to t are removed."""
     edges = product[2]
@@ -454,11 +446,11 @@ def _unfair_lasso(p, product, nbas):
             def succ(x, cut=(s, a, t)):
                 return [y for y in edges[x] if _move(x, y) != cut]
 
-            def answers(x, y, pair=(s, a)):
-                return {pair} if x[0] == "m" and x[1:3] == pair else set()
+            def gives(x, y, pair=(s, a)):
+                return answers(x, y) | ({pair} if x[0] == "m" and x[1:3] == pair else set())
 
             lasso = _streett_product_lasso(
-                product, nbas, lambda x, pair=(s, a): {pair}, answers, succ
+                product, nbas, lambda x, pair=(s, a): requests(x) | {pair}, gives, succ
             )
             if lasso is not None:
                 return lasso
@@ -470,7 +462,7 @@ def _unfair_lasso(p, product, nbas):
 # ---------------------------------------------------------------------------
 
 
-def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None, conjuncts=None):
+def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, conjuncts=None):
     """Find a goal-avoiding lasso of the policy product ``prod`` (a
     `model.PolicyProduct`) that satisfies the constraint, or None.
     ``reach`` is the set of ids of its goal-free reachable region.
@@ -478,56 +470,55 @@ def counterexample_search(p, c, prod, reach, budget=L.DEFAULT_BUDGET, nbas=None,
     Fairness is judged per (state, action) pair of ``p``, as `satisfies`
     judges it: the FAIR check's trapped component first, then a Streett
     search for a fair cycle that nodes of different memory make together.
-    A constraint whose conjuncts all have letter classes (every builtin
+    An LTL constraint takes each conjunct by the route `_conjuncts` binds
+    it to (``conjuncts``, when the caller has bound them already, as a
+    synthesis result has).  A conjunct with letter classes (every builtin
     counter constraint, and LTL text of the same shape) is a Streett
-    condition on the product itself (`_class_lasso`), and no automaton is
-    built.  Otherwise each conjunct gets an NBA, and the search is Büchi
-    emptiness of the product with them (`accepted_policy_lasso`); no
-    automaton is determinized.  ``nbas`` are those NBAs when the caller
-    has them already (the values of `_conjunct_nbas` of ``c`` and ``p``,
-    as synthesis builds them); the search then takes them in any case.
-    ``conjuncts`` are the bound conjuncts (`_conjuncts` of ``c`` and
-    ``p``) when the caller has them already, as a synthesis result does.
+    condition (`_class_lasso`).  When every conjunct has them, the search
+    runs on the policy product itself; otherwise on its bilayer product
+    with the NBAs of the others (`_policy_bilayer_product`, whose "n"
+    nodes ``budget`` caps), where a cycle must also pass an accepting
+    state of each (`_streett_product_lasso`).  Nothing is determinized.
     """
     if c.kind == "fairness":
         return _fair_counterexample(prod, reach) or _pair_fair_lasso(prod, reach)
-    if nbas is None:
-        conjuncts = _conjuncts(c, p) if conjuncts is None else conjuncts
-        classes = [cls for _, cls in conjuncts]
-        if None not in classes:
-            return _class_lasso(p, c.level, classes, prod, reach)
-        nbas = _conjunct_nbas(c, p, budget).values()
-    return accepted_policy_lasso(p, c.level, nbas, prod, reach, budget)
+    conjuncts = _conjuncts(c, p, budget) if conjuncts is None else conjuncts
+    nbas = [a for _, _, a in conjuncts if a]
+    letter, nodes = _letter(c.level, p), prod.nodes
+    if not nbas:
+        reads = {i: {letter(nodes[i][0]), prod.act[i]} for i in reach}
+        return _class_lasso(conjuncts, reads, partial(_policy_streett_lasso, prod, reach))
+    read = {i: letter(nodes[i][0]) for i in reach}.__getitem__
+    automata = [(sorted(a.initial), a.successors, read) for a in nbas]
+    product = _policy_bilayer_product(prod, reach, automata, budget)
+    search = partial(_streett_product_lasso, product, nbas, state_of=lambda i: nodes[i][0])
+    return _class_lasso(conjuncts, _bilayer_reads(product, read), search)
 
 
-def _class_lasso(p, level, classes, prod, reach):
-    """A lasso of the policy product inside ``reach`` that satisfies each
-    conjunct ``G F S | F G T_1 | ... | F G T_b`` of ``classes`` (pairs
-    (S, Ts)), or None: SIEVE (Srivastava et al., AAAI 2011) as Streett
-    emptiness.  A cycle satisfies the conjunct when it reads a letter of S
-    or only letters of some T_k, so there is one search per choice of k in
-    each conjunct (T is empty when b = 0), in which a node requests the
-    conjuncts whose T misses one of its two letters, and answers those
-    whose S holds one: for weak `qnp` a decrement requests, and an
-    increment or a zero observation answers."""
-    letter, nodes, act = _letter(level, p), prod.nodes, prod.act
-    reads = {i: {letter(nodes[i][0]), act[i]} for i in reach}
-    good = {i: {k for k, (s, _) in enumerate(classes) if s & x} for i, x in reads.items()}
+def _bilayer_reads(product, letter):
+    """The letters each node of a bilayer ``product`` reads: an "n" node
+    ("n", v, qs) the letter ``letter(v)`` of its base node, an "m" node
+    ("m", v, a, qs) its action a."""
+    return {x: {letter(x[1]) if x[0] == "n" else x[2]} for x in product[1]}
+
+
+def _class_lasso(conjuncts, reads, search):
+    """The first lasso that ``search(requests, answers)`` finds under the
+    Streett requests of the conjuncts with letter classes, or None; node
+    x reads the letters ``reads[x]``.  A conjunct ``G F S | F G T_1 | ...
+    | F G T_b`` (classes (S, Ts)) holds on a cycle that reads a letter of S
+    or only letters of some T_k: SIEVE (Srivastava et al., AAAI 2011) as
+    Streett emptiness.  So there is one search per choice of k in each
+    conjunct (T is empty when b = 0), in which a node requests the
+    conjuncts whose T misses one of its letters, and answers those whose S
+    holds one: for weak `qnp` a decrement requests, and an increment or a
+    zero observation answers.  The k-th such conjunct is the request
+    ``(k,)``, apart from NBA indices and fairness's moves and transitions."""
+    classes = [cls for _, cls, _ in conjuncts if cls]
+    good = {x: {(k,) for k, (s, _) in enumerate(classes) if s & r} for x, r in reads.items()}
     for pick in itertools.product(*[ts or (frozenset(),) for _, ts in classes]):
-        bad = {i: {k for k, t in enumerate(pick) if not x <= t} for i, x in reads.items()}
-        lasso = _policy_streett_lasso(prod, reach, bad.__getitem__, lambda i, j: good[i])
+        bad = {x: {(k,) for k, t in enumerate(pick) if not r <= t} for x, r in reads.items()}
+        lasso = search(bad.__getitem__, lambda x, y: good[x])
         if lasso is not None:
             return lasso
     return None
-
-
-def accepted_policy_lasso(p, level, nbas, prod, reach, budget=L.DEFAULT_BUDGET):
-    """A lasso of the policy product (arguments as for
-    `counterexample_search`) accepted by every automaton in ``nbas``, or
-    None: a cycle of their bilayer product with the policy product
-    (`_policy_bilayer_product`) that passes an accepting state of each
-    (`_streett_product_lasso`).  ``budget`` caps its nodes."""
-    letter, nodes = _letter(level, p), prod.nodes
-    automata = [(sorted(a.initial), a.successors, lambda i: letter(nodes[i][0])) for a in nbas]
-    product = _policy_bilayer_product(prod, reach, automata, budget)
-    return _streett_product_lasso(product, nbas, state_of=lambda i: nodes[i][0])

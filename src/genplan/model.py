@@ -789,20 +789,19 @@ def _goal_free_region(p, prod):
     )
 
 
-def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None, conjuncts=None):
+def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, conjuncts=None):
     """Decide whether ``mu`` solves ``p`` in the requested mode.
 
     STRONG: no reachable goal-free cycle and no goal-free stop.
     FAIR: the strong-cyclic condition (goal reachable from every reachable
     goal-free node, no goal-free stops).
     Under(c): no goal-avoiding infinite behavior of the product satisfies
-    the constraint (`constraints.counterexample_search`): a constraint
-    whose conjuncts all have letter classes (such as every counter
-    constraint) is a Streett condition on the policy product, any other
-    LTL constraint is Büchi emptiness of the policy product with the NBAs
-    of its conjuncts, and nothing is determinized.  ``nbas`` are those
-    NBAs and ``conjuncts`` the bound conjuncts when the caller has them
-    already (a synthesis result's).
+    the constraint (`constraints.counterexample_search`): each conjunct
+    with letter classes (such as every counter constraint) is a Streett
+    condition, every other conjunct an NBA whose product with the policy
+    product the search runs on, and nothing is determinized.
+    ``conjuncts`` are the bound conjuncts (`constraints._conjuncts`) when
+    the caller has them already (a synthesis result's).
     Goal-free stops are counterexamples since finite trajectories satisfy
     every constraint.  ``budget`` caps the policy product nodes, the
     tableaux and the nodes of the product with the NBAs.
@@ -831,7 +830,7 @@ def check_solution(p, mu, mode, budget=DEFAULT_BUDGET, nbas=None, conjuncts=None
     elif isinstance(mode, Under):
         from .constraints import counterexample_search
 
-        lasso = counterexample_search(p, mode.constraint, prod, reach, budget, nbas, conjuncts)
+        lasso = counterexample_search(p, mode.constraint, prod, reach, budget, conjuncts)
         kind, name = "SOLVES_UNDER_CONSTRAINT", getattr(mode.constraint, "name", None)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -538,7 +538,6 @@ class SynthesisResult:
     game: ParityGame = None
     solution: GameSolution = None
     dpws: tuple = None  # the game's automata: one class Dpw or LazyDpw per conjunct
-    nbas: tuple = None  # every conjunct's NBA, when some conjunct needs a LazyDpw
     conjuncts: list = None  # the constraint's bound conjuncts (`constraints._conjuncts`)
 
 
@@ -548,33 +547,30 @@ def synthesize(p, psi, budget=DEFAULT_BUDGET):
     The controller plays a generalized parity game (`build_parity_game`,
     `solve_parity`) with one DPW per distinct top-level conjunct of psi,
     each accepting the words that violate its conjunct, and wins by
-    reaching the goal or by a play that some DPW accepts.  The conjunct's
-    shape, not its name, picks its DPW: one with letter classes
-    (`constraints._letter_classes`, such as every counter constraint) gets
-    its `_class_dpw` and no tableau.  When some conjunct has none, every
-    conjunct gets an NBA (`constraints._conjunct_nbas`), which the result
-    keeps as ``nbas`` for the constraint check of its policy, and each
-    conjunct without letter classes plays the complement of its NBA,
-    determinized on the fly as a `LazyDpw`.  The result also keeps the
-    bound conjuncts as ``conjuncts``, so the check of its policy binds the
-    constraint no second time.  The policy comes from `_synthesize_on`.
+    reaching the goal or by a play that some DPW accepts.  Each conjunct
+    gets the DPW of the route `constraints._conjuncts` binds it to: one
+    with letter classes (such as every counter constraint) its
+    `_class_dpw` and no tableau, any other the complement of its NBA,
+    determinized on the fly as a `LazyDpw`.  The result keeps the bound
+    conjuncts as ``conjuncts``, so the check of its policy binds and
+    translates the constraint no second time.  The policy comes from
+    `_synthesize_on`.
     """
-    from .constraints import _conjunct_nbas, _conjuncts, constraint_alphabet
+    from .constraints import _conjuncts, constraint_alphabet
 
     sigma = constraint_alphabet(psi, p)
-    conjuncts = _conjuncts(psi, p)
-    nbas = {} if all(cls for _, cls in conjuncts) else _conjunct_nbas(psi, p, budget)
+    conjuncts = _conjuncts(psi, p, budget)
     dpws = tuple(
         _class_dpw(sigma, *cls) if cls else
-        LazyDpw(nbas[f], budget, stage="synthesis-game determinization", complement=True)
-        for f, cls in conjuncts
+        LazyDpw(nba, budget, stage="synthesis-game determinization", complement=True)
+        for _, cls, nba in conjuncts
     )
-    return _synthesize_on(p, dpws, budget, tuple(nbas.values()) or None, conjuncts)
+    return _synthesize_on(p, dpws, budget, conjuncts)
 
 
-def _synthesize_on(p, dpws, budget, nbas=None, conjuncts=None):
-    """Play the game of ``p`` with ``dpws`` and keep ``nbas`` and
-    ``conjuncts`` in the result.
+def _synthesize_on(p, dpws, budget, conjuncts=None):
+    """Play the game of ``p`` with ``dpws`` and keep ``conjuncts`` in the
+    result.
     A winning strategy becomes a transducer policy whose memory is the
     played tuples of automaton states (the states themselves when there is
     one automaton) plus a ``halt`` state, minimized over the (memory,
@@ -595,7 +591,7 @@ def _synthesize_on(p, dpws, budget, nbas=None, conjuncts=None):
         }
         return SynthesisResult(
             realizable=False, counterstrategy=counter, game=game, solution=sol, dpws=dpws,
-            nbas=nbas, conjuncts=conjuncts,
+            conjuncts=conjuncts,
         )
     strategy = _uniform_actions(game, sol.strategy)  # the play reads only controller moves
     played, _ = _played_region(game, strategy)
@@ -631,8 +627,7 @@ def _synthesize_on(p, dpws, budget, nbas=None, conjuncts=None):
     care = {(m, p.obs_fn[s]) for s, m in prod.nodes}
     policy = policy.minimized(observations, care)
     return SynthesisResult(
-        realizable=True, policy=policy, game=game, solution=sol, dpws=dpws, nbas=nbas,
-        conjuncts=conjuncts,
+        realizable=True, policy=policy, game=game, solution=sol, dpws=dpws, conjuncts=conjuncts,
     )
 
 

@@ -41,7 +41,8 @@ from genplan.model import (
 )
 from genplan.errors import AlphabetMismatchError, GenplanError, decoding
 from genplan.constraints import (
-    _conjunct_nbas, _policy_bilayer_product, _product_lasso, constraint_formula, ltl_constraint,
+    _conjuncts, _policy_bilayer_product, _product_lasso, constraint_alphabet, constraint_formula,
+    ltl_constraint,
 )
 from genplan.omega import (
     CONTROLLER, Dpw, LazyDpw, _priority, _reading, _synthesize_on, cycle_with_max_parity,
@@ -235,28 +236,41 @@ def ltl_text_constraint(c, p):
     return ltl_constraint(constraint_formula(c, p), name=c.name)
 
 
+def nba_conjuncts(c, p, budget=L.DEFAULT_BUDGET):
+    """`constraints._conjuncts` of ``c`` and ``p`` with every conjunct on
+    the route of conjuncts outside the letter-class fragment, whatever its
+    shape: its NBA and no letter classes.  Synthesis and the constraint
+    check take a conjunct by its entry, so these send all of ``c`` down
+    that route."""
+    sigma = constraint_alphabet(c, p)
+    return [
+        (f, None, a or L.ltl_to_nba(f, sigma, budget=budget))
+        for f, _, a in _conjuncts(c, p, budget)
+    ]
+
+
 def safra_synthesize(p, c, budget=L.DEFAULT_BUDGET):
     """`omega.synthesize` on the route of conjuncts outside the
     letter-class fragment, whatever their shape: the game of ``p`` with
-    the complemented compact-Safra `LazyDpw` of each conjunct NBA; the
-    result keeps the NBAs for the check.  The reference for the class
-    route."""
-    nbas = tuple(_conjunct_nbas(c, p, budget).values())
+    the complemented compact-Safra `LazyDpw` of each conjunct NBA
+    (`nba_conjuncts`); the result keeps those conjuncts for the check.
+    The reference for the class route."""
+    conjuncts = nba_conjuncts(c, p, budget)
     dpws = tuple(
         LazyDpw(a, budget, stage="synthesis-game determinization", complement=True)
-        for a in nbas
+        for _, _, a in conjuncts
     )
-    return _synthesize_on(p, dpws, budget, nbas)
+    return _synthesize_on(p, dpws, budget, conjuncts)
 
 
 def nba_check(p, mu, c, budget=L.DEFAULT_BUDGET):
     """`model.check_solution` under ``c`` on the route of conjuncts outside
-    the letter-class fragment: Büchi emptiness of the policy product with
-    the conjunct NBAs.  The policy product is built first, so the budget
-    stops the stages in the check's order: policy product, tableaux,
-    product with the NBAs."""
+    the letter-class fragment (`nba_conjuncts`): Büchi emptiness of the
+    policy product with the conjunct NBAs.  The policy product is built
+    first, so the budget stops the stages in the check's order: policy
+    product, tableaux, product with the NBAs."""
     _policy_product(p, mu, budget)
-    return check_solution(p, mu, Under(c), budget, _conjunct_nbas(c, p, budget).values())
+    return check_solution(p, mu, Under(c), budget, nba_conjuncts(c, p, budget))
 
 
 def qnp_dpw_for_problem(p, variables):
@@ -506,7 +520,7 @@ def dpw_policy_lasso(p, level, dpws, prod, reach):
 def dpw_counterexample_search(p, c, prod, reach):
     """`constraints.counterexample_search` for an LTL constraint, through
     one on-the-fly determinized automaton per conjunct."""
-    dpws = [LazyDpw(a) for a in _conjunct_nbas(c, p, L.DEFAULT_BUDGET).values()]
+    dpws = [LazyDpw(a) for _, _, a in nba_conjuncts(c, p)]
     return dpw_policy_lasso(p, c.level, dpws, prod, reach)
 
 

@@ -524,9 +524,9 @@ def _qnp_as_ltl_text(fondp, variables):
 
 
 def test_synthesize_translates_each_conjunct_once(tmp_path, capsys, monkeypatch):
-    """A synthesize request hands its conjunct NBAs to its own constraint
-    check: two LTL conjuncts and one that folds to true cost two
-    translations in all, and the policy is still checked."""
+    """A synthesize request hands its bound conjuncts, NBAs included, to
+    its own constraint check: two LTL conjuncts and one that folds to true
+    cost two translations in all, and the policy is still checked."""
     fondp = tmp_path / "twovar.json"
     assert main(["qnp2fond", TWOVAR_QNP, "-o", str(fondp)]) == 0
     capsys.readouterr()
@@ -547,8 +547,10 @@ def test_synthesize_translates_each_conjunct_once(tmp_path, capsys, monkeypatch)
 
 def test_letter_class_constraints_build_no_automaton(tmp_path, capsys, monkeypatch):
     """Counter constraints as LTL text, weak and strong, are in the
-    letter-class fragment: neither synthesis nor the constraint check runs
-    the tableau (`ltl.ltl_to_nba`) or determinizes (`omega.LazyDpw`)."""
+    letter-class fragment, and so is a conjunct that folds to true whatever
+    the order of its disjuncts (``"X=0,Y=0" | true``): neither synthesis
+    nor the constraint check runs the tableau (`ltl.ltl_to_nba`) or
+    determinizes (`omega.LazyDpw`)."""
     from genplan import omega
 
     fondp = tmp_path / "twovar.json"
@@ -559,8 +561,11 @@ def test_letter_class_constraints_build_no_automaton(tmp_path, capsys, monkeypat
     translate, lazy = ltl.ltl_to_nba, omega.LazyDpw
     monkeypatch.setattr(ltl, "ltl_to_nba", lambda *a, **k: calls.append(a[0]) or translate(*a, **k))
     monkeypatch.setattr(omega, "LazyDpw", lambda *a, **k: calls.append(a[0]) or lazy(*a, **k))
-    for strong in (False, True):
-        text = ltl.pretty(constraint_formula(conjoin(qnp_constraints(["X", "Y"], strong)), p))
+    texts = [
+        ltl.pretty(constraint_formula(conjoin(qnp_constraints(["X", "Y"], strong)), p))
+        for strong in (False, True)
+    ]
+    for text in texts + [f'{texts[0]} & ("X=0,Y=0" | true)']:
         code, doc = run_cli(capsys, "synthesize", str(fondp), "--constraint", text)
         assert code == 0 and doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
         code, doc = run_cli(capsys, "verify", "--mode", "constraint", str(fondp), CANONICAL, text)
@@ -572,7 +577,9 @@ def test_synthesize_binds_a_letter_class_constraint_once(tmp_path, capsys, monke
     """A synthesize request under a letter-class constraint, a builtin name
     or LTL text, hands its bound conjuncts to its own constraint check:
     it binds the constraint (`constraints._conjuncts`) once, and the
-    policy is still checked."""
+    policy is still checked.  Beside a conjunct outside the fragment, the
+    counter constraint still gets no tableau: on `counter`, ``qnp(X) &
+    G (Dec -> F Inc)`` runs `ltl.ltl_to_nba` once, for the other one."""
     from genplan import constraints
 
     fondp = tmp_path / "twovar.json"
@@ -588,6 +595,31 @@ def test_synthesize_binds_a_letter_class_constraint_once(tmp_path, capsys, monke
         code, doc = run_cli(capsys, "synthesize", str(fondp), "--constraint", spec)
         assert code == 0 and doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
         assert len(calls) == 1, spec
+    calls.clear()
+    translations, translate = [], ltl.ltl_to_nba
+    monkeypatch.setattr(
+        ltl, "ltl_to_nba", lambda *a, **k: translations.append(a[0]) or translate(*a, **k)
+    )
+    code, doc = run_cli(
+        capsys, "synthesize", COUNTER_FONDP,
+        "--constraint", "qnp(X)", "--constraint", "G (Dec -> F Inc)",
+    )
+    assert code == 0 and doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
+    assert len(calls) == 1 and len(translations) == 1
+
+
+@pytest.mark.parametrize(
+    "specs", [["qnp(X)", '"X=0" | true'], ['G F Dec & ("X=0" | true)']], ids=["qnp", "ltl"]
+)
+def test_synthesize_under_a_conjunct_that_folds_to_true(capsys, specs):
+    """A conjunct that folds to true with a letter disjunct first is
+    ``G F sigma`` (`constraints._letter_classes`), beside a counter
+    constraint or an LTL conjunct: synthesis binds it once, for its game
+    and its check, and the request is solved (it raised KeyError when the
+    game asked for an automaton the check had not built)."""
+    argv = [x for spec in specs for x in ("--constraint", spec)]
+    code, doc = run_cli(capsys, "synthesize", COUNTER_FONDP, *argv)
+    assert code == 0 and doc["verification"]["verdict"] == "SOLVES_UNDER_CONSTRAINT"
 
 
 def test_counter_witness_cycle_is_its_shortest_period(tmp_path, capsys):

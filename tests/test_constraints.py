@@ -13,8 +13,6 @@ from genplan import ltl as L
 from genplan.constraints import (
     ALL_TRAJECTORIES,
     _conjunct_formulas,
-    _conjunct_nbas,
-    accepted_policy_lasso,
     conjoin,
     constraint_formula,
     counterexample_search,
@@ -56,6 +54,7 @@ from .helpers import (
     finite_memory_policies,
     is_generated_by,
     nba_check,
+    nba_conjuncts,
     rand_formula,
     rand_word,
     small_lassos,
@@ -574,9 +573,8 @@ def _assert_routes_agree(name, p, variables, mu):
         for subset in combinations(variables, k):
             c = conjoin(qnp_constraints(subset))
             lasso = counterexample_search(p, c, prod, reach)
-            # the route every non-builtin constraint takes
-            nbas = _conjunct_nbas(c, p, L.DEFAULT_BUDGET).values()
-            buchi = accepted_policy_lasso(p, c.level, nbas, prod, reach)
+            # the route of every conjunct outside the letter-class fragment
+            buchi = counterexample_search(p, c, prod, reach, conjuncts=nba_conjuncts(c, p))
             reference = dpw_counterexample_search(p, c, prod, reach)
             assert (lasso is None) == (reference is None), (name, subset)
             assert (buchi is None) == (reference is None), (name, subset)
@@ -620,8 +618,7 @@ def test_automaton_route_lasso_is_normalized():
     prod = _policy_product(p, toggle)
     reach = _goal_free_region(p, prod)
     c = qnp_constraint("X")
-    nbas = _conjunct_nbas(c, p, L.DEFAULT_BUDGET).values()
-    lasso = accepted_policy_lasso(p, c.level, nbas, prod, reach)
+    lasso = counterexample_search(p, c, prod, reach, conjuncts=nba_conjuncts(c, p))
     assert lasso.prefix_states == () and lasso.prefix_actions == ()
     assert lasso.cycle_states == (POS, POS) and lasso.cycle_actions == ("Dec", "Inc")
     assert satisfies(c, lasso, p) and is_generated_by(p, toggle, lasso)

@@ -571,7 +571,7 @@ def test_class_route_agrees_with_safra_on_random_fragment_formulas(data):
     p = _twovar_projection()
     letters = sorted(set(p.observations) | set(p.actions))
     c = ltl_constraint(rand_fragment_formula(random.Random(data.draw(st.integers(0, 2**30))), letters))
-    assert all(cls for _, cls in _conjuncts(c, p)), c.name
+    assert all(cls for _, cls, _ in _conjuncts(c, p, L.DEFAULT_BUDGET)), c.name
     res = synthesize(p, c)
     assert res.realizable == safra_synthesize(p, c).realizable, c.name
     if res.realizable:
@@ -584,6 +584,62 @@ def test_class_route_agrees_with_safra_on_random_fragment_formulas(data):
         if t is not None and hasattr(t, "cycle_states"):
             assert not set(t.visited_states()) & p.goal_states
             assert is_generated_by(p, mu, t) and satisfies(c, t, p), c.name
+
+
+def _padded_out_of_the_fragment(c, p):
+    """``c`` as one LTL formula in which each conjunct with letter classes
+    gains the disjunct ``X l & X !l`` (no word satisfies it): the same
+    language, with those conjuncts on the NBA route."""
+    from genplan.constraints import _conjuncts, ltl_constraint
+
+    letter = Letter(min(p.actions))
+    never = L.And(L.Next(letter), L.Next(L.lnot(letter)))
+    conjuncts = _conjuncts(c, p, L.DEFAULT_BUDGET)
+    return ltl_constraint(L.land(*[L.lor(f, never) if cls else f for f, cls, _ in conjuncts]))
+
+
+def test_mixed_constraints_agree_with_the_nba_route():
+    """Seeded sweep of 200 mixed constraints: the builtin `qnp` conjuncts of
+    a projection and one `rand_formula` conjunct (depth 1 to 3), on the
+    counter and the two-variable projections in turn.  Synthesis gives the
+    verdict of the compact-Safra route, and its policy passes both checks.
+    Every memoryless policy's check gives the verdict of the NBA route;
+    its lasso avoids the goal, replays under the policy and satisfies the
+    constraint.  `implies` against fairness, each `qnp(V)` and the random
+    conjunct gives the verdict it gives once every class conjunct of the
+    antecedent is padded out of the fragment, and each of its witnesses
+    satisfies the antecedent and violates the consequent."""
+    from genplan.constraints import fairness_constraint, implies, ltl_constraint, satisfies
+
+    from .helpers import is_generated_by
+
+    rng = random.Random(3)
+    problems = [(counter_projection(), ["X"]), (_twovar_projection(), ["X", "Y"])]
+    budget = 20000
+    for k in range(200):
+        p, variables = problems[k % 2]
+        letters = sorted(set(p.observations) | set(p.actions))
+        other = ltl_constraint(rand_formula(rng, rng.randint(1, 3), letters))
+        c = conjoin([*qnp_constraints(variables), other])
+        res = synthesize(p, c, budget)
+        assert res.realizable == safra_synthesize(p, c, budget).realizable, c.name
+        if res.realizable:
+            assert check_solution(p, res.policy, Under(c), budget, res.conjuncts).is_solution
+            assert nba_check(p, res.policy, c, budget).is_solution, c.name
+        for mu in _memoryless_policies(p):
+            verdict = check_solution(p, mu, Under(c), budget)
+            assert verdict.kind == nba_check(p, mu, c, budget).kind, (c.name, mu)
+            t = verdict.counterexample
+            if t is not None and hasattr(t, "cycle_states"):
+                assert not set(t.visited_states()) & p.goal_states
+                assert is_generated_by(p, mu, t) and satisfies(c, t, p), c.name
+        padded = _padded_out_of_the_fragment(c, p)
+        for c_prime in [fairness_constraint(), *qnp_constraints(variables), other]:
+            res = implies(c, c_prime, p, budget)
+            # the NBA route builds larger products: it gets the default budget
+            assert res.holds == implies(padded, c_prime, p).holds, (c.name, c_prime.name)
+            if not res.holds:
+                assert satisfies(c, res.witness, p) and not satisfies(c_prime, res.witness, p)
 
 
 def test_repeated_counter_constraint_gets_one_automaton():
@@ -720,9 +776,9 @@ def test_solved_strategy_ignores_hash_seed():
     policy of `counter`."""
     code = (
         "import hashlib, sys\n"
-        "from genplan.constraints import ALL_TRAJECTORIES, _conjunct_nbas, conjoin, implies\n"
+        "from genplan.constraints import ALL_TRAJECTORIES, _conjuncts, conjoin, implies\n"
         "from genplan.constraints import fairness_constraint, ltl_constraint, qnp_constraints\n"
-        "from genplan.ltl import parse_ltl\n"
+        "from genplan.ltl import ltl_to_nba, parse_ltl\n"
         "from genplan.model import Policy, Under, check_solution, policy_to_json_dict\n"
         "from genplan.omega import LazyDpw, _synthesize_on, synthesize\n"
         "from genplan.qnp import parse_qnp, syntactic_projection\n"
@@ -730,7 +786,9 @@ def test_solved_strategy_ignores_hash_seed():
         "    q = parse_qnp(text)\n"
         "    p = syntactic_projection(q).fondp\n"
         "    c = conjoin(qnp_constraints(q.variables))\n"
-        "    safra = [LazyDpw(a, complement=True) for a in _conjunct_nbas(c, p, 10**6).values()]\n"
+        "    sigma = set(p.observations) | set(p.actions)\n"
+        "    nbas = [ltl_to_nba(f, sigma) for f, _, _ in _conjuncts(c, p, 10**6)]\n"
+        "    safra = [LazyDpw(a, complement=True) for a in nbas]\n"
         "    for res in (synthesize(p, c), _synthesize_on(p, safra, 10**6)):\n"
         "        strategy = sorted(res.solution.strategy.items(), key=repr)\n"
         "        print(hashlib.sha1(repr(strategy).encode()).hexdigest())\n"
